@@ -41,7 +41,6 @@ from .lattice2d import (
 from .numcore import (
     INF,
     Exponent,
-    WeightedDistribution,
     bottleneck,
     emd,
     hausdorff,

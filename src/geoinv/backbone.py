@@ -131,6 +131,8 @@ def reconstruct(b):
     """Backbone realising a BRI matrix; A_1 at the origin, first residue in
     the xy-plane with N_1 on the positive x-axis."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 9:
+        raise ValueError(f"a BRI matrix has m >= 1 rows of 9 numbers, got shape {b.shape}")
     m = len(b)
     l, x, y = b[0, :3]
     if l <= 0 or y == 0:
@@ -196,16 +198,6 @@ def lipschitz_lambda(S, Q):
     h = min(heights)
     k = 1.0 / l_na + (2.0 / h) * (1.0 + 2.0 * l_ac_max / l_na)
     return 2.0 * (1.0 + 2.0 * big_l * k)
-
-
-def bri_hat(b, big_l, k):
-    """Optional weighted BRI: row i scaled by ((8LK)^(i-1) - 1)/(8LK - 1)."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    base = 8.0 * big_l * k
-    weights = np.array(
-        [(base ** (i - 1) - 1.0) / (base - 1.0) for i in range(1, len(b) + 1)]
-    )
-    return b * weights[:, None]
 
 
 def read_tsv(path):

@@ -47,10 +47,6 @@ def _emit(args, csv_text, json_obj):
         sys.stdout.write(text)
 
 
-def _q(args):
-    return norm_exponent(float("inf") if str(args.q).lower() in ("inf", "infinity") else float(args.q))
-
-
 def _read_cloud(path):
     return io.parse_xyz(Path(path).read_text())
 
@@ -82,7 +78,7 @@ def _cmd_cloud(args):
     elif args.action == "compare":
         D = _read_cloud(args.file2)
         k = args.k if args.k is not None else min(len(C.points), len(D.points)) - 1
-        d = pdd_dist(pdd(C, k, args.tol), pdd(D, k, args.tol), _q(args))
+        d = pdd_dist(pdd(C, k, args.tol), pdd(D, k, args.tol), norm_exponent(args.q))
         _emit(args, _matrix_csv([[d]], ["pdd_dist"]), {"pdd_dist": d})
     return 0
 
@@ -115,7 +111,7 @@ def _cmd_simplex(args):
                 simplexwise.sdd(C, args.order),
                 simplexwise.sdd(D, args.order),
                 mode=args.mode,
-                q=_q(args),
+                q=norm_exponent(args.q),
             )
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     return 0
@@ -132,12 +128,11 @@ def _basis_of(vals):
 
 def _cmd_lattice(args):
     if args.action == "design":
-        sb = lattice2d.inverse_design(args.x, args.y, args.size, args.sign)
-        v = sb.vectors()
+        b = lattice2d.inverse_design(args.x, args.y, args.size, args.sign)
         _emit(
             args,
-            _matrix_csv([[*v[1], *v[2]]], ["v1x", "v1y", "v2x", "v2y"]),
-            {"v1": v[1], "v2": v[2]},
+            _matrix_csv([[*b.v1, *b.v2]], ["v1x", "v1y", "v2x", "v2y"]),
+            {"v1": b.v1, "v2": b.v2},
         )
         return 0
     sb = lattice2d.reduce_basis(_basis_of(args.basis))
@@ -165,14 +160,17 @@ def _cmd_lattice(args):
         ri2 = lattice2d.root_invariant(sb2)
         if args.projected:
             d = lattice2d.pm(
-                pi, lattice2d.projected_invariant(ri2), _q(args), oriented=args.oriented
+                pi,
+                lattice2d.projected_invariant(ri2),
+                norm_exponent(args.q),
+                oriented=args.oriented,
             )
         else:
-            d = lattice2d.rm(ri, ri2, _q(args), oriented=args.oriented)
+            d = lattice2d.rm(ri, ri2, norm_exponent(args.q), oriented=args.oriented)
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     elif args.action == "chiral":
         inv = pi if args.projected else ri
-        d = lattice2d.chiral(inv, args.group, _q(args))
+        d = lattice2d.chiral(inv, args.group, norm_exponent(args.q))
         _emit(args, _matrix_csv([[d]], ["chiral"]), {"chiral": d})
     elif args.action == "map":
         lat, lon = lattice2d.slm(pi)
@@ -233,7 +231,7 @@ def _cmd_periodic(args):
         _emit(args, _matrix_csv([v]), {"ada": v})
     elif args.action == "compare":
         Q = _read_periodic(args.file2)
-        d = periodic.pda_dist(S, Q, k, _q(args))
+        d = periodic.pda_dist(S, Q, k, norm_exponent(args.q))
         _emit(args, _matrix_csv([[d]], ["pda_dist"]), {"pda_dist": d})
     return 0
 
@@ -282,7 +280,9 @@ def _cmd_seq1(args):
         b = np.loadtxt(args.file2, ndmin=2)
         S = seq1p.OnePeriodicSequence(args.period, a)
         Q = seq1p.OnePeriodicSequence(args.period2 or args.period, b)
-        d = seq1p.seq_metric(S, Q, _q(args), group=args.group, equivalence=args.equivalence)
+        d = seq1p.seq_metric(
+            S, Q, norm_exponent(args.q), group=args.group, equivalence=args.equivalence
+        )
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     return 0
 
@@ -294,13 +294,9 @@ def _cmd_backbone(args):
     if args.action == "reconstruct":
         b = np.loadtxt(args.file, delimiter=",", ndmin=2)
         S = bb.reconstruct(b)
-        text = ""
         rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
         text = "\n".join("\t".join(io.fmt(v) for v in row) for row in rows) + "\n"
-        if args.output:
-            args.output.write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(args, text, {"atoms": S.atoms})
         return 0
     S = bb.read_tsv(args.file)
     if args.action == "bri":

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numcore import INF, _pairwise, emd, norm_exponent
+from .numcore import INF, _check_weights, _pairwise, emd, norm_exponent
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,8 @@ class WeightedRows:
     rows: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         r = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if len(w) != len(r):
-            raise ValueError("weights do not match rows")
-        if (w <= 0).any():
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _check_weights(self.weights, len(r)))
         object.__setattr__(self, "rows", r)
 
     @property

@@ -327,8 +327,3 @@ def inverse_design(x, y, size, sign=1):
     ri = RootInvariant2D(r12, r01, r02, int(np.sign(sign)))
     return superbase_from_root_invariant(ri)
 
-
-def cell_area(ri):
-    """Area of the unit cell from root products."""
-    a, b, c = ri.r12**2, ri.r01**2, ri.r02**2
-    return math.sqrt(a * b + a * c + b * c)

@@ -8,11 +8,10 @@ distributions.  All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 
 class Exponent(enum.Enum):
@@ -79,14 +78,11 @@ def _pairwise(A, B, q=2.0):
     q = norm_exponent(q)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    diff = np.abs(A[:, None, :] - B[None, :, :])
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("non-finite coordinates")
     if q is INF:
-        return diff.max(axis=2)
-    if q == 2.0:
-        return np.sqrt((diff * diff).sum(axis=2))
-    if q == 1.0:
-        return diff.sum(axis=2)
-    return (diff**q).sum(axis=2) ** (1.0 / q)
+        return cdist(A, B, "chebyshev")
+    return cdist(A, B, "minkowski", p=q)
 
 
 def hausdorff(A, B, q=2.0):
@@ -99,51 +95,28 @@ def hausdorff(A, B, q=2.0):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _has_perfect_matching(adj):
-    """Kuhn's augmenting-path test for a perfect matching.
-
-    ``adj`` is a boolean k x k matrix; returns True iff a perfect matching
-    of left to right vertices exists.
-    """
-    k = adj.shape[0]
-    match_r = np.full(k, -1, dtype=int)
-
-    def try_augment(u, seen):
-        for v in np.flatnonzero(adj[u]):
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_r[v] < 0 or try_augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    for u in range(k):
-        if not try_augment(u, np.zeros(k, dtype=bool)):
-            return False
-    return True
-
-
 def bottleneck_from_costs(costs):
     """Minimum over perfect matchings of the maximum matched cost.
 
-    Exact: binary search over the sorted set of candidate costs with an
-    augmenting-path feasibility test; ties resolved by taking the smallest
-    feasible candidate.
+    Exact: binary search over the sorted set of candidate costs.  A
+    threshold t is feasible iff a perfect matching inside ``costs <= t``
+    exists, that is iff the 0/1 matrix ``costs > t`` has a zero-cost
+    assignment; ties resolve to the smallest feasible candidate.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError("bottleneck needs a square cost matrix")
+    if np.isnan(costs).any():
+        raise ValueError("NaN in bottleneck costs")
     cand = np.unique(costs)
     lo, hi = 0, len(cand) - 1
-    if not _has_perfect_matching(costs <= cand[hi]):
-        raise RuntimeError("no perfect matching in complete bipartite graph")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(costs <= cand[mid]):
-            hi = mid
-        else:
+        above = costs > cand[mid]
+        if above[linear_sum_assignment(above)].any():
             lo = mid + 1
+        else:
+            hi = mid
     return float(cand[lo])
 
 
@@ -168,19 +141,6 @@ def lac(costs):
     return float(costs[rows, cols].sum() / costs.shape[0])
 
 
-@dataclass(frozen=True)
-class WeightedDistribution:
-    """Abstract items with positive weights summing to 1 (within 1e-9)."""
-
-    items: Sequence
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", _check_weights(self.weights, len(self.items))
-        )
-
-
 def _check_weights(w, n=None):
     w = np.asarray(w, dtype=float)
     if n is not None and len(w) != n:
@@ -196,13 +156,13 @@ def _check_weights(w, n=None):
 def emd(P, Q, costs):
     """Exact Earth Mover's Distance between weighted distributions.
 
-    ``P`` and ``Q`` are weight vectors (or WeightedDistribution instances)
-    summing to 1; ``costs`` is the |P| x |Q| ground-metric matrix.  Returns
-    ``(value, flow)`` where the flow satisfies the transportation
-    constraints within 1e-12 and minimises sum f_ij * costs_ij exactly.
+    ``P`` and ``Q`` are weight vectors summing to 1; ``costs`` is the
+    |P| x |Q| ground-metric matrix.  Returns ``(value, flow)`` where the
+    flow satisfies the transportation constraints within 1e-12 and
+    minimises sum f_ij * costs_ij exactly.
     """
-    wp = P.weights if isinstance(P, WeightedDistribution) else _check_weights(P)
-    wq = Q.weights if isinstance(Q, WeightedDistribution) else _check_weights(Q)
+    wp = _check_weights(P)
+    wq = _check_weights(Q)
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (len(wp), len(wq)):
         raise ValueError(f"cost matrix shape {costs.shape} != ({len(wp)}, {len(wq)})")
@@ -221,14 +181,10 @@ def emd(P, Q, costs):
     # inequality form of the definition collapses to equalities because the
     # total flow 1 equals the sum of either marginal).  One constraint is
     # redundant; drop the last column constraint for a full-rank system.
-    A_eq = np.zeros((m + n - 1, m * n))
-    b_eq = np.empty(m + n - 1)
-    for i in range(m):
-        A_eq[i, i * n : (i + 1) * n] = 1.0
-        b_eq[i] = wp[i]
-    for j in range(n - 1):
-        A_eq[m + j, j::n] = 1.0
-        b_eq[m + j] = wq[j]
+    A_eq = np.vstack(
+        [np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))[:-1]]
+    )
+    b_eq = np.concatenate([wp, wq[:-1]])
     res = linprog(
         costs.ravel(),
         A_eq=A_eq,

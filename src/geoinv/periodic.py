@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
-from .numcore import INF
+from .numcore import INF, _pairwise
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
@@ -116,10 +116,7 @@ def neighbours(S, k):
     m = len(motif)
     if m == 0:
         raise ValueError("empty motif")
-    diam = 0.0
-    if m > 1:
-        diff = motif[:, None, :] - motif[None, :, :]
-        diam = float(np.sqrt((diff**2).sum(axis=2)).max())
+    diam = float(_pairwise(motif, motif).max())
     gap = _min_plane_gap(basis)
     # initial guess from the packing coefficient asymptotic
     R = max(2, int(math.ceil((ppc(S) * (k / m + 1) ** (1.0 / l) + diam) / gap)))
@@ -128,10 +125,7 @@ def neighbours(S, k):
         coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, l)
         translates = coeffs @ basis
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
-        d = np.sqrt(
-            ((motif[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        )
-        d = np.sort(d, axis=1)
+        d = np.sort(_pairwise(motif, points), axis=1)
         # drop the zero self-distance in each row
         rows = d[:, 1 : k + 1]
         if rows.shape[1] < k:

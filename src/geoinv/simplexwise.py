@@ -132,6 +132,20 @@ class Sdd:
         return len(self.rdds)
 
 
+def _weighted_classes(items):
+    """Group items by ``key()`` in first-seen order.
+
+    Returns ``(weights, representatives, total)``: the share of items in
+    each class, the first item of each class, and the number of items.
+    """
+    groups = {}
+    for item in items:
+        groups.setdefault(item.key(), [0, item])[0] += 1
+    total = sum(count for count, _ in groups.values())
+    weights = np.array([count / total for count, _ in groups.values()])
+    return weights, tuple(rep for _, rep in groups.values()), total
+
+
 def sdd(C, h):
     """Simplexwise Distance Distribution: weighted RDDs of all h-point bases."""
     pts = _as_points(C)
@@ -141,21 +155,14 @@ def sdd(C, h):
     if h >= m:
         raise ValueError("h must be smaller than the cloud size")
     d = _pairwise(pts, pts)
-    groups = {}
-    order = []
-    for base in itertools.combinations(range(m), h):
-        rest = [i for i in range(m) if i not in base]
-        D = d[np.ix_(base, base)]
-        R = d[np.ix_(base, rest)]
-        rdd = _canonical_rdd(D, R)
-        key = rdd.key()
-        if key not in groups:
-            groups[key] = [0, rdd]
-            order.append(key)
-        groups[key][0] += 1
-    total = sum(groups[k][0] for k in order)
-    weights = np.array([groups[k][0] / total for k in order])
-    return Sdd(weights, tuple(groups[k][1] for k in order), total)
+    rdds = (
+        _canonical_rdd(
+            d[np.ix_(base, base)],
+            d[np.ix_(base, [i for i in range(m) if i not in base])],
+        )
+        for base in itertools.combinations(range(m), h)
+    )
+    return Sdd(*_weighted_classes(rdds))
 
 
 def rdd_max_metric(X, Y):
@@ -205,27 +212,6 @@ def sdd_dist(X, Y, mode="emd", q=INF):
     return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
 
 
-def sdm(X, t=1):
-    """Moment summary of an SDD.
-
-    For every weighted RDD the summary vector concatenates the sorted base
-    distances with the sorted row-wise power means (order ``t``) of R; the
-    result is the weighted componentwise power mean over all RDDs.
-    """
-    if not 1 <= t <= 3:
-        raise ValueError("moments supported for t in {1, 2, 3}")
-    vecs = []
-    for rdd in X.rdds:
-        base = np.sort(rdd.D[np.triu_indices(rdd.h, k=1)]) if rdd.h > 1 else np.array([])
-        if rdd.R.size:
-            row_means = (np.mean(rdd.R**t, axis=1)) ** (1.0 / t)
-        else:
-            row_means = np.zeros(rdd.h)
-        vecs.append(np.concatenate([base, np.sort(row_means)]))
-    vecs = np.array(vecs)
-    return (np.tensordot(X.weights, vecs**t, axes=1)) ** (1.0 / t)
-
-
 @dataclass(frozen=True)
 class Ocd:
     """Oriented Centre Distribution of one base: distances, signs, strengths.
@@ -251,38 +237,26 @@ class Ocd:
         return Ocd(self.dvec, self.cols, -self.signs, self.strengths)
 
 
-def _base_dvec(base_pts, perm):
-    """Distances within base (permuted) + origin: pairwise then to origin."""
-    bp = base_pts[list(perm)]
-    h = len(bp)
-    pair = [np.linalg.norm(bp[i] - bp[j]) for i in range(h) for j in range(i + 1, h)]
-    orig = [np.linalg.norm(b) for b in bp]
-    return np.array(pair + orig)
-
-
 def _ocd_for_base(pts, base_idx):
-    n = pts.shape[1]
+    origin = np.zeros((1, pts.shape[1]))
     base_pts = pts[list(base_idx)]
-    rest = [i for i in range(len(pts)) if i not in base_idx]
+    rest = pts[[i for i in range(len(pts)) if i not in base_idx]]
+    h = len(base_pts)
+    # rows: base points then the origin; columns: the same, then the rest
+    anchors = np.vstack([base_pts, origin])
+    d = _pairwise(anchors, np.vstack([anchors, rest]))
     best = None
-    for perm in itertools.permutations(range(len(base_pts))):
-        bp = base_pts[list(perm)]
-        cols, signs, strengths = [], [], []
-        for i in rest:
-            q = pts[i]
-            dists = [np.linalg.norm(q - b) for b in bp] + [np.linalg.norm(q)]
-            seq = np.vstack([bp, np.zeros(n), q])
-            signs.append(simplex_sign(seq))
-            strengths.append(strength(seq))
-            cols.append(dists)
-        cols = np.array(cols).T if cols else np.zeros((n, 0))
-        signs = np.array(signs, dtype=float)
-        strengths = np.array(strengths)
+    for perm in itertools.permutations(range(h)):
+        p = list(perm)
+        bp = base_pts[p]
+        dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
+        cols = d[p + [h], h + 1 :]
+        seqs = [np.vstack([bp, origin, q]) for q in rest]
+        signs = np.array([simplex_sign(seq) for seq in seqs], dtype=float)
+        strengths = np.array([strength(seq) for seq in seqs], dtype=float)
         full = np.vstack([cols, signs[None, :]])
         order = np.lexsort(full[::-1]) if full.size else np.array([], dtype=int)
-        ocd = Ocd(
-            _base_dvec(base_pts, perm), cols[:, order], signs[order], strengths[order]
-        )
+        ocd = Ocd(dvec, cols[:, order], signs[order], strengths[order])
         key = ocd.key()
         if best is None or key < best[0]:
             best = (key, ocd)
@@ -320,17 +294,8 @@ def scd(C, center=True):
     m = len(pts)
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
-    groups, order = {}, []
-    for base in itertools.combinations(range(m), n - 1):
-        ocd = _ocd_for_base(pts, base)
-        key = ocd.key()
-        if key not in groups:
-            groups[key] = [0, ocd]
-            order.append(key)
-        groups[key][0] += 1
-    total = sum(groups[k][0] for k in order)
-    weights = np.array([groups[k][0] / total for k in order])
-    return Scd(weights, tuple(groups[k][1] for k in order), total)
+    ocds = (_ocd_for_base(pts, base) for base in itertools.combinations(range(m), n - 1))
+    return Scd(*_weighted_classes(ocds))
 
 
 def ocd_max_metric(X, Y):

@@ -209,3 +209,41 @@ def test_cli_backbone_round_trip(tmp_path, capsys):
 
 def test_cli_selftest():
     assert main(["selftest", "--seed", "3"]) == 0
+
+
+def test_cli_lattice_design_round_trip(capsys):
+    from geoinv.lattice2d import Basis2D, projected_invariant, root_invariant
+
+    assert main(["lattice", "design", "--x", "0.2", "--y", "0.3", "--size", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "v1x,v1y,v2x,v2y"
+    v = [float(t) for t in out[1].split(",")]
+    ri = root_invariant(Basis2D(np.array(v[:2]), np.array(v[2:])))
+    pi = projected_invariant(ri)
+    assert (pi.x, pi.y, ri.size) == pytest.approx((0.2, 0.3, 2.0), abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+def test_cli_backbone_reconstruct_empty_file_exit_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["backbone", "reconstruct", str(empty)]) == 2
+    assert "9 numbers" in capsys.readouterr().err
+
+
+def test_cli_backbone_reconstruct_json(tmp_path, capsys):
+    import json
+
+    from geoinv.backbone import bri, read_tsv
+
+    b = tmp_path / "bri.csv"
+    b.write_text("1.5,0.5,1.2,0,0,0,0,0,0\n1.3,-0.4,1.1,1.5,0.5,0.2,1.4,0.3,-0.6\n")
+    assert main(["backbone", "reconstruct", str(b)]) == 0
+    tsv = tmp_path / "chain.tsv"
+    tsv.write_text(capsys.readouterr().out)
+    assert main(["backbone", "reconstruct", str(b), "--format", "json"]) == 0
+    atoms = np.array(json.loads(capsys.readouterr().out)["atoms"])
+    S = read_tsv(tsv)
+    assert atoms.shape == (2, 3, 3)
+    assert np.abs(atoms - S.atoms).max() < 1e-9
+    assert np.abs(bri(S) - np.loadtxt(b, delimiter=",")).max() < 1e-9

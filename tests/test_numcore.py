@@ -13,6 +13,7 @@ from conftest import bottleneck_oracle, emd_oracle
 from geoinv.numcore import (
     INF,
     bottleneck,
+    bottleneck_from_costs,
     emd,
     hausdorff,
     lac,
@@ -60,6 +61,13 @@ def test_hausdorff_simple():
     assert hausdorff(A, A, 2) == 0.0
 
 
+def test_non_finite_coordinates_rejected():
+    for bad in ([[math.nan, 0.0]], [[math.inf, 0.0]]):
+        for q in (2.0, INF):
+            with pytest.raises(ValueError, match="non-finite"):
+                hausdorff(bad, [[math.inf, 0.0]], q)
+
+
 def test_hausdorff_symmetry(rng):
     A = rng.normal(size=(5, 3))
     B = rng.normal(size=(8, 3))
@@ -67,14 +75,36 @@ def test_hausdorff_symmetry(rng):
 
 
 def test_bottleneck_matches_exhaustive(rng):
-    for _ in range(100):
+    for i in range(200):
         m = rng.integers(1, 7)
         n = rng.integers(1, 4)
-        A = rng.normal(size=(m, n))
-        B = rng.normal(size=(m, n))
+        if i % 2:
+            # small integer grids: many tied costs, including ties at the optimum
+            A = rng.integers(0, 3, size=(m, n)).astype(float)
+            B = rng.integers(0, 3, size=(m, n)).astype(float)
+        else:
+            A = rng.normal(size=(m, n))
+            B = rng.normal(size=(m, n))
         got = bottleneck(A, B, INF)
         want = bottleneck_oracle(A, B, math.inf)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_bottleneck_large_chain_has_zero_matching():
+    # The only zero-cost perfect matchings follow a 2k-cycle through every
+    # vertex, so a depth-first augmenting search would recurse k levels deep.
+    k = 3000
+    costs = np.ones((k, k))
+    idx = np.arange(k)
+    costs[idx, idx] = 0.0
+    costs[idx[:-1], idx[:-1] + 1] = 0.0
+    costs[k - 1, 0] = 0.0
+    assert bottleneck_from_costs(costs) == 0.0
+
+
+def test_bottleneck_nan_cost_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        bottleneck_from_costs([[0.0, 1.0], [math.nan, 0.5]])
 
 
 def test_bottleneck_size_mismatch_is_infinite():

@@ -30,10 +30,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _common(sub):
-    sub.add_argument("--k", type=int, default=None, help="neighbour count / order")
-    sub.add_argument("--q", default="inf", help="Minkowski exponent (accepts 'inf')")
-    sub.add_argument("--tol", type=float, default=0.0, help="collapse tolerance")
+def _exponent(text):
+    try:
+        return norm_exponent(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _common(sub, reads="", k=None):
+    """Attach the output options, and each of --k/--q/--tol named in ``reads``."""
+    reads = reads.split()
+    if "k" in reads:
+        sub.add_argument("--k", type=int, default=k, help="neighbour count / order")
+    if "q" in reads:
+        sub.add_argument(
+            "--q", type=_exponent, default="inf", help="Minkowski exponent (accepts 'inf')"
+        )
+    if "tol" in reads:
+        sub.add_argument("--tol", type=float, default=0.0, help="collapse tolerance")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", type=Path, default=None)
     return sub
@@ -78,7 +92,7 @@ def _cmd_cloud(args):
     elif args.action == "compare":
         D = _read_cloud(args.file2)
         k = args.k if args.k is not None else min(len(C.points), len(D.points)) - 1
-        d = pdd_dist(pdd(C, k, args.tol), pdd(D, k, args.tol), norm_exponent(args.q))
+        d = pdd_dist(pdd(C, k, args.tol), pdd(D, k, args.tol), args.q)
         _emit(args, _matrix_csv([[d]], ["pdd_dist"]), {"pdd_dist": d})
     return 0
 
@@ -111,7 +125,6 @@ def _cmd_simplex(args):
                 simplexwise.sdd(C, args.order),
                 simplexwise.sdd(D, args.order),
                 mode=args.mode,
-                q=norm_exponent(args.q),
             )
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     return 0
@@ -160,17 +173,14 @@ def _cmd_lattice(args):
         ri2 = lattice2d.root_invariant(sb2)
         if args.projected:
             d = lattice2d.pm(
-                pi,
-                lattice2d.projected_invariant(ri2),
-                norm_exponent(args.q),
-                oriented=args.oriented,
+                pi, lattice2d.projected_invariant(ri2), args.q, oriented=args.oriented
             )
         else:
-            d = lattice2d.rm(ri, ri2, norm_exponent(args.q), oriented=args.oriented)
+            d = lattice2d.rm(ri, ri2, args.q, oriented=args.oriented)
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     elif args.action == "chiral":
         inv = pi if args.projected else ri
-        d = lattice2d.chiral(inv, args.group, norm_exponent(args.q))
+        d = lattice2d.chiral(inv, args.group, args.q)
         _emit(args, _matrix_csv([[d]], ["chiral"]), {"chiral": d})
     elif args.action == "map":
         lat, lon = lattice2d.slm(pi)
@@ -186,14 +196,13 @@ def _cmd_lattice(args):
 
 
 def _cmd_periodic(args):
-    k = args.k if args.k is not None else 100
     if args.action == "dedup":
         paths = sorted(Path(args.file).glob("*.cif"))
         if not paths:
             raise ValueError(f"no CIF files in {args.file}")
         sets = [_read_periodic(p) for p in paths]
         pairs = periodic.dedup(
-            sets, k=k, ada_threshold=args.threshold, confirm_threshold=args.threshold,
+            sets, k=args.k, ada_threshold=args.threshold, confirm_threshold=args.threshold,
             ids=[p.stem for p in paths],
         )
         rows = [[i, j, a, e] for i, j, a, e in pairs]
@@ -212,26 +221,26 @@ def _cmd_periodic(args):
         if not paths:
             raise ValueError(f"no CIF files in {args.file2}")
         sets = [_read_periodic(p) for p in paths]
-        d, best = periodic.lnd(S, sets, k, ids=[p.stem for p in paths])
+        d, best = periodic.lnd(S, sets, args.k, ids=[p.stem for p in paths])
         _emit(args, io.to_csv([[str(best), d]], ["nearest", "lnd"]), {"nearest": best, "lnd": d})
         return 0
     S = _read_periodic(args.file)
     if args.action == "pdd":
-        P = periodic.pdd_periodic(S, k, args.tol)
+        P = periodic.pdd_periodic(S, args.k, args.tol)
         rows = [[w, *r] for w, r in zip(P.weights, P.rows)]
         _emit(args, _matrix_csv(rows), {"weights": P.weights, "rows": P.rows})
     elif args.action == "amd":
-        v = periodic.amd(S, k)
+        v = periodic.amd(S, args.k)
         _emit(args, _matrix_csv([v]), {"amd": v})
     elif args.action == "ppc":
         v = periodic.ppc(S)
         _emit(args, _matrix_csv([[v]], ["ppc"]), {"ppc": v})
     elif args.action == "ada":
-        v = periodic.deviations(S, k)["ada"]
+        v = periodic.deviations(S, args.k)["ada"]
         _emit(args, _matrix_csv([v]), {"ada": v})
     elif args.action == "compare":
         Q = _read_periodic(args.file2)
-        d = periodic.pda_dist(S, Q, k, norm_exponent(args.q))
+        d = periodic.pda_dist(S, Q, args.k, args.q)
         _emit(args, _matrix_csv([[d]], ["pda_dist"]), {"pda_dist": d})
     return 0
 
@@ -251,18 +260,16 @@ def _seq_of(args, suffix=""):
 def _cmd_density(args):
     if args.action == "compare":
         S, Q = _seq_of(args), _seq_of(args, "2")
-        k_max = args.k if args.k is not None else None
-        eq = density1d.fingerprint_equal(S, Q, k_max)
-        d = density1d.fingerprint_dist(S, Q, k_max)
+        eq = density1d.fingerprint_equal(S, Q, args.k)
+        d = density1d.fingerprint_dist(S, Q, args.k)
         _emit(args, io.to_csv([[str(eq), d]], ["equal", "dist"]), {"equal": eq, "dist": d})
         return 0
     S = _seq_of(args)
-    k = args.k if args.k is not None else 0
     if args.action == "psi":
-        f = density1d.psi(S, k)
+        f = density1d.psi(S, args.k)
         _emit(args, _matrix_csv(f.corners, ["t", "psi"]), {"corners": f.corners})
     elif args.action == "rho":
-        v = density1d.rho(S, k)
+        v = density1d.rho(S, args.k)
         _emit(args, _matrix_csv([[v]], ["rho"]), {"rho": v})
     return 0
 
@@ -280,9 +287,7 @@ def _cmd_seq1(args):
         b = np.loadtxt(args.file2, ndmin=2)
         S = seq1p.OnePeriodicSequence(args.period, a)
         Q = seq1p.OnePeriodicSequence(args.period2 or args.period, b)
-        d = seq1p.seq_metric(
-            S, Q, norm_exponent(args.q), group=args.group, equivalence=args.equivalence
-        )
+        d = seq1p.seq_metric(S, Q, args.q, group=args.group, equivalence=args.equivalence)
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     return 0
 
@@ -357,8 +362,8 @@ def build_parser():
 
     cloud = sub.add_parser("cloud", help="finite point-cloud invariants")
     cs = cloud.add_subparsers(dest="action", required=True)
-    for name in ("srd", "spd", "pdd", "compare"):
-        sp = _common(cs.add_parser(name))
+    for name, reads in (("srd", ""), ("spd", ""), ("pdd", "k tol"), ("compare", "k q tol")):
+        sp = _common(cs.add_parser(name), reads)
         sp.add_argument("file")
         if name == "compare":
             sp.add_argument("file2")
@@ -380,7 +385,7 @@ def build_parser():
     lattice = sub.add_parser("lattice", help="2D lattice classification")
     ls = lattice.add_subparsers(dest="action", required=True)
     for name in ("reduce", "invariant", "metric", "chiral", "map", "design"):
-        sp = _common(ls.add_parser(name))
+        sp = _common(ls.add_parser(name), "q" if name in ("metric", "chiral") else "")
         if name == "design":
             sp.add_argument("--x", type=float, required=True)
             sp.add_argument("--y", type=float, required=True)
@@ -399,8 +404,11 @@ def build_parser():
 
     per = sub.add_parser("periodic", help="periodic crystal invariants")
     ps = per.add_subparsers(dest="action", required=True)
-    for name in ("pdd", "amd", "ppc", "ada", "compare", "dedup", "novelty"):
-        sp = _common(ps.add_parser(name))
+    for name, reads in (
+        ("pdd", "k tol"), ("amd", "k"), ("ppc", ""), ("ada", "k"),
+        ("compare", "k q"), ("dedup", "k"), ("novelty", "k"),
+    ):
+        sp = _common(ps.add_parser(name), reads, k=100)
         sp.add_argument("file")
         if name in ("compare", "novelty"):
             sp.add_argument("file2")
@@ -411,7 +419,7 @@ def build_parser():
     dens = sub.add_parser("density", help="1D density functions")
     ds = dens.add_subparsers(dest="action", required=True)
     for name in ("psi", "rho", "compare"):
-        sp = _common(ds.add_parser(name))
+        sp = _common(ds.add_parser(name), "k", k=None if name == "compare" else 0)
         sp.add_argument("--period", type=float, required=True)
         sp.add_argument("--points", type=float, nargs="+", required=True)
         sp.add_argument("--radii", type=float, nargs="+", default=None)
@@ -424,7 +432,7 @@ def build_parser():
     seq = sub.add_parser("seq1", help="1-periodic sequence invariants")
     qs = seq.add_subparsers(dest="action", required=True)
     for name in ("cdm", "metric"):
-        sp = _common(qs.add_parser(name))
+        sp = _common(qs.add_parser(name), "q" if name == "metric" else "")
         sp.add_argument("file")
         if name == "metric":
             sp.add_argument("file2")

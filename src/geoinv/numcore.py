@@ -39,9 +39,9 @@ def norm_exponent(q):
         q = float(q)
     if isinstance(q, (int, float, np.integer, np.floating)):
         q = float(q)
-        if np.isinf(q):
+        if q == np.inf:
             return INF
-        if q < 1.0:
+        if not q >= 1.0:
             raise ValueError(f"exponent q must satisfy q >= 1, got {q}")
         return q
     raise TypeError(f"cannot interpret exponent {q!r}")
@@ -106,6 +106,8 @@ def bottleneck_from_costs(costs):
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError("bottleneck needs a square cost matrix")
+    if costs.size == 0:
+        raise ValueError("bottleneck requires non-empty sets")
     if np.isnan(costs).any():
         raise ValueError("NaN in bottleneck costs")
     cand = np.unique(costs)
@@ -160,12 +162,22 @@ def emd(P, Q, costs):
     |P| x |Q| ground-metric matrix.  Returns ``(value, flow)`` where the
     flow satisfies the transportation constraints within 1e-12 and
     minimises sum f_ij * costs_ij exactly.
+
+    When |P| = |Q| = m and both weight vectors are constant (every weight
+    1/m), the transportation polytope is the Birkhoff polytope scaled by
+    1/m.  By Birkhoff-von Neumann its vertices are permutation matrices,
+    so the linear assignment optimum ``lac(costs)`` is the exact EMD and
+    the flow is that permutation matrix divided by m.  One-point sides have
+    a closed form; every other input is solved as the transportation LP by
+    the HiGHS dual simplex.
     """
     wp = _check_weights(P)
     wq = _check_weights(Q)
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (len(wp), len(wq)):
         raise ValueError(f"cost matrix shape {costs.shape} != ({len(wp)}, {len(wq)})")
+    if not np.isfinite(costs).all():
+        raise ValueError("non-finite costs")
     if (costs < 0).any():
         raise ValueError("negative costs")
     m, n = costs.shape
@@ -176,6 +188,11 @@ def emd(P, Q, costs):
     if n == 1:
         flow = wp[:, None].copy()
         return float((flow * costs).sum()), flow
+    if m == n and (wp == wp[0]).all() and (wq == wq[0]).all():
+        rows, cols = linear_sum_assignment(costs)
+        flow = np.zeros((m, n))
+        flow[rows, cols] = 1.0 / m
+        return float(costs[rows, cols].sum() / m), flow
 
     # Balanced transportation LP: row sums = wp, column sums = wq (the
     # inequality form of the definition collapses to equalities because the

@@ -61,11 +61,11 @@ class PeriodicSet:
         frac = motif @ pinv
         ortho = motif - frac @ basis  # component outside the period span
         motif = (frac - np.floor(frac)) @ basis + ortho
-        for i, j in itertools.combinations(range(len(motif)), 2):
-            diff = motif[i] - motif[j]
+        for i in range(len(motif) - 1):
+            diff = motif[i] - motif[i + 1 :]
             f = diff @ pinv
             nearest = (f - np.rint(f)) @ basis + (diff - f @ basis)
-            if np.linalg.norm(nearest) < MOTIF_DUPLICATE_TOL:
+            if (np.linalg.norm(nearest, axis=1) < MOTIF_DUPLICATE_TOL).any():
                 raise ValueError("duplicate motif points under lattice translation")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "motif", motif)
@@ -185,17 +185,33 @@ def pda_dist(S, Q, k, q=INF):
     return pdd_dist(deviations(S, k)["pda"], deviations(Q, k)["pda"], q)
 
 
+def _ada_gap(dev_a, dev_b):
+    """L_inf distance between ADA vectors, a lower bound for EMD_inf(PDA)."""
+    return float(np.abs(dev_a["ada"] - dev_b["ada"]).max())
+
+
 def lnd(S, dataset, k, ids=None):
-    """Local Novelty Distance: nearest EMD(PDA) over a reference dataset."""
+    """Local Novelty Distance: nearest EMD(PDA) over a reference dataset.
+
+    Returns ``(value, id)`` of the reference with the smallest EMD_inf
+    between PDA matrices; among equal values the smallest index wins.
+    References are visited in order of the L_inf(ADA) gap, a lower bound
+    for that EMD, and the scan stops at the first gap larger than the best
+    value found so far, since no later reference can then reach it.
+    """
     if not dataset:
         raise ValueError("empty dataset")
-    pda_s = deviations(S, k)["pda"]
-    best, best_id = math.inf, None
-    for idx, Q in enumerate(dataset):
-        d = pdd_dist(pda_s, deviations(Q, k)["pda"], INF)
-        if d < best:
-            best, best_id = d, ids[idx] if ids is not None else idx
-    return best, best_id
+    dev_s = deviations(S, k)
+    devs = [deviations(Q, k) for Q in dataset]
+    gaps = [_ada_gap(dev_s, dev) for dev in devs]
+    best, best_idx = math.inf, None
+    for gap, idx in sorted(zip(gaps, range(len(devs)))):
+        if gap > best:
+            break
+        d = pdd_dist(dev_s["pda"], devs[idx]["pda"], INF)
+        if d < best or (d == best and idx < best_idx):
+            best, best_idx = d, idx
+    return best, ids[best_idx] if ids is not None else best_idx
 
 
 def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
@@ -211,7 +227,7 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     devs = [deviations(S, k) for S in dataset]
     results = []
     for i, j in itertools.combinations(range(len(dataset)), 2):
-        ada_gap = float(np.abs(devs[i]["ada"] - devs[j]["ada"]).max())
+        ada_gap = _ada_gap(devs[i], devs[j])
         if ada_gap > ada_threshold:
             continue
         value = pdd_dist(devs[i]["pda"], devs[j]["pda"], INF)

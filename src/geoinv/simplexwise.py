@@ -201,9 +201,8 @@ def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def sdd_dist(X, Y, mode="emd", q=INF):
+def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
-    del q  # the inner max metric is Chebyshev-based; kept for CLI symmetry
     costs = np.array(
         [[rdd_max_metric(a, b) for b in Y.rdds] for a in X.rdds]
     )

@@ -127,6 +127,28 @@ def test_cli_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_cli_bad_exponent_exit_1(capsys):
+    kite, trap = str(FIXTURES / "kite.xyz"), str(FIXTURES / "trapezium.xyz")
+    assert main(["cloud", "compare", kite, trap, "--q", "banana"]) == 1
+    assert main(["cloud", "compare", kite, trap, "--q", "0.5"]) == 1
+    assert "q >= 1" in capsys.readouterr().err
+
+
+def test_cli_unread_options_rejected(capsys):
+    kite, trap = str(FIXTURES / "kite.xyz"), str(FIXTURES / "trapezium.xyz")
+    # cloud pdd reads no exponent; sdd_dist uses a Chebyshev max metric
+    assert main(["cloud", "pdd", kite, "--q", "banana"]) == 1
+    assert main(["simplex", "compare", kite, trap, "--q", "1"]) == 1
+    assert main(["periodic", "ppc", str(FIXTURES / "cubic.cif"), "--k", "6"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_novelty(capsys):
+    cubic = str(FIXTURES / "cubic.cif")
+    assert main(["periodic", "novelty", cubic, str(FIXTURES), "--k", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "cubic,0"
+
+
 def test_cli_data_error_exit_2(capsys):
     assert main(["cloud", "pdd", "/nonexistent/file.xyz"]) == 2
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from conftest import bottleneck_oracle, emd_oracle
 from geoinv.numcore import (
@@ -31,8 +33,9 @@ def test_norm_exponent_accepts_inf_spellings():
     assert norm_exponent("inf") is INF
     assert norm_exponent(INF) is INF
     assert norm_exponent(2) == 2.0
-    with pytest.raises(ValueError):
-        norm_exponent(0.5)
+    for bad in (0.5, "nan", float("-inf")):
+        with pytest.raises(ValueError):
+            norm_exponent(bad)
 
 
 def test_lq_norm_values():
@@ -107,6 +110,13 @@ def test_bottleneck_nan_cost_rejected():
         bottleneck_from_costs([[0.0, 1.0], [math.nan, 0.5]])
 
 
+def test_bottleneck_empty_sets_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        bottleneck(np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="non-empty"):
+        bottleneck_from_costs(np.zeros((0, 0)))
+
+
 def test_bottleneck_size_mismatch_is_infinite():
     assert bottleneck(np.zeros((2, 2)), np.zeros((3, 2))) == math.inf
 
@@ -144,6 +154,17 @@ def test_emd_matches_vertex_enumeration(rng):
         assert value == pytest.approx(float((flow * costs).sum()), abs=1e-9)
 
 
+def test_emd_rejects_non_finite_costs():
+    w2 = np.full(2, 0.5)
+    for wp, wq, costs in (
+        ([1.0], w2, [[math.nan, 1.0]]),
+        (w2, w2, [[0.0, math.inf], [1.0, 0.0]]),
+        (w2, [0.3, 0.7], [[0.0, math.nan], [1.0, 0.0]]),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            emd(wp, wq, costs)
+
+
 def test_emd_identity_is_zero(rng):
     w = _random_distribution(rng, 4)
     costs = rng.uniform(0, 3, size=(4, 4))
@@ -162,3 +183,57 @@ def test_emd_triangle_inequality(rng):
         dbc, _ = emd(wb, wc, costs)
         dac, _ = emd(wa, wc, costs)
         assert dac <= dab + dbc + 1e-9
+
+
+def _transport_lp(wp, wq, costs):
+    """Optimum of the balanced transportation LP solved directly by HiGHS."""
+    m, n = costs.shape
+    A_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(m), np.ones((1, n))), sparse.kron(np.ones((1, m)), sparse.eye(n))]
+    )
+    res = linprog(costs.ravel(), A_eq=A_eq, b_eq=np.concatenate([wp, wq]), bounds=(0, None))
+    assert res.success
+    return float(res.fun)
+
+
+def _uniform_cases(rng, sizes):
+    for m in sizes:
+        w = np.full(m, 1.0 / m)
+        yield w, rng.uniform(0, 5, size=(m, m))
+        # small integer costs: many tied optimal assignments
+        yield w, rng.integers(0, 3, size=(m, m)).astype(float)
+    yield np.full(3, 1.0 / 3), np.zeros((3, 3))
+
+
+def _assert_permutation_flow(flow, costs, value):
+    m = len(flow)
+    assert set(np.unique(flow)) <= {0.0, 1.0 / m}
+    assert (flow.sum(axis=0) == 1.0 / m).all() and (flow.sum(axis=1) == 1.0 / m).all()
+    assert np.count_nonzero(flow) == m
+    assert value == pytest.approx(float((flow * costs).sum()), abs=1e-12)
+
+
+def test_emd_uniform_equal_sizes_matches_vertex_enumeration(rng):
+    for w, costs in _uniform_cases(rng, [2, 3, 4] * 20):
+        value, flow = emd(w, w, costs)
+        assert value == pytest.approx(emd_oracle(w, w, costs), abs=1e-9)
+        _assert_permutation_flow(flow, costs, value)
+
+
+def test_emd_uniform_equal_sizes_matches_lp(rng):
+    for w, costs in _uniform_cases(rng, [5, 17, 60, 160]):
+        value, flow = emd(w, w, costs)
+        assert value == pytest.approx(_transport_lp(w, w, costs), abs=1e-12)
+        _assert_permutation_flow(flow, costs, value)
+
+
+def test_emd_non_assignment_inputs_match_vertex_enumeration(rng):
+    # uniform weights of different sizes, and equal sizes with unequal weights
+    cases = [(np.full(m, 1.0 / m), np.full(n, 1.0 / n)) for m, n in ((2, 3), (4, 2), (3, 4))]
+    cases += [(_random_distribution(rng, m), np.full(m, 1.0 / m)) for m in (2, 3, 4)]
+    for wp, wq in cases:
+        costs = rng.integers(0, 3, size=(len(wp), len(wq))).astype(float)
+        value, flow = emd(wp, wq, costs)
+        assert value == pytest.approx(emd_oracle(wp, wq, costs), abs=1e-9)
+        assert np.allclose(flow.sum(axis=1), wp, atol=1e-9)
+        assert np.allclose(flow.sum(axis=0), wq, atol=1e-9)

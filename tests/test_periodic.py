@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from geoinv import periodic
 from geoinv.clouds import pdd_dist
 from geoinv.numcore import INF
 from geoinv.periodic import (
@@ -119,9 +120,19 @@ def test_filter_inequality(rng):
         assert gap <= pda_dist(S, Q, k) + 1e-9
 
 
-def test_duplicate_motif_rejected():
+def test_duplicate_motif_rejected(rng):
     with pytest.raises(ValueError):
         PeriodicSet(np.eye(3), np.array([[0, 0, 0], [1, 0, 0]], float))
+    # duplicate across a cell face: fractional 0 and 1 - 1e-9
+    with pytest.raises(ValueError):
+        PeriodicSet.from_fractional(np.eye(3), [[0.5, 0.5, 0], [0.5, 0.5, 1 - 1e-9]])
+    # a later pair of a larger motif, moved by a lattice vector
+    basis = np.eye(3) + rng.normal(scale=0.2, size=(3, 3))
+    frac = rng.uniform(0, 1, size=(24, 3))
+    PeriodicSet.from_fractional(basis, frac)
+    frac[17] = frac[9] + [1, -2, 0]
+    with pytest.raises(ValueError):
+        PeriodicSet.from_fractional(basis, frac)
 
 
 def test_dedup_finds_planted_near_duplicate(rng):
@@ -141,3 +152,53 @@ def test_lnd_identifies_nearest():
     d, ident = lnd(base, [other, base], 30, ids=["x", "y"])
     assert ident == "y"
     assert d == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_set(rng):
+    basis = np.eye(3) * rng.uniform(2.5, 3.5) + rng.normal(scale=0.1, size=(3, 3))
+    frac = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), 3))
+    return PeriodicSet.from_fractional(basis, frac)
+
+
+def _novelty_dataset(rng):
+    """20 random sets, then an exact copy of set 3 at index 20."""
+    sets = [_random_set(rng) for _ in range(20)]
+    return sets + [PeriodicSet(sets[3].basis.copy(), sets[3].motif.copy())]
+
+
+def test_lnd_matches_exhaustive_scan(rng):
+    data = _novelty_dataset(rng)
+    k = 12
+    motif = data[7].motif + rng.normal(scale=0.01, size=data[7].motif.shape)
+    near = PeriodicSet(data[7].basis, motif)
+    queries = [data[3], near, _random_set(rng)]
+    ids = [f"ref{i}" for i in range(len(data))]
+    for Q in queries:
+        want = min((pda_dist(Q, R, k), i) for i, R in enumerate(data))
+        value, idx = lnd(Q, data, k)
+        assert (value, idx) == pytest.approx(want, abs=1e-12)
+        assert lnd(Q, data, k, ids=ids) == (value, ids[want[1]])
+    assert lnd(data[3], data, k) == (0.0, 3)
+
+
+def test_lnd_prunes_by_ada_bound(rng, monkeypatch):
+    data = _novelty_dataset(rng)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pdd_dist(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "pdd_dist", counting)
+    assert lnd(data[5], data, 12) == (0.0, 5)
+    assert len(calls) <= 2 < len(data)
+
+
+def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
+    # reference 0 ties reference 1 with an EMD equal to its own ADA gap, so
+    # the scan must not stop when the gap only equals the best value
+    ada = {"S": [0.0], "r0": [0.2], "r1": [0.1]}
+    emds = {"r0": 0.2, "r1": 0.2}
+    monkeypatch.setattr(periodic, "deviations", lambda Q, k: {"ada": np.array(ada[Q]), "pda": Q})
+    monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
+    assert lnd("S", ["r0", "r1"], 1) == (0.2, 0)

@@ -33,15 +33,18 @@ class Backbone:
             raise ValueError("atoms must have shape (m, 3, 3)")
         if len(atoms) < 1:
             raise ValueError("need at least one residue")
-        for i, (n, a, c) in enumerate(atoms):
-            an, ac = n - a, c - a
-            l = np.linalg.norm(an)
-            if l < BOND_TOL or np.linalg.norm(ac) < BOND_TOL:
-                raise ValueError(f"residue {i + 1}: bonded atoms too close")
-            x = ac @ an / l
-            height = np.linalg.norm(ac - x * an / l)
-            if height < HEIGHT_TOL:
-                raise ValueError(f"residue {i + 1}: collinear N, A, C")
+        if not np.isfinite(atoms).all():
+            raise ValueError("non-finite coordinates")
+        # a zero N-A bond makes its TRIN row NaN; it is reported as a short bond
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _trin(atoms)
+        l_ac = np.linalg.norm(atoms[:, 2] - atoms[:, 1], axis=1)
+        short = (t[:, 0] < BOND_TOL) | (l_ac < BOND_TOL)
+        bad = short | (t[:, 2] < HEIGHT_TOL)
+        if bad.any():
+            i = int(bad.argmax())
+            what = "bonded atoms too close" if short[i] else "collinear N, A, C"
+            raise ValueError(f"residue {i + 1}: {what}")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -49,27 +52,33 @@ class Backbone:
         return len(self.atoms)
 
 
+def _trin(atoms):
+    """Per-residue (x(AN), x(AC), y(AC)) of an (m, 3, 3) atom array."""
+    an = atoms[:, 0] - atoms[:, 1]
+    ac = atoms[:, 2] - atoms[:, 1]
+    l = np.linalg.norm(an, axis=1)
+    xhat = an / l[:, None]
+    x = (ac * xhat).sum(axis=1)
+    return np.column_stack([l, x, np.linalg.norm(ac - x[:, None] * xhat, axis=1)])
+
+
 def _frame(n, a, c):
-    """Orthonormal frame (u, v, w) of a residue: u along A->N, v in-plane."""
+    """Orthonormal frame rows (u, v, w) of a residue: u along A->N, v in-plane.
+
+    ``n``, ``a`` and ``c`` are the atoms of one residue, shape (3,), or of a
+    stack of residues, shape (k, 3); the frame has shape (3, 3) or (k, 3, 3).
+    """
     an = n - a
-    u = an / np.linalg.norm(an)
+    u = an / np.linalg.norm(an, axis=-1, keepdims=True)
     ac = c - a
-    h = ac - (ac @ u) * u
-    v = h / np.linalg.norm(h)
-    w = np.cross(u, v)
-    return np.stack([u, v, w])
+    h = ac - (ac * u).sum(axis=-1, keepdims=True) * u
+    v = h / np.linalg.norm(h, axis=-1, keepdims=True)
+    return np.stack([u, v, np.cross(u, v)], axis=-2)
 
 
 def trin(S):
     """Triangular invariant: per-residue (x(AN), x(AC), y(AC))."""
-    out = np.empty((S.m, 3))
-    for i, (n, a, c) in enumerate(S.atoms):
-        an, ac = n - a, c - a
-        l = np.linalg.norm(an)
-        xhat = an / l
-        x = ac @ xhat
-        out[i] = (l, x, np.linalg.norm(ac - x * xhat))
-    return out
+    return _trin(S.atoms)
 
 
 def bri(S):
@@ -79,16 +88,11 @@ def bri(S):
     (i >= 2) holds the coordinates of C_(i-1)N_i, N_iA_i and A_iC_i in the
     frame of residue i-1.
     """
-    t = trin(S)
+    n, a, c = S.atoms[:, 0], S.atoms[:, 1], S.atoms[:, 2]
+    bonds = np.stack([n[1:] - c[:-1], a[1:] - n[1:], c[1:] - a[1:]], axis=1)
     out = np.zeros((S.m, 9))
-    out[0, :3] = t[0]
-    for i in range(1, S.m):
-        n_prev, a_prev, c_prev = S.atoms[i - 1]
-        frame = _frame(n_prev, a_prev, c_prev)
-        n, a, c = S.atoms[i]
-        out[i, 0:3] = frame @ (n - c_prev)
-        out[i, 3:6] = frame @ (a - n)
-        out[i, 6:9] = frame @ (c - a)
+    out[0, :3] = _trin(S.atoms[:1])[0]
+    out[1:] = (bonds @ _frame(n[:-1], a[:-1], c[:-1]).swapaxes(1, 2)).reshape(-1, 9)
     return out
 
 
@@ -143,10 +147,10 @@ def reconstruct(b):
     c = np.array([x, y, 0.0])
     atoms[0] = (n, a, c)
     for i in range(1, m):
-        frame = _frame(n, a, c)
-        n = c + b[i, 0:3] @ frame
-        a = n + b[i, 3:6] @ frame
-        c = a + b[i, 6:9] @ frame
+        bonds = b[i].reshape(3, 3) @ _frame(n, a, c)
+        n = c + bonds[0]
+        a = n + bonds[1]
+        c = a + bonds[2]
         atoms[i] = (n, a, c)
     return Backbone(atoms)
 
@@ -164,13 +168,8 @@ def subchain(b, i, j):
     out = np.zeros((j, 9))
     if i == 1:
         out[0, :3] = b[0, :3]
-    else:
-        na = b[i - 1, 3:6]
-        ac = b[i - 1, 6:9]
-        l = np.linalg.norm(na)
-        xhat = -na / l  # A->N is the reverse of the stored N->A bond
-        x = ac @ xhat
-        out[0, :3] = (l, x, np.linalg.norm(ac - x * xhat))
+    else:  # residue i with A at the origin; A->N reverses the stored N->A bond
+        out[0, :3] = _trin(np.stack([-b[i - 1, 3:6], np.zeros(3), b[i - 1, 6:9]])[None])[0]
     out[1:] = b[i : i + j - 1]
     return out
 
@@ -182,21 +181,13 @@ def lipschitz_lambda(S, Q):
     N-A bond, h the smallest residue-triangle height and L_AC the longest
     A-C bond, extremised over both chains.
     """
-    lengths = {"CN": [], "NA": [], "AC": []}
-    heights = []
-    for chain in (S, Q):
-        t = trin(chain)
-        heights.extend(t[:, 2])
-        lengths["NA"].extend(np.linalg.norm(chain.atoms[:, 0] - chain.atoms[:, 1], axis=1))
-        lengths["AC"].extend(np.linalg.norm(chain.atoms[:, 2] - chain.atoms[:, 1], axis=1))
-        lengths["CN"].extend(
-            np.linalg.norm(chain.atoms[1:, 0] - chain.atoms[:-1, 2], axis=1)
-        )
-    big_l = max(max(lengths["NA"]), max(lengths["AC"]), max(lengths["CN"], default=0.0))
-    l_na = min(lengths["NA"])
-    l_ac_max = max(lengths["AC"])
-    h = min(heights)
-    k = 1.0 / l_na + (2.0 / h) * (1.0 + 2.0 * l_ac_max / l_na)
+    t = np.vstack([trin(S), trin(Q)])
+    atoms = np.concatenate([S.atoms, Q.atoms])
+    l_ac = np.linalg.norm(atoms[:, 2] - atoms[:, 1], axis=1)
+    l_cn = [np.linalg.norm(X.atoms[1:, 0] - X.atoms[:-1, 2], axis=1) for X in (S, Q)]
+    big_l = max(t[:, 0].max(), l_ac.max(), np.concatenate(l_cn).max(initial=0.0))
+    l_na = t[:, 0].min()
+    k = 1.0 / l_na + (2.0 / t[:, 2].min()) * (1.0 + 2.0 * l_ac.max() / l_na)
     return 2.0 * (1.0 + 2.0 * big_l * k)
 
 
@@ -232,8 +223,4 @@ def write_ppm(path, b):
     with open(path, "w") as fh:
         fh.write(f"P3\n{m} 3\n255\n")
         for block in range(3):  # one image row per bond vector (x, y, z triples)
-            vals = []
-            for i in range(m):
-                r, g, bl = scaled[i, 3 * block : 3 * block + 3]
-                vals.append(f"{r} {g} {bl}")
-            fh.write(" ".join(vals) + "\n")
+            fh.write(" ".join(map(str, scaled[:, 3 * block : 3 * block + 3].ravel())) + "\n")

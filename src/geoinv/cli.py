@@ -286,7 +286,7 @@ def _cmd_seq1(args):
         a = np.loadtxt(args.file, ndmin=2)
         b = np.loadtxt(args.file2, ndmin=2)
         S = seq1p.OnePeriodicSequence(args.period, a)
-        Q = seq1p.OnePeriodicSequence(args.period2 or args.period, b)
+        Q = seq1p.OnePeriodicSequence(args.period if args.period2 is None else args.period2, b)
         d = seq1p.seq_metric(S, Q, args.q, group=args.group, equivalence=args.equivalence)
         _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
     return 0

@@ -235,6 +235,8 @@ def fingerprint_equal(S, Q, k_max=None, tol=1e-9):
     zero_radii = not (S.radii > 0).any() and not (Q.radii > 0).any()
     if k_max is None:
         k_max = max(S.m, Q.m) if zero_radii else 2 * max(S.m, Q.m)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     for k in range(k_max + 1):
         f, h = psi(S, k), psi(Q, k)
         ts = _compare_grid(f, h)
@@ -247,6 +249,8 @@ def fingerprint_dist(S, Q, k_max=None):
     """Fingerprint metric sup_k |psi_k[S] - psi_k[Q]|_inf / (k+1)^(2/3)."""
     if k_max is None:
         k_max = 2 * max(S.m, Q.m)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     best = 0.0
     for k in range(k_max + 1):
         f, h = psi(S, k), psi(Q, k)

@@ -139,6 +139,8 @@ def lac(costs):
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError("lac needs a square cost matrix")
+    if costs.size == 0:
+        raise ValueError("lac requires non-empty sets")
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / costs.shape[0])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import INF, norm_exponent
+from .numcore import INF, _pairwise, norm_exponent
 from .simplexwise import LAMBDA, simplex_sign, strength
 
 #: cap for the least-common-multiple motif extension
@@ -27,34 +27,28 @@ def cdm(points):
     m = len(pts)
     if m < 2:
         raise ValueError("need at least 2 points")
-    out = np.empty((m - 1, m))
-    for i in range(1, m):
-        out[i - 1] = np.linalg.norm(pts - np.roll(pts, -i, axis=0), axis=1)
-    return out
+    j = np.arange(m)
+    return _pairwise(pts, pts)[j, (j + np.arange(1, m)[:, None]) % m]
+
+
+def _windows(points):
+    """Stack (m, n+1, n) of the cyclic windows p_i .. p_(i+n) (indices mod m)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, n = pts.shape
+    return pts[(np.arange(m)[:, None] + np.arange(n + 1)) % m]
 
 
 def sign_row(points):
     """Determinant signs of the n successive difference vectors per index."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n = pts.shape
-    if n not in (2, 3):
+    windows = _windows(points)
+    if windows.shape[-1] not in (2, 3):
         raise ValueError("sign rows are defined for n in {2, 3}")
-    signs = np.empty(m)
-    for i in range(m):
-        idx = [(i + j) % m for j in range(n + 1)]
-        signs[i] = simplex_sign(pts[idx])
-    return signs
+    return simplex_sign(windows)
 
 
 def strengths_row(points):
     """Strengths of the simplices on p_i .. p_(i+n) (indices mod m)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n = pts.shape
-    out = np.empty(m)
-    for i in range(m):
-        idx = [(i + j) % m for j in range(n + 1)]
-        out[i] = strength(pts[idx])
-    return out
+    return strength(_windows(points))
 
 
 def cds(points):
@@ -62,13 +56,12 @@ def cds(points):
     return np.vstack([cdm(points), sign_row(points)])
 
 
-def _mcd_from_cdms(A, B, q):
-    qn = norm_exponent(q)
-    diff = np.abs(A - B)
-    m = A.shape[1]
+def _normalized_lq(diff, qn):
+    """max |diff| for qn = INF, else the L_qn norm of diff over size^(1/qn)."""
+    diff = np.abs(diff)
     if qn is INF:
         return float(diff.max())
-    return float((diff**qn).sum() ** (1.0 / qn) / (m * (m - 1)) ** (1.0 / qn))
+    return float((diff**qn).sum() ** (1.0 / qn) / diff.size ** (1.0 / qn))
 
 
 def mcd(S, T, q=INF):
@@ -76,7 +69,7 @@ def mcd(S, T, q=INF):
     A, B = cdm(S), cdm(T)
     if A.shape != B.shape:
         raise ValueError("shape mismatch")
-    return _mcd_from_cdms(A, B, q)
+    return _normalized_lq(A - B, norm_exponent(q))
 
 
 def _signed_strengths(points):
@@ -104,9 +97,11 @@ class OnePeriodicSequence:
     motif: np.ndarray
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError("period must be positive")
         motif = np.atleast_2d(np.asarray(self.motif, dtype=float))
+        if not (np.isfinite(self.period) and np.isfinite(motif).all()):
+            raise ValueError("non-finite period or coordinates")
         times = motif[:, 0] % self.period
         motif = motif.copy()
         motif[:, 0] = times
@@ -133,12 +128,9 @@ def time_shift(S):
 
 def _extend(S, copies):
     """Concatenate ``copies`` shifted copies of the motif (period multiplies)."""
-    blocks = []
-    for c in range(copies):
-        block = S.motif.copy()
-        block[:, 0] += c * S.period
-        blocks.append(block)
-    return OnePeriodicSequence(S.period * copies, np.vstack(blocks))
+    motif = np.tile(S.motif, (copies, 1))
+    motif[:, 0] += np.repeat(np.arange(copies) * S.period, S.m)
+    return OnePeriodicSequence(S.period * copies, motif)
 
 
 def _candidate_orders(m, group):
@@ -159,15 +151,10 @@ def _ts_of_order(times, order, period, direction=1):
     Gaps are measured along the traversal direction, so a reversed order
     yields the reversed gap vector of the forward sequence.
     """
-    t = np.asarray([times[i] for i in order], dtype=float)
-    m = len(t)
-    if m == 1:
+    t = times[order]
+    if len(t) == 1:
         return np.array([period])
-    gaps = np.empty(m)
-    for i in range(m):
-        d = direction * (t[(i + 1) % m] - t[i])
-        gaps[i] = d % period
-    return gaps
+    return direction * (np.roll(t, -1) - t) % period
 
 
 def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
@@ -194,20 +181,14 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
             ss_s = _signed_strengths(vals_s)
             lam = LAMBDA[S.value_dim]
 
-    def dt(ts_q):
-        diff = np.abs(ts_s - ts_q)
-        if qn is INF:
-            return float(diff.max())
-        return float((diff**qn).sum() ** (1.0 / qn) / m ** (1.0 / qn))
-
     times_q = Q_ext.motif[:, 0]
     vals_q = Q_ext.motif[:, 1:]
     best = math.inf
     for order, direction in _candidate_orders(m, group):
-        d = dt(_ts_of_order(times_q, order, Q_ext.period, direction))
+        d = _normalized_lq(ts_s - _ts_of_order(times_q, order, Q_ext.period, direction), qn)
         if use_values and d < best:
             vq = vals_q[order]
-            d = max(d, _mcd_from_cdms(cdm_s, cdm(vq), qn))
+            d = max(d, _normalized_lq(cdm_s - cdm(vq), qn))
             if equivalence == "rigid" and d < best:
                 gap = np.abs(ss_s - _signed_strengths(vq)).max()
                 d = max(d, 2.0 / lam * gap)

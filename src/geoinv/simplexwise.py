@@ -27,55 +27,58 @@ LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
 DEGENERATE_REL_TOL = 1e-18
 
 
-def cayley_menger_vol2(points):
-    """Squared volume of the simplex on n+1 points in R^n (Cayley-Menger)."""
+def _simplices(points):
+    """Check one simplex (n+1, n) or a stack (..., n+1, n); return it and n."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0] - 1
-    sq = _pairwise(pts, pts) ** 2
-    cm = np.ones((n + 2, n + 2))
-    cm[0, 0] = 0.0
-    cm[1:, 1:] = sq
-    det = np.linalg.det(cm)
-    coeff = (-1) ** (n + 1) / (2.0**n * float(math.factorial(n)) ** 2)
-    return max(coeff * det, 0.0)
+    n = pts.shape[-1]
+    if pts.shape[-2] != n + 1:
+        raise ValueError(f"need {n + 1} points in R^{n}, got {pts.shape[-2]}")
+    if n not in (1, 2, 3):
+        raise ValueError("simplices are supported in dimensions 1..3")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite coordinates")
+    return pts, n
 
 
 def strength(points):
     """Strength sigma(A) = V^2 / p^(2n-1) of a simplex on n+1 points in R^n.
 
-    V is the simplex volume and p the half-perimeter; degenerate simplices
-    give 0.  For a segment in R the strength is the double length.
+    V is the simplex volume (Cayley-Menger determinant) and p the
+    half-perimeter; degenerate simplices give 0.  For a segment in R the
+    strength is the double length.  ``points`` is one simplex of shape
+    (n+1, n), which gives a float, or a stack of shape (..., n+1, n), which
+    gives a float array of shape (...).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    if pts.shape[0] != n + 1:
-        raise ValueError(f"need {n + 1} points in R^{n}, got {pts.shape[0]}")
-    if n not in (1, 2, 3):
-        raise ValueError("strength supports dimensions 1..3")
-    d = _pairwise(pts, pts)
-    p = 0.5 * d[np.triu_indices(n + 1, k=1)].sum()
-    if p <= 0.0:
-        return 0.0
-    v2 = cayley_menger_vol2(pts)
-    if v2 < DEGENERATE_REL_TOL * d.max() ** (2 * n):
-        return 0.0
-    return float(v2 / p ** (2 * n - 1))
+    pts, n = _simplices(points)
+    i, j = np.triu_indices(n + 1, k=1)
+    edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
+    p = 0.5 * edges.sum(axis=-1)
+    cm = np.zeros(pts.shape[:-2] + (n + 2, n + 2))
+    cm[..., 0, 1:] = cm[..., 1:, 0] = 1.0
+    cm[..., 1 + i, 1 + j] = cm[..., 1 + j, 1 + i] = edges**2
+    coeff = (-1) ** (n + 1) / (2.0**n * float(math.factorial(n)) ** 2)
+    v2 = np.maximum(coeff * np.linalg.det(cm), 0.0)
+    zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
+    out = np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
+    return float(out) if out.ndim == 0 else out
 
 
 def simplex_sign(points):
     """Sign of the determinant of successive difference vectors.
 
-    ``points`` is a sequence of n+1 points in R^n; the sign is 0 when the
-    simplex is degenerate under the scale-aware strength test.
+    ``points`` is one simplex of n+1 points in R^n, which gives an int, or a
+    stack of shape (..., n+1, n), which gives a float array of shape (...).
+    The sign is 0 when the simplex is degenerate: its squared determinant is
+    below DEGENERATE_REL_TOL times the largest difference component to the
+    power 2n.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    diffs = np.diff(pts, axis=0).T  # n x n columns
+    pts, n = _simplices(points)
+    diffs = np.swapaxes(np.diff(pts, axis=-2), -1, -2)  # columns are differences
     det = np.linalg.det(diffs)
-    scale = max(np.abs(diffs).max(), 0.0)
-    if scale == 0.0 or abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n):
-        return 0
-    return 1 if det > 0 else -1
+    scale = np.abs(diffs).max(axis=(-2, -1))
+    zero = (scale == 0.0) | (np.abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n))
+    out = np.where(zero, 0.0, np.sign(det))
+    return int(out) if out.ndim == 0 else out
 
 
 def _round_key(*arrays, decimals=9):
@@ -244,15 +247,17 @@ def _ocd_for_base(pts, base_idx):
     # rows: base points then the origin; columns: the same, then the rest
     anchors = np.vstack([base_pts, origin])
     d = _pairwise(anchors, np.vstack([anchors, rest]))
+    # one simplex (permuted base, origin, q) per remaining point q
+    simplices = np.zeros((len(rest), h + 2, pts.shape[1]))
+    simplices[:, h + 1] = rest
     best = None
     for perm in itertools.permutations(range(h)):
         p = list(perm)
-        bp = base_pts[p]
+        simplices[:, :h] = base_pts[p]
         dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
         cols = d[p + [h], h + 1 :]
-        seqs = [np.vstack([bp, origin, q]) for q in rest]
-        signs = np.array([simplex_sign(seq) for seq in seqs], dtype=float)
-        strengths = np.array([strength(seq) for seq in seqs], dtype=float)
+        signs = simplex_sign(simplices)
+        strengths = strength(simplices)
         full = np.vstack([cols, signs[None, :]])
         order = np.lexsort(full[::-1]) if full.size else np.array([], dtype=int)
         ocd = Ocd(dvec, cols[:, order], signs[order], strengths[order])

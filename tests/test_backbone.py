@@ -53,12 +53,48 @@ def test_collinear_residue_rejected():
         Backbone(np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], float))
 
 
+def test_first_bad_residue_is_named(rng):
+    atoms = random_chain(rng, 4).atoms.copy()
+    atoms[2] = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
+    with pytest.raises(ValueError, match="residue 3: collinear"):
+        Backbone(atoms)
+    atoms[1, 0] = atoms[1, 1] + 1e-3
+    with pytest.raises(ValueError, match="residue 2: bonded atoms too close"):
+        Backbone(atoms)
+    atoms[1, 0] = atoms[1, 1]
+    with pytest.raises(ValueError, match="residue 2: bonded atoms too close"):
+        Backbone(atoms)
+
+
+def test_non_finite_atoms_rejected(rng):
+    atoms = random_chain(rng, 3).atoms.copy()
+    atoms[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Backbone(atoms)
+
+
 def test_bri_rigid_invariance(rng):
     for _ in range(20):
         S = random_chain(rng, int(rng.integers(2, 12)))
         Rm = random_rotation(rng, 3)
         moved = Backbone(S.atoms @ Rm.T + rng.normal(size=3))
         assert bri_dist(S, moved) < 1e-9
+
+
+def test_bri_matches_per_residue_frames(rng):
+    for scale in (1.0, 100.0):
+        S = Backbone(random_chain(rng, 30).atoms * scale + scale)
+        want = np.zeros((S.m, 9))
+        want[0, :3] = trin(S)[0]
+        for i in range(1, S.m):
+            n0, a0, c0 = S.atoms[i - 1]
+            u = (n0 - a0) / np.linalg.norm(n0 - a0)
+            h = (c0 - a0) - ((c0 - a0) @ u) * u
+            v = h / np.linalg.norm(h)
+            frame = np.stack([u, v, np.cross(u, v)])
+            n, a, c = S.atoms[i]
+            want[i] = np.concatenate([frame @ (n - c0), frame @ (a - n), frame @ (c - a)])
+        assert np.abs(bri(S) - want).max() <= 1e-12 * np.abs(S.atoms).max()
 
 
 def test_bri_single_residue_row():

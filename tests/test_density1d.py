@@ -137,6 +137,14 @@ def test_s15_q15_radii_differ():
     assert fingerprint_dist(s, q, k_max=4) > 1e-6
 
 
+def test_negative_k_max_rejected():
+    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
+    with pytest.raises(ValueError, match="k_max"):
+        fingerprint_equal(S, T, k_max=-1)
+    with pytest.raises(ValueError, match="k_max"):
+        fingerprint_dist(S, T, k_max=-1)
+
+
 def test_piecewise_linear_integral():
     pl = PiecewiseLinear([[0.0, 1.0], [1.0, 0.0]])
     assert pl.integral() == pytest.approx(0.5)

@@ -269,3 +269,26 @@ def test_cli_backbone_reconstruct_json(tmp_path, capsys):
     assert atoms.shape == (2, 3, 3)
     assert np.abs(atoms - S.atoms).max() < 1e-9
     assert np.abs(bri(S) - np.loadtxt(b, delimiter=",")).max() < 1e-9
+
+
+def test_cli_density_compare_negative_k_exit_2(capsys):
+    args = ["density", "compare", "--period", "1", "--points", "0.1", "0.3",
+            "--points2", "0.2", "0.9", "--k", "-1"]
+    assert main(args) == 2
+    assert "k_max" in capsys.readouterr().err
+
+
+def test_cli_seq1_zero_period2_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n0.25 1\n0.5 0\n")
+    assert main(["seq1", "metric", str(pts), str(pts), "--period", "1", "--period2", "0"]) == 2
+    assert "period must be positive" in capsys.readouterr().err
+
+
+def test_cli_seq1_nan_coordinate_exit_2(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0 0 0\n0.25 1 0\n0.5 0 1\n")
+    bad.write_text("0 0 0\n0.25 nan 0\n0.5 0 1\n")
+    assert main(["seq1", "cdm", str(bad)]) == 2
+    assert main(["seq1", "metric", str(good), str(bad), "--period", "1"]) == 2
+    assert capsys.readouterr().out == ""

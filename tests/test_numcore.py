@@ -121,6 +121,11 @@ def test_bottleneck_size_mismatch_is_infinite():
     assert bottleneck(np.zeros((2, 2)), np.zeros((3, 2))) == math.inf
 
 
+def test_lac_empty_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        lac(np.zeros((0, 0)))
+
+
 def test_lac_matches_exhaustive(rng):
     import itertools
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_rotation
 from geoinv.numcore import INF
+from geoinv.simplexwise import simplex_sign, strength
 from geoinv.seq1p import (
     OnePeriodicSequence,
     cdm,
@@ -169,3 +170,35 @@ def test_dihedral_reversal(rng):
     d_dih = seq_metric(S, Q, INF, group="dihedral")
     assert d_dih < 1e-9
     assert d_dih <= d_cyc + 1e-12
+
+
+def test_cdm_matches_roll_definition(rng):
+    for m in (2, 3, 7):
+        for n in (1, 2, 3):
+            pts = rng.normal(size=(m, n))
+            want = [np.linalg.norm(pts - np.roll(pts, -i, axis=0), axis=1) for i in range(1, m)]
+            assert np.array_equal(cdm(pts), np.array(want))
+
+
+def test_rows_match_per_window_calls(rng):
+    for m in (2, 3, 8):
+        for n in (2, 3):
+            pts = rng.normal(size=(m, n))
+            if m % 2:  # integer coordinates: ties and degenerate windows
+                pts = np.rint(pts)
+            windows = [pts[[(i + j) % m for j in range(n + 1)]] for i in range(m)]
+            assert np.array_equal(sign_row(pts), [simplex_sign(w) for w in windows])
+            assert np.array_equal(strengths_row(pts), [strength(w) for w in windows])
+
+
+def test_non_finite_coordinates_rejected():
+    bad = T1.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        cdm(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        sign_row(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        OnePeriodicSequence(1.0, np.column_stack([[0.0, 0.5], [1.0, np.inf]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        OnePeriodicSequence(1.0, np.array([[0.0], [np.nan]]))

@@ -132,3 +132,57 @@ def test_scd_rigid_invariance(rng):
     X = scd(PointCloud(pts))
     Y = scd(PointCloud(pts @ Rm.T + rng.normal(size=2)))
     assert scd_dist(X, Y) < 1e-9
+
+
+def _simplex_stack(rng, n, k):
+    """k simplices in R^n: random, integer-tied and degenerate ones mixed."""
+    pts = rng.normal(size=(k, n + 1, n))
+    pts[1::3] = rng.integers(0, 3, size=pts[1::3].shape)
+    # degenerate: the last point on the line through the first two (on the
+    # first point itself in R^1)
+    flat = pts[2::3]
+    u = rng.uniform(-2, 2, size=(len(flat), 1)) if n > 1 else 0.0
+    flat[:, -1] = flat[:, 0] + (flat[:, 1] - flat[:, 0]) * u
+    return pts
+
+
+def test_stacked_strength_and_sign_equal_per_simplex(rng):
+    for n in (1, 2, 3):
+        stack = _simplex_stack(rng, n, 60).reshape(5, 12, n + 1, n)
+        sigma, sign = strength(stack), simplex_sign(stack)
+        assert sigma.shape == sign.shape == (5, 12)
+        for idx in np.ndindex(5, 12):
+            assert sigma[idx] == strength(stack[idx])
+            assert sign[idx] == simplex_sign(stack[idx])
+        assert isinstance(strength(stack[0, 0]), float)
+        assert isinstance(simplex_sign(stack[0, 0]), int)
+        assert (sign == 0).sum() >= 20 and (sigma == 0).any()
+        assert (sigma[sign == 0] < 1e-15).all()
+        empty = np.zeros((0, n + 1, n))
+        assert strength(empty).shape == simplex_sign(empty).shape == (0,)
+
+
+def test_strength_matches_determinant_volume(rng):
+    # V = |det(p_1 - p_0, ..., p_n - p_0)| / n! as a reference for the
+    # Cayley-Menger volume
+    for n in (1, 2, 3):
+        stack = rng.normal(size=(50, n + 1, n))
+        for pts in stack:
+            vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
+            p = sum(np.linalg.norm(a - b) for k, a in enumerate(pts) for b in pts[k + 1 :]) / 2
+            assert strength(pts) == pytest.approx(vol**2 / p ** (2 * n - 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("fn", [strength, simplex_sign])
+def test_simplex_rejects_non_finite_and_bad_shapes(fn):
+    tri = np.array([[0, 0], [1, 0], [0, 1]], float)
+    for bad in (math.nan, math.inf, -math.inf):
+        pts = tri.copy()
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(pts)
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(np.stack([tri, pts]))
+    for shape in ((3,), (2, 2), (4, 2), (3, 3), (5, 4), (2, 4, 2)):
+        with pytest.raises(ValueError):
+            fn(np.ones(shape))

@@ -5,12 +5,12 @@ the near-duplicate detection pipeline.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
@@ -18,6 +18,13 @@ from .numcore import INF, _pairwise
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
+#: most motif pairs (rows x m) tested in one numpy step by the duplicate check
+MOTIF_PAIR_BLOCK = 4096
+#: most 8-byte cells of one neighbour-search array: the coefficient box with
+#: its translates, the candidate points, or one block of motif rows of the
+#: distance matrix.  2**24 cells are 128 MiB; besides the (m, k) rows it
+#: returns, a search holds at most about 3 budgets at once.
+NEIGHBOUR_CELL_BUDGET = 2**24
 
 
 def cell_to_basis(a, b, c, alpha, beta, gamma_deg):
@@ -61,12 +68,7 @@ class PeriodicSet:
         frac = motif @ pinv
         ortho = motif - frac @ basis  # component outside the period span
         motif = (frac - np.floor(frac)) @ basis + ortho
-        for i in range(len(motif) - 1):
-            diff = motif[i] - motif[i + 1 :]
-            f = diff @ pinv
-            nearest = (f - np.rint(f)) @ basis + (diff - f @ basis)
-            if (np.linalg.norm(nearest, axis=1) < MOTIF_DUPLICATE_TOL).any():
-                raise ValueError("duplicate motif points under lattice translation")
+        _reject_duplicates(motif, basis, pinv)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "motif", motif)
 
@@ -89,52 +91,92 @@ class PeriodicSet:
         return float(math.sqrt(np.linalg.det(g)))
 
 
-def _min_plane_gap(basis):
-    """Smallest distance between adjacent lattice hyperplanes.
+def _reject_duplicates(motif, basis, pinv):
+    """Raise if two motif points differ by a lattice vector (up to the tol).
 
-    For integer coefficients z with |z_i| >= R the lattice vector z @ basis
-    has norm at least R times this gap, which certifies neighbour search.
+    Pairs i < j are tested a block of rows at a time, with at most
+    MOTIF_PAIR_BLOCK candidate pairs per block (one row if m is larger).
     """
-    g = basis @ basis.T
-    ginv = np.linalg.inv(g)
-    # distance from basis vector i to the span of the others = 1/sqrt(ginv_ii)
-    return float(1.0 / math.sqrt(np.max(np.diag(ginv))))
+    m = len(motif)
+    cols = np.arange(m)
+    step = max(1, MOTIF_PAIR_BLOCK // max(m, 1))
+    for i0 in range(0, m - 1, step):
+        i, j = np.nonzero(cols[i0 : i0 + step, None] < cols)
+        diff = motif[i + i0] - motif[j]
+        f = diff @ pinv
+        nearest = (f - np.rint(f)) @ basis + (diff - f @ basis)
+        if (np.linalg.norm(nearest, axis=1) < MOTIF_DUPLICATE_TOL).any():
+            raise ValueError("duplicate motif points under lattice translation")
+
+
+def _lattice_ball(basis, radii, rho):
+    """Lattice vectors of norm <= rho inside the coefficient box |z_i| <= radii[i]."""
+    ranges = [np.arange(-R, R + 1) for R in radii]
+    coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, len(radii))
+    translates = coeffs @ basis
+    return translates[np.linalg.norm(translates, axis=1) <= rho]
+
+
+def _check_budget(cells, what, k):
+    """Raise ValueError if one array of a neighbour search passes the budget."""
+    if cells > NEIGHBOUR_CELL_BUDGET:
+        raise ValueError(
+            f"neighbour search for k={k} needs {cells:.3g} cells of {what}, "
+            f"over the budget of {NEIGHBOUR_CELL_BUDGET}"
+        )
 
 
 def neighbours(S, k):
     """Exact k nearest-neighbour distances within the infinite set.
 
     Returns an (m, k) array: row i holds the k smallest distances from
-    motif point i to all other points of S.  Shell expansion over integer
-    coefficient boxes stops once the certificate (R+1) * gap - diameter
-    exceeds the current k-th candidate distance.
+    motif point i to all other points of S.  Candidates are the motif
+    shifted by every lattice vector of norm <= rho = r + diam, so a point
+    left out is farther than r from every motif point, and a search whose
+    largest k-th distance is <= r is exact.  Otherwise it is repeated with
+    r set to that distance, which the larger candidate set can only lower,
+    so one more round suffices.  Distances are taken a block of motif rows
+    at a time; a coefficient box or candidate set over NEIGHBOUR_CELL_BUDGET
+    cells raises ValueError before it is allocated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k >= NEIGHBOUR_CELL_BUDGET:
+        # each row needs k + 1 candidates, more cells than the budget
+        raise ValueError(f"k={k} is over the neighbour cell budget of {NEIGHBOUR_CELL_BUDGET}")
     basis, motif = S.basis, S.motif
-    l = S.rank
     m = len(motif)
     if m == 0:
         raise ValueError("empty motif")
     diam = float(_pairwise(motif, motif).max())
-    gap = _min_plane_gap(basis)
-    # initial guess from the packing coefficient asymptotic
-    R = max(2, int(math.ceil((ppc(S) * (k / m + 1) ** (1.0 / l) + diam) / gap)))
+    # z @ basis lies |z_i| * h_i from the hyperplane spanned by the other
+    # basis vectors, where h_i = 1/sqrt(ginv_ii) is the plane gap of axis i
+    inv_gaps = np.sqrt(np.diag(np.linalg.inv(basis @ basis.T)))
+    # initial radius from the packing coefficient asymptotic
+    r = ppc(S) * (k / m + 1) ** (1.0 / S.rank) + diam
     while True:
-        ranges = [np.arange(-R, R + 1)] * l
-        coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, l)
-        translates = coeffs @ basis
+        # the relative margin keeps boundary translates, far above rounding
+        rho = (r + diam) * (1.0 + 1e-9)
+        radii = np.floor(rho * inv_gaps)
+        _check_budget(float(np.prod(2 * radii + 1)) * (S.rank + S.dim), "coefficient box", k)
+        translates = _lattice_ball(basis, radii.astype(int), rho)
+        _check_budget(m * len(translates) * S.dim, "candidate points", k)
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
-        d = np.sort(_pairwise(motif, points), axis=1)
-        # drop the zero self-distance in each row
-        rows = d[:, 1 : k + 1]
-        if rows.shape[1] < k:
-            R *= 2
+        if len(points) <= k:
+            r *= 2.0
             continue
-        kth_max = rows[:, -1].max()
-        if (R + 1) * gap - diam >= kth_max:
+        rows = np.empty((m, k))
+        step = max(1, NEIGHBOUR_CELL_BUDGET // len(points))
+        for i in range(0, m, step):
+            d = _pairwise(motif[i : i + step], points)
+            d.partition(k, axis=1)
+            # drop the zero self-distance in each row
+            rows[i : i + step] = np.sort(d[:, : k + 1], axis=1)[:, 1:]
+            del d
+        kth_max = float(rows[:, -1].max())
+        if kth_max <= r:
             return rows
-        R = max(R + 1, int(math.ceil((kth_max + diam) / gap)))
+        r = kth_max
 
 
 def pdd_periodic(S, k, collapse_tol=0.0):
@@ -218,20 +260,22 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     """Near-duplicate pairs: L_inf(ADA) filter then EMD(PDA) confirmation.
 
     The filter is a true lower bound for the confirmation metric, so no
-    acceptable pair is skipped.  Pairs are reported sorted by EMD value.
+    acceptable pair is skipped; a KD-tree finds the pairs whose ADA gap is
+    <= ada_threshold.  Pairs are reported sorted by EMD value.
     """
     if not dataset:
         raise ValueError("empty dataset")
+    for name, t in (("ada_threshold", ada_threshold), ("confirm_threshold", confirm_threshold)):
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {t}")
     if ids is None:
         ids = list(range(len(dataset)))
     devs = [deviations(S, k) for S in dataset]
+    ada = np.array([dev["ada"] for dev in devs])
     results = []
-    for i, j in itertools.combinations(range(len(dataset)), 2):
-        ada_gap = _ada_gap(devs[i], devs[j])
-        if ada_gap > ada_threshold:
-            continue
+    for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):
         value = pdd_dist(devs[i]["pda"], devs[j]["pda"], INF)
         if value <= confirm_threshold:
-            results.append((ids[i], ids[j], ada_gap, value))
+            results.append((ids[i], ids[j], _ada_gap(devs[i], devs[j]), value))
     results.sort(key=lambda t: (t[3], t[0], t[1]))
     return results

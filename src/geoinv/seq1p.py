@@ -174,7 +174,8 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
 
     ts_s = time_shift(S_ext)
     vals_s = S_ext.motif[:, 1:]
-    use_values = S.value_dim >= 1
+    # a one-point motif has an empty CDM, so its value term is 0
+    use_values = S.value_dim >= 1 and m > 1
     if use_values:
         cdm_s = cdm(vals_s)
         if equivalence == "rigid":

@@ -292,3 +292,21 @@ def test_cli_seq1_nan_coordinate_exit_2(tmp_path, capsys):
     assert main(["seq1", "cdm", str(bad)]) == 2
     assert main(["seq1", "metric", str(good), str(bad), "--period", "1"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cli_periodic_neighbour_budget_exit_2(capsys):
+    cubic = str(FIXTURES / "cubic.cif")
+    assert main(["periodic", "pdd", cubic, "--k", "1000000000"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cli_dedup_nan_threshold_exit_2(capsys):
+    assert main(["periodic", "dedup", str(FIXTURES), "--threshold", "nan"]) == 2
+    assert "threshold" in capsys.readouterr().err
+
+
+def test_cli_seq1_one_point_motifs(tmp_path, capsys):
+    one = tmp_path / "one.txt"
+    one.write_text("0 1.5\n")
+    assert main(["seq1", "metric", str(one), str(one), "--period", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["dist", "0"]

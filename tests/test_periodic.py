@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from geoinv import periodic
 from geoinv.clouds import pdd_dist
-from geoinv.numcore import INF
+from geoinv.numcore import INF, _pairwise
 from geoinv.periodic import (
     PeriodicSet,
     amd,
@@ -63,6 +64,28 @@ def test_motif_doubling_invariance():
     assert np.abs(amd(Z3, 20) - amd(doubled, 20)).max() < 1e-9
 
 
+def _isotropic_box_neighbours(S, k):
+    """Reference search: one coefficient box sized by the smallest plane gap,
+    grown until (R + 1) * gap - diam reaches the largest k-th distance."""
+    basis, motif = S.basis, S.motif
+    l, m = S.rank, len(motif)
+    diam = float(_pairwise(motif, motif).max())
+    gap = 1.0 / math.sqrt(np.max(np.diag(np.linalg.inv(basis @ basis.T))))
+    R = max(2, math.ceil((ppc(S) * (k / m + 1) ** (1.0 / l) + diam) / gap))
+    while True:
+        box = [np.arange(-R, R + 1)] * l
+        coeffs = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, l)
+        pts = (motif[None, :, :] + (coeffs @ basis)[:, None, :]).reshape(-1, S.dim)
+        rows = np.sort(_pairwise(motif, pts), axis=1)[:, 1 : k + 1]
+        if rows.shape[1] < k:
+            R *= 2
+            continue
+        kth_max = rows[:, -1].max()
+        if (R + 1) * gap - diam >= kth_max:
+            return rows
+        R = max(R + 1, math.ceil((kth_max + diam) / gap))
+
+
 def test_neighbours_match_brute_force(rng):
     # certificate-based search equals a generously oversized brute box
     for _ in range(10):
@@ -83,6 +106,90 @@ def test_neighbours_match_brute_force(rng):
         d = np.sqrt(((S.motif[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
         d = np.sort(d, axis=1)[:, 1 : k + 1]
         assert got == pytest.approx(d, abs=1e-9)
+        assert np.array_equal(got, _isotropic_box_neighbours(S, k))
+    # long, flat and sheared cells, and a rank-2 lattice in R^3 whose motif
+    # leaves the lattice plane: exactly the isotropic-box search
+    cells = [
+        cell_to_basis(1, 1, 8, 90, 90, 90),
+        cell_to_basis(8, 1, 1, 90, 90, 90),
+        cell_to_basis(1, 8, 2, 90, 90, 90),
+        cell_to_basis(2, 3, 4, 60, 75, 110),
+        cell_to_basis(1, 1, 1, 50, 60, 70),
+        cell_to_basis(1, 4, 8, 100, 80, 120),
+        cell_to_basis(1, 2, 8, 30, 40, 35),
+        np.array([[1.0, 0.0, 0.0], [0.3, 2.0, 0.5]]),
+        np.array([[4.0, 1.0, 0.0], [0.5, 0.5, 0.0]]),
+    ]
+    for basis in cells:
+        l = len(basis)
+        for m in (1, 3):
+            frac = rng.uniform(0, 1, size=(m, l))
+            offset = rng.normal(scale=0.4, size=(m, 3)) * (l < 3) * [0, 0, 1]
+            S = PeriodicSet.from_fractional(basis, frac)
+            S = PeriodicSet(basis, S.motif + offset)
+            for k in (12, 40):
+                assert np.array_equal(neighbours(S, k), _isotropic_box_neighbours(S, k))
+
+
+def test_neighbours_exact_from_a_small_start(rng, monkeypatch):
+    # a first radius at or far below the k-th distance makes the search grow
+    # its candidate set and certify where the k-th distance is close to r
+    for _ in range(60):
+        cell = [*rng.uniform(1, 3, size=3), *rng.uniform(70, 110, size=3)]
+        frac = rng.uniform(0, rng.choice([0.1, 0.5, 1.0]), size=(int(rng.integers(2, 4)), 3))
+        S = PeriodicSet.from_fractional(cell_to_basis(*cell), frac)
+        k = int(rng.integers(1, 40))
+        scale = rng.choice([1.0, 0.3, 1e-3])
+        monkeypatch.setattr(periodic, "ppc", lambda S: scale * ppc(S))
+        assert np.array_equal(neighbours(S, k), _isotropic_box_neighbours(S, k))
+
+
+def test_thin_cell_neighbours():
+    # the isotropic box sized by the 1e-4 gap would hold 1049^3 translates
+    S = PeriodicSet(np.diag([1.0, 1.0, 1e-4]), np.zeros((1, 3)))
+    rows = neighbours(S, 100)
+    assert rows.shape == (1, 100)
+    assert rows[0] == pytest.approx(np.repeat(np.arange(1, 51) * 1e-4, 2), rel=1e-12)
+
+
+def test_neighbour_budget_checked_before_allocating(monkeypatch):
+    def no_box(*args):
+        raise AssertionError("translates built before the budget check")
+
+    monkeypatch.setattr(periodic, "_lattice_ball", no_box)
+    with pytest.raises(ValueError, match="budget"):
+        neighbours(Z3, 10**9)
+    with pytest.raises(ValueError, match="budget"):
+        neighbours(Z3, 10**400)
+    # k = 1000 on Z^3 needs the 13^3 box of radius 6, 6 cells per translate
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 6 * 13**3 - 1)
+    with pytest.raises(ValueError, match="1.32e\\+04 cells of coefficient box"):
+        neighbours(Z3, 1000)
+
+
+def test_large_motif_neighbours(rng, monkeypatch):
+    # 200 points spread over a cubic cell at k = 100: the isotropic box of
+    # radius 2 holds 5e6 distance cells, the first ball of radius r + diam more
+    S = PeriodicSet.from_fractional(10 * np.eye(3), rng.uniform(0, 1, size=(200, 3)))
+    ref = _isotropic_box_neighbours(S, 100)
+    assert np.array_equal(neighbours(S, 100), ref)
+    calls = []
+
+    def counted(A, B, q=2.0):
+        calls.append(len(A))
+        return _pairwise(A, B, q)
+
+    monkeypatch.setattr(periodic, "_pairwise", counted)
+    # blocks of a few motif rows give the same rows
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**17)
+    assert np.array_equal(neighbours(S, 100), ref)
+    assert len(calls) > 20 and max(calls[1:]) < 10 and sum(calls[1:]) == 200
+    # the candidate points are checked before any distance is taken
+    calls.clear()
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**15)
+    with pytest.raises(ValueError, match="cells of candidate points"):
+        neighbours(S, 100)
+    assert calls == [200]
 
 
 def test_neighbours_lower_rank():
@@ -120,7 +227,7 @@ def test_filter_inequality(rng):
         assert gap <= pda_dist(S, Q, k) + 1e-9
 
 
-def test_duplicate_motif_rejected(rng):
+def test_duplicate_motif_rejected(rng, monkeypatch):
     with pytest.raises(ValueError):
         PeriodicSet(np.eye(3), np.array([[0, 0, 0], [1, 0, 0]], float))
     # duplicate across a cell face: fractional 0 and 1 - 1e-9
@@ -133,6 +240,14 @@ def test_duplicate_motif_rejected(rng):
     frac[17] = frac[9] + [1, -2, 0]
     with pytest.raises(ValueError):
         PeriodicSet.from_fractional(basis, frac)
+    # the last pair (m - 2, m - 1), in one block and across several
+    frac = rng.uniform(0, 1, size=(24, 3))
+    frac[23] = frac[22] + [0, 0, -1]
+    for block in (periodic.MOTIF_PAIR_BLOCK, 100, 1):
+        monkeypatch.setattr(periodic, "MOTIF_PAIR_BLOCK", block)
+        with pytest.raises(ValueError):
+            PeriodicSet.from_fractional(basis, frac)
+        PeriodicSet.from_fractional(basis, frac[:23])
 
 
 def test_dedup_finds_planted_near_duplicate(rng):
@@ -202,3 +317,55 @@ def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
     monkeypatch.setattr(periodic, "deviations", lambda Q, k: {"ada": np.array(ada[Q]), "pda": Q})
     monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
     assert lnd("S", ["r0", "r1"], 1) == (0.2, 0)
+
+
+def _exhaustive_dedup(dataset, k, ada_threshold, confirm_threshold):
+    """Reference dedup: the ADA filter as a loop over all pairs."""
+    devs = [deviations(S, k) for S in dataset]
+    results = []
+    for i, j in itertools.combinations(range(len(dataset)), 2):
+        gap = float(np.abs(devs[i]["ada"] - devs[j]["ada"]).max())
+        if gap > ada_threshold:
+            continue
+        value = pdd_dist(devs[i]["pda"], devs[j]["pda"], INF)
+        if value <= confirm_threshold:
+            results.append((i, j, gap, value))
+    results.sort(key=lambda t: (t[3], t[0], t[1]))
+    return results
+
+
+def test_dedup_filter_matches_exhaustive(rng, monkeypatch):
+    data = [_random_set(rng) for _ in range(24)]
+    data += [
+        PeriodicSet(S.basis, S.motif + rng.normal(scale=0.005, size=S.motif.shape))
+        for S in data[:6]
+    ]
+    k = 12
+    ada = [deviations(S, k)["ada"] for S in data]
+    gaps = sorted(
+        (float(np.abs(ada[i] - ada[j]).max()), i, j)
+        for i, j in itertools.combinations(range(len(data)), 2)
+    )
+    tie_gap, ti, tj = gaps[40]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pdd_dist(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "pdd_dist", counting)
+    for t, c in [(0.0, 0.0), (0.02, 0.05), (tie_gap, 1e9), (0.5, 0.1), (1e9, 1e9)]:
+        calls.clear()
+        got = dedup(data, k=k, ada_threshold=t, confirm_threshold=c)
+        assert len(calls) == sum(g <= t for g, _, _ in gaps)
+        assert got == _exhaustive_dedup(data, k, t, c)
+        if t == tie_gap:
+            assert (ti, tj) in [(i, j) for i, j, _, _ in got]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01])
+def test_dedup_rejects_bad_thresholds(bad):
+    with pytest.raises(ValueError, match="ada_threshold"):
+        dedup([Z3, Z3], k=4, ada_threshold=bad)
+    with pytest.raises(ValueError, match="confirm_threshold"):
+        dedup([Z3, Z3], k=4, confirm_threshold=bad)

@@ -202,3 +202,16 @@ def test_non_finite_coordinates_rejected():
         OnePeriodicSequence(1.0, np.column_stack([[0.0, 0.5], [1.0, np.inf]]))
     with pytest.raises(ValueError, match="non-finite"):
         OnePeriodicSequence(1.0, np.array([[0.0], [np.nan]]))
+
+
+def test_one_point_motifs_have_no_value_term():
+    # a one-point motif has an empty CDM: only the time shift can differ
+    S = OnePeriodicSequence(1.0, [[0.0, 1.5]])
+    Q = OnePeriodicSequence(1.0, [[0.3, -7.0]])
+    for equivalence in ("isometry", "rigid"):
+        assert seq_metric(S, S, equivalence=equivalence) == 0.0
+        assert seq_metric(S, Q, equivalence=equivalence) == 0.0
+    # one point against two: the extension repeats it, and the value term
+    # compares the repeated point's zero distance with the two-point CDM
+    T = OnePeriodicSequence(1.0, [[0.0, 1.5], [0.5, 2.5]])
+    assert seq_metric(S, T) == pytest.approx(1.0)

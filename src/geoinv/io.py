@@ -26,10 +26,14 @@ _CELL_TAGS = (
 
 _P1_NAMES = {"p1", "p 1", "'p 1'", '"p 1"', "1"}
 
+_UNCERTAINTY = re.compile(r"\(\d+\)$")
+_SYMOP_NUMBERED = re.compile(r"^\d+\s")
+_SYMOP_XYZ = re.compile(r"^['\"]?[xyz+\-\d/ ]+,")
+
 
 def _cif_number(token):
     """Parse a CIF numeric token, dropping a trailing standard uncertainty."""
-    token = re.sub(r"\(\d+\)$", "", token)
+    token = _UNCERTAINTY.sub("", token)
     return float(token)
 
 
@@ -111,9 +115,9 @@ def parse_cif_lite(text):
     # reject symmetry-operation loops with more than the identity
     sym_ops = []
     for ln in lines:
-        if re.match(r"^\d+\s", ln) and "," in ln and ln.count(",") == 2:
+        if _SYMOP_NUMBERED.match(ln) and "," in ln and ln.count(",") == 2:
             sym_ops.append(ln)
-        elif re.match(r"^['\"]?[xyz+\-\d/ ]+,", ln.lower()) and ln.count(",") == 2:
+        elif _SYMOP_XYZ.match(ln.lower()) and ln.count(",") == 2:
             sym_ops.append(ln)
     if len(sym_ops) > 1:
         raise ValueError("only P1 CIFs are supported (symmetry operations found)")
@@ -160,14 +164,17 @@ def parse_xyz(text):
     rows = [ln.split() for ln in lines[2:] if ln.strip()]
     if len(rows) != count:
         raise ValueError(f"XYZ header says {count} rows, found {len(rows)}")
-    labels = [r[0] for r in rows]
+    if not rows:
+        raise ValueError("XYZ file has no points")
     try:
-        points = np.array([[float(v) for v in r[1:]] for r in rows])
+        coords = [[float(v) for v in r[1:]] for r in rows]
     except ValueError:
         raise ValueError("non-numeric XYZ coordinate")
-    if points.ndim != 2 or points.shape[1] < 1:
+    if len({len(c) for c in coords}) > 1:
         raise ValueError("inconsistent XYZ coordinate counts")
-    return PointCloud(points, labels)
+    if not coords[0]:
+        raise ValueError("XYZ rows have no coordinates")
+    return PointCloud(np.array(coords), [r[0] for r in rows])
 
 
 def write_xyz(C, comment=""):

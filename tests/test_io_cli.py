@@ -310,3 +310,25 @@ def test_cli_seq1_one_point_motifs(tmp_path, capsys):
     one.write_text("0 1.5\n")
     assert main(["seq1", "metric", str(one), str(one), "--period", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["dist", "0"]
+
+
+def test_cli_density_compare_nan_period_exit_2(capsys):
+    args = ["density", "compare", "--period", "nan", "--points", "0", "0.3",
+            "--period2", "1", "--points2", "0", "0.3"]
+    assert main(args) == 2
+    assert "period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\nempty\n", "no points"),
+        ("2\nlabels only\nA\nB\n", "no coordinates"),
+        ("2\nragged\nA 0 1\nB 0\n", "inconsistent XYZ coordinate counts"),
+    ],
+)
+def test_cli_xyz_fault_named_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.xyz"
+    path.write_text(text)
+    assert main(["cloud", "pdd", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -458,10 +457,6 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("GEOINV_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -120,22 +120,18 @@ def pdd(A, k, collapse_tol=0.0):
     return collapse_rows(rows, weights, collapse_tol)
 
 
-def row_ground_costs(P, Q, q=INF, rms=False):
-    """Ground-metric matrix (L_q between rows) for two WeightedRows."""
+def pdd_dist(P, Q, q=INF, rms=False):
+    """Exact EMD between two PDDs with ground metric L_q on rows.
+
+    With ``rms`` the ground metric is L_2 / sqrt(k).
+    """
     if P.k != Q.k:
         raise ValueError("column-count mismatch")
     costs = _pairwise(P.rows, Q.rows, q)
     if rms:
-        qn = norm_exponent(q)
-        if qn != 2.0:
+        if norm_exponent(q) != 2.0:
             raise ValueError("RMS ground metric is L_2 / sqrt(k)")
         costs = costs / np.sqrt(P.k)
-    return costs
-
-
-def pdd_dist(P, Q, q=INF, rms=False):
-    """Exact EMD between two PDDs with ground metric L_q on rows."""
-    costs = row_ground_costs(P, Q, q, rms)
     value, _ = emd(P.weights, Q.weights, costs)
     return value
 

@@ -23,6 +23,10 @@ import numpy as np
 #: corner points closer than this on the t-axis are merged
 CORNER_TOL = 1e-12
 
+#: most hinge distances (k_hi + 2) * m of one sequence in ``_hinges``; a
+#: comparison of two sequences at the budget peaks at about 340 MiB
+HINGE_BUDGET = 2**20
+
 
 @dataclass(frozen=True)
 class PeriodicSequence1D:
@@ -122,9 +126,12 @@ def _hinges(S, k_lo, k_hi):
     +2 at d_(k+1)(i-1); summed over i, psi_k has +2 at d_(k-1)(i), -4 at
     d_k(i) and +2 at d_(k+1)(i).  For k = 0, 1 some of them fall at t < 0,
     where they add up to a constant: 1 - 2 sum r_i for k = 0 and 2 sum r_i
-    for k = 1.
+    for k = 1.  Raises ValueError before building any array when
+    (k_hi + 2) * m passes HINGE_BUDGET.
     """
     p, m = S.period, S.m
+    if (int(k_hi) + 2) * m > HINGE_BUDGET:
+        raise ValueError(f"k={k_hi} with {m} intervals is over the hinge budget of {HINGE_BUDGET}")
     i = np.arange(m)
     n = np.arange(k_lo - 1, k_hi + 2)[:, None] + i
     d = ((S.centres - S.radii)[n % m] / p - (S.centres + S.radii) / p + n // m) / 2.0

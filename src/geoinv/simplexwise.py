@@ -7,6 +7,15 @@ up to permutations of the base.  SDD(C; h) collects the RDDs of all h-point
 bases with weights.  The oriented variant SCD adjoins the origin to (n-1)-
 point bases and stores determinant signs made continuous by the strength of
 a simplex.
+
+Both invariants share one base-order form.  Each of the h! orders of a base
+(``ORDERS``) gives a vector of distances inside the base and a matrix with
+one column per remaining point; the order moves both.  A class is
+represented by the order with the least rounded key, its columns sorted
+lexicographically (``_least``), and two classes are compared by the least,
+over the orders of one of them, of the larger of the Chebyshev distance
+between the base vectors and the bottleneck distance between the columns
+(``_max_metric``).
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
 
 #: scale-aware zero test for squared simplex volumes
 DEGENERATE_REL_TOL = 1e-18
+
+#: the h! orders of a base of h points, one row each, for h = 1, 2, 3
+ORDERS = {h: np.array(list(itertools.permutations(range(h)))) for h in (1, 2, 3)}
 
 
 def _simplices(points):
@@ -87,6 +99,25 @@ def _round_key(*arrays, decimals=9):
     )
 
 
+def _least(candidates):
+    """The first of the candidates with the least ``key()``."""
+    return min(candidates, key=lambda c: c.key())
+
+
+def _max_metric(dx, dy, cx, cy, orders):
+    """Least over (index map i, row map r) of the larger of |dx[i] - dy|_inf
+    and the bottleneck distance between the columns of cx[r] and cy.
+
+    Arrays of different shapes are infinitely far apart.
+    """
+    if dx.shape != dy.shape or cx.shape != cy.shape:
+        return float("inf")
+    return float(min(
+        max(np.abs(dx[i] - dy).max(), bottleneck_from_costs(_pairwise(cx[r].T, cy.T, INF)))
+        for i, r in orders
+    ))
+
+
 @dataclass(frozen=True)
 class Rdd:
     """Canonical representative of an RDD class under base permutations.
@@ -105,22 +136,6 @@ class Rdd:
 
     def key(self):
         return _round_key(self.D, self.R)
-
-
-def _canonical_rdd(D, R):
-    """Lexicographically minimal representative over base permutations."""
-    h = D.shape[0]
-    best = None
-    for perm in itertools.permutations(range(h)):
-        p = list(perm)
-        Dp = D[np.ix_(p, p)]
-        Rp = R[p]
-        order = np.lexsort(Rp[::-1]) if Rp.size else np.array([], dtype=int)
-        Rp = Rp[:, order]
-        key = _round_key(Dp, Rp)
-        if best is None or key < best[0]:
-            best = (key, Dp, Rp)
-    return Rdd(best[1], best[2])
 
 
 @dataclass(frozen=True)
@@ -158,39 +173,30 @@ def sdd(C, h):
     if h >= m:
         raise ValueError("h must be smaller than the cloud size")
     d = _pairwise(pts, pts)
-    rdds = (
-        _canonical_rdd(
-            d[np.ix_(base, base)],
-            d[np.ix_(base, [i for i in range(m) if i not in base])],
-        )
-        for base in itertools.combinations(range(m), h)
-    )
+    rdds = []
+    for base in itertools.combinations(range(m), h):
+        D = d[np.ix_(base, base)]
+        R = d[np.ix_(base, [i for i in range(m) if i not in base])]
+        rdds.append(_least(
+            Rdd(D[np.ix_(p, p)], R[p][:, np.lexsort(R[p][::-1])]) for p in ORDERS[h]
+        ))
     return Sdd(*_weighted_classes(rdds))
 
 
 def rdd_max_metric(X, Y):
-    """Max metric on RDDs: min over base permutations of the larger of the
+    """Max metric on RDDs: min over base orders of the larger of the
     Chebyshev distance between D matrices and the bottleneck distance
     between R columns."""
     if X.h != Y.h:
         raise ValueError("incompatible orders h")
-    if X.R.shape[1] != Y.R.shape[1]:
-        return float("inf")
     h = X.h
-    best = np.inf
-    for perm in itertools.permutations(range(h)):
-        p = list(perm)
-        d1 = np.abs(X.D[np.ix_(p, p)] - Y.D).max() if h > 1 else 0.0
-        if X.R.size:
-            costs = _pairwise(X.R[p].T, Y.R.T, INF)
-            d2 = bottleneck_from_costs(costs)
-        else:
-            d2 = 0.0
-        best = min(best, max(d1, d2))
-    return float(best)
+    orders = (((p[:, None] * h + p).ravel(), p) for p in ORDERS[h])
+    return _max_metric(X.D.ravel(), Y.D.ravel(), X.R, Y.R, orders)
 
 
 def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=None):
+    if np.isinf(costs).any():
+        raise ValueError("distributions of incompatible sizes")
     if mode == "emd":
         value, _ = emd(weights_x, weights_y, costs)
         return value
@@ -206,11 +212,7 @@ def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=
 
 def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
-    costs = np.array(
-        [[rdd_max_metric(a, b) for b in Y.rdds] for a in X.rdds]
-    )
-    if np.isinf(costs).any():
-        raise ValueError("SDDs of incompatible sizes")
+    costs = np.array([[rdd_max_metric(a, b) for b in Y.rdds] for a in X.rdds])
     return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
 
 
@@ -250,21 +252,17 @@ def _ocd_for_base(pts, base_idx):
     # one simplex (permuted base, origin, q) per remaining point q
     simplices = np.zeros((len(rest), h + 2, pts.shape[1]))
     simplices[:, h + 1] = rest
-    best = None
-    for perm in itertools.permutations(range(h)):
-        p = list(perm)
+
+    def candidate(p):
         simplices[:, :h] = base_pts[p]
         dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
-        cols = d[p + [h], h + 1 :]
+        cols = d[np.append(p, h), h + 1 :]
         signs = simplex_sign(simplices)
         strengths = strength(simplices)
-        full = np.vstack([cols, signs[None, :]])
-        order = np.lexsort(full[::-1]) if full.size else np.array([], dtype=int)
-        ocd = Ocd(dvec, cols[:, order], signs[order], strengths[order])
-        key = ocd.key()
-        if best is None or key < best[0]:
-            best = (key, ocd)
-    return best[1]
+        order = np.lexsort(np.vstack([cols, signs])[::-1])
+        return Ocd(dvec, cols[:, order], signs[order], strengths[order])
+
+    return _least(candidate(p) for p in ORDERS[h])
 
 
 @dataclass(frozen=True)
@@ -303,44 +301,27 @@ def scd(C, center=True):
 
 
 def ocd_max_metric(X, Y):
-    """Max metric on OCDs: base permutations are minimized over; columns are
+    """Max metric on OCDs: base orders are minimized over; columns are
     compared as points (distances, sign * strength / lambda_n) by the
-    bottleneck distance."""
-    if X.cols.shape != Y.cols.shape or X.dvec.shape != Y.dvec.shape:
-        return float("inf")
-    n = X.n
-    h = n - 1
-    lam = LAMBDA[n]
-    best = np.inf
-    for perm in itertools.permutations(range(h)):
-        if h == 1:
-            dvec_x = X.dvec
-        else:
-            # dvec layout: pairwise base distances then distances to origin
-            pair = X.dvec[: h * (h - 1) // 2]
-            orig = X.dvec[h * (h - 1) // 2 :][list(perm)]
-            dvec_x = np.concatenate([pair, orig])
-        d1 = np.abs(dvec_x - Y.dvec).max()
-        if X.cols.shape[1]:
-            px = np.vstack(
-                [
-                    X.cols[list(perm)],
-                    X.cols[h : h + 1],
-                    (X.signs * X.strengths / lam)[None, :],
-                ]
-            )
-            py = np.vstack([Y.cols, (Y.signs * Y.strengths / lam)[None, :]])
-            costs = _pairwise(px.T, py.T, INF)
-            d2 = bottleneck_from_costs(costs)
-        else:
-            d2 = 0.0
-        best = min(best, max(d1, d2))
-    return float(best)
+    bottleneck distance.
+
+    An order permutes the distances from the base to the origin (``dvec``
+    holds the pairwise base distances first, which stay fixed) and the base
+    rows of the columns of X; the signs of X are not changed.
+    """
+    h = X.n - 1
+    lam = LAMBDA[X.n]
+    sx = np.vstack([X.cols, (X.signs * X.strengths / lam)[None, :]])
+    sy = np.vstack([Y.cols, (Y.signs * Y.strengths / lam)[None, :]])
+    pair = h * (h - 1) // 2
+    orders = (
+        (np.concatenate([np.arange(pair), pair + p]), np.concatenate([p, (h, h + 1)]))
+        for p in ORDERS[h]
+    )
+    return _max_metric(X.dvec, Y.dvec, sx, sy, orders)
 
 
 def scd_dist(X, Y, mode="emd"):
     """Metric between SCDs via EMD or LAC over the OCD max metric."""
     costs = np.array([[ocd_max_metric(a, b) for b in Y.ocds] for a in X.ocds])
-    if np.isinf(costs).any():
-        raise ValueError("SCDs of incompatible sizes")
     return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import geoinv.density1d as density1d
 from geoinv.density1d import (
     PeriodicSequence1D,
     PiecewiseLinear,
@@ -144,6 +145,28 @@ def test_negative_k_max_rejected():
         fingerprint_equal(S, T, k_max=-1)
     with pytest.raises(ValueError, match="k_max"):
         fingerprint_dist(S, T, k_max=-1)
+
+
+@pytest.mark.parametrize("k", [10**20, 9 * 10**18, 10**6])
+def test_k_over_hinge_budget_rejected(k):
+    # 10**20 is past int64 and 9e18 past what float64 resolves on the t-axis
+    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
+    with pytest.raises(ValueError, match="hinge budget"):
+        psi(T, k)
+    with pytest.raises(ValueError, match="hinge budget"):
+        fingerprint_dist(S, T, k)
+    with pytest.raises(ValueError, match="hinge budget"):
+        fingerprint_equal(S, T, k)
+
+
+def test_hinge_budget_bounds_k_plus_2_times_m(monkeypatch):
+    monkeypatch.setattr(density1d, "HINGE_BUDGET", 12)
+    assert len(psi(S, 2).corners) > 1  # (2 + 2) * 3 = 12
+    assert fingerprint_dist(S, S, 2) == 0.0
+    with pytest.raises(ValueError, match="hinge budget"):
+        psi(S, 3)
+    with pytest.raises(ValueError, match="hinge budget"):
+        fingerprint_dist(S, S, 3)
 
 
 def test_piecewise_linear_integral():

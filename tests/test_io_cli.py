@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,28 @@ def test_cli_density_compare_negative_k_exit_2(capsys):
             "--points2", "0.2", "0.9", "--k", "-1"]
     assert main(args) == 2
     assert "k_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action, extra", [
+    ("psi", []),
+    ("compare", ["--points2", "0.2", "0.9"]),
+])
+@pytest.mark.parametrize("k", ["100000000000000000000", "9000000000000000000"])
+def test_cli_density_k_over_budget_exit_2(capsys, action, extra, k):
+    args = ["density", action, "--period", "1", "--points", "0", "0.3", *extra, "--k", k]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hinge budget" in captured.err
+
+
+def test_cli_main_leaves_environment_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("GEOINV_THREADS", "1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    assert main(["density", "rho", "--period", "1", "--points", "0", "0.3", "--k", "0"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_cli_seq1_zero_period2_exit_2(tmp_path, capsys):

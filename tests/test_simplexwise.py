@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +11,16 @@ import pytest
 
 from conftest import random_isometry, random_rotation
 from geoinv.clouds import PointCloud, spd
+from geoinv.numcore import INF, _pairwise, bottleneck_from_costs
 from geoinv.simplexwise import (
     LAMBDA,
+    Ocd,
+    Rdd,
+    _distribution_dist,
+    _round_key,
+    _weighted_classes,
+    ocd_max_metric,
+    rdd_max_metric,
     scd,
     scd_dist,
     sdd,
@@ -186,3 +196,195 @@ def test_simplex_rejects_non_finite_and_bad_shapes(fn):
     for shape in ((3,), (2, 2), (4, 2), (3, 3), (5, 4), (2, 4, 2)):
         with pytest.raises(ValueError):
             fn(np.ones(shape))
+
+
+# Reference oracle: the canonicalisers and max metrics written out per
+# invariant, one order at a time, with the least key tracked by hand.
+
+
+def _ref_canonical_rdd(D, R):
+    h = D.shape[0]
+    best = None
+    for perm in itertools.permutations(range(h)):
+        p = list(perm)
+        Dp = D[np.ix_(p, p)]
+        Rp = R[p]
+        order = np.lexsort(Rp[::-1]) if Rp.size else np.array([], dtype=int)
+        Rp = Rp[:, order]
+        key = _round_key(Dp, Rp)
+        if best is None or key < best[0]:
+            best = (key, Dp, Rp)
+    return Rdd(best[1], best[2])
+
+
+def _ref_sdd(pts, h):
+    m = len(pts)
+    d = _pairwise(pts, pts)
+    return _weighted_classes(
+        _ref_canonical_rdd(
+            d[np.ix_(base, base)],
+            d[np.ix_(base, [i for i in range(m) if i not in base])],
+        )
+        for base in itertools.combinations(range(m), h)
+    )
+
+
+def _ref_ocd_for_base(pts, base_idx):
+    origin = np.zeros((1, pts.shape[1]))
+    base_pts = pts[list(base_idx)]
+    rest = pts[[i for i in range(len(pts)) if i not in base_idx]]
+    h = len(base_pts)
+    anchors = np.vstack([base_pts, origin])
+    d = _pairwise(anchors, np.vstack([anchors, rest]))
+    simplices = np.zeros((len(rest), h + 2, pts.shape[1]))
+    simplices[:, h + 1] = rest
+    best = None
+    for perm in itertools.permutations(range(h)):
+        p = list(perm)
+        simplices[:, :h] = base_pts[p]
+        dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
+        cols = d[p + [h], h + 1 :]
+        signs = simplex_sign(simplices)
+        strengths = strength(simplices)
+        full = np.vstack([cols, signs[None, :]])
+        order = np.lexsort(full[::-1]) if full.size else np.array([], dtype=int)
+        ocd = Ocd(dvec, cols[:, order], signs[order], strengths[order])
+        key = ocd.key()
+        if best is None or key < best[0]:
+            best = (key, ocd)
+    return best[1]
+
+
+def _ref_scd(pts, center):
+    if center:
+        pts = pts - pts.mean(axis=0)
+    bases = itertools.combinations(range(len(pts)), pts.shape[1] - 1)
+    return _weighted_classes(_ref_ocd_for_base(pts, base) for base in bases)
+
+
+def _ref_rdd_max_metric(X, Y):
+    if X.h != Y.h:
+        raise ValueError("incompatible orders h")
+    if X.R.shape[1] != Y.R.shape[1]:
+        return float("inf")
+    h = X.h
+    best = np.inf
+    for perm in itertools.permutations(range(h)):
+        p = list(perm)
+        d1 = np.abs(X.D[np.ix_(p, p)] - Y.D).max() if h > 1 else 0.0
+        if X.R.size:
+            costs = _pairwise(X.R[p].T, Y.R.T, INF)
+            d2 = bottleneck_from_costs(costs)
+        else:
+            d2 = 0.0
+        best = min(best, max(d1, d2))
+    return float(best)
+
+
+def _ref_ocd_max_metric(X, Y):
+    if X.cols.shape != Y.cols.shape or X.dvec.shape != Y.dvec.shape:
+        return float("inf")
+    n = X.n
+    h = n - 1
+    lam = LAMBDA[n]
+    best = np.inf
+    for perm in itertools.permutations(range(h)):
+        if h == 1:
+            dvec_x = X.dvec
+        else:
+            pair = X.dvec[: h * (h - 1) // 2]
+            orig = X.dvec[h * (h - 1) // 2 :][list(perm)]
+            dvec_x = np.concatenate([pair, orig])
+        d1 = np.abs(dvec_x - Y.dvec).max()
+        if X.cols.shape[1]:
+            px = np.vstack(
+                [
+                    X.cols[list(perm)],
+                    X.cols[h : h + 1],
+                    (X.signs * X.strengths / lam)[None, :],
+                ]
+            )
+            py = np.vstack([Y.cols, (Y.signs * Y.strengths / lam)[None, :]])
+            costs = _pairwise(px.T, py.T, INF)
+            d2 = bottleneck_from_costs(costs)
+        else:
+            d2 = 0.0
+        best = min(best, max(d1, d2))
+    return float(best)
+
+
+def _oracle_clouds(rng):
+    """Seeded (cloud, perturbed copy) pairs: m = 4-6 in R^2, m = 4-5 in R^3.
+
+    Half of the clouds are distinct integer grid points plus 1e-12 noise, so
+    that several base orders and columns tie after rounding while their raw
+    values differ.
+    """
+    for trial in range(8):
+        n = 2 + trial % 2
+        m = 4 + (trial // 2) % (3 if n == 2 else 2)
+        if trial % 4 < 2:
+            grid = np.array(list(itertools.product(range(3), repeat=n)), dtype=float)
+            pts = grid[rng.choice(len(grid), m, replace=False)]
+            pts += 1e-12 * rng.normal(size=pts.shape)
+        else:
+            pts = rng.normal(size=(m, n))
+        yield pts, pts + 0.05 * rng.normal(size=pts.shape)
+
+
+def _assert_same_classes(got, want, reps):
+    """``got`` (an Sdd or Scd) holds the classes (weights, reps, total) ``want``."""
+    weights, want_reps, total = want
+    assert got.total == total
+    assert np.array_equal(got.weights, weights)
+    assert len(getattr(got, reps)) == len(want_reps)
+    for a, b in zip(getattr(got, reps), want_reps):
+        for field in vars(a):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _assert_same_dists(dist, metric, ref_metric, X, Y, reps):
+    """Equal cost matrices, then equal EMD and LAC values."""
+    xs, ys = getattr(X, reps), getattr(Y, reps)
+    costs = np.array([[ref_metric(a, b) for b in ys] for a in xs])
+    assert np.array_equal(np.array([[metric(a, b) for b in ys] for a in xs]), costs)
+    for mode in ("emd", "lac"):
+        want = _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
+        assert dist(X, Y, mode) == want
+
+
+def test_sdd_matches_reference_oracle(rng):
+    for pts, qts in _oracle_clouds(rng):
+        for h in (1, 2, 3):
+            X, Y = sdd(pts, h), sdd(qts, h)
+            _assert_same_classes(X, _ref_sdd(pts, h), "rdds")
+            _assert_same_classes(Y, _ref_sdd(qts, h), "rdds")
+            _assert_same_dists(sdd_dist, rdd_max_metric, _ref_rdd_max_metric, X, Y, "rdds")
+
+
+def test_scd_matches_reference_oracle(rng):
+    for pts, qts in _oracle_clouds(rng):
+        for center in (True, False):
+            X, Y = scd(pts, center), scd(qts, center)
+            _assert_same_classes(X, _ref_scd(pts, center), "ocds")
+            _assert_same_classes(Y, _ref_scd(qts, center), "ocds")
+            # the mirror image differs from X only in the signed strengths
+            image = scd(pts * np.r_[np.ones(pts.shape[1] - 1), -1.0], center)
+            for other in (Y, Y.mirror(), image):
+                _assert_same_dists(scd_dist, ocd_max_metric, _ref_ocd_max_metric, X, other, "ocds")
+
+def test_simplexwise_error_paths(rng):
+    pts = rng.normal(size=(6, 3))
+    X = sdd(pts, 2)
+    with pytest.raises(ValueError, match="incompatible sizes"):
+        sdd_dist(X, sdd(pts[:5], 2))
+    with pytest.raises(ValueError, match="incompatible sizes"):
+        scd_dist(scd(pts[:, :2]), scd(pts))
+    with pytest.raises(ValueError, match="LAC"):
+        sdd_dist(X, dataclasses.replace(X, total=X.total + 1), mode="lac")
+    with pytest.raises(ValueError, match="unknown mode"):
+        sdd_dist(X, X, mode="bogus")
+    with pytest.raises(ValueError, match="unknown mode"):
+        scd_dist(scd(pts), scd(pts), mode="bogus")
+    with pytest.raises(ValueError, match="incompatible orders"):
+        rdd_max_metric(X.rdds[0], sdd(pts, 1).rdds[0])

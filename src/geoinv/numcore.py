@@ -1,7 +1,7 @@
 """Exact metric and combinatorial-optimization kernel.
 
-Minkowski/Chebyshev norms, Hausdorff distance, exact bottleneck matching,
-Linear Assignment Cost and exact Earth Mover's Distance on weighted
+Minkowski/Chebyshev norms, Hausdorff distance, exact bound-first bottleneck
+matching, Linear Assignment Cost and exact Earth Mover's Distance on weighted
 distributions.  All functions are pure and safe for concurrent use.
 """
 
@@ -95,13 +95,22 @@ def hausdorff(A, B, q=2.0):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def _feasible(costs, t):
+    """Whether a perfect matching inside ``costs <= t`` exists, that is
+    whether the 0/1 matrix ``costs > t`` has a zero-cost assignment."""
+    above = costs > t
+    return not above[linear_sum_assignment(above)].any()
+
+
 def bottleneck_from_costs(costs):
     """Minimum over perfect matchings of the maximum matched cost.
 
-    Exact: binary search over the sorted set of candidate costs.  A
-    threshold t is feasible iff a perfect matching inside ``costs <= t``
-    exists, that is iff the 0/1 matrix ``costs > t`` has a zero-cost
-    assignment; ties resolve to the smallest feasible candidate.
+    Exact and bound-first.  Every matching uses an entry of each row and of
+    each column, so no matching beats the bound max(largest row minimum,
+    largest column minimum), which is itself a cost.  When the bound is
+    feasible (``_feasible``) it is the answer after one assignment;
+    otherwise a binary search over the sorted costs above the bound finds
+    the smallest feasible one.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
@@ -110,15 +119,17 @@ def bottleneck_from_costs(costs):
         raise ValueError("bottleneck requires non-empty sets")
     if np.isnan(costs).any():
         raise ValueError("NaN in bottleneck costs")
-    cand = np.unique(costs)
+    bound = max(costs.min(axis=1).max(), costs.min(axis=0).max())
+    if _feasible(costs, bound):
+        return float(bound)
+    cand = np.unique(costs[costs > bound])
     lo, hi = 0, len(cand) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        above = costs > cand[mid]
-        if above[linear_sum_assignment(above)].any():
-            lo = mid + 1
-        else:
+        if _feasible(costs, cand[mid]):
             hi = mid
+        else:
+            lo = mid + 1
     return float(cand[lo])
 
 

@@ -14,20 +14,30 @@ one column per remaining point; the order moves both.  A class is
 represented by the order with the least rounded key, its columns sorted
 lexicographically (``_least``), and two classes are compared by the least,
 over the orders of one of them, of the larger of the Chebyshev distance
-between the base vectors and the bottleneck distance between the columns
-(``_max_metric``).
+between the base vectors and the bottleneck distance between the columns.
+
+``_max_metric`` computes that metric for all class pairs of two
+distributions in one cost tensor: for every pair and order, the Chebyshev
+term, the Chebyshev cost matrix of the columns and the lower bound
+max(Chebyshev term, largest row minimum, largest column minimum).  Each pair
+visits its orders by increasing bound and stops at the first bound that is
+no better than the best value so far; an order whose bound admits a perfect
+matching is worth exactly its bound, and only the others search the costs
+between the bound and the best value.  The max metrics of two classes are
+the 1 x 1 case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import INF, _pairwise, bottleneck_from_costs, emd, lac
+from .numcore import _feasible, _pairwise, bottleneck_from_costs, emd, lac
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -37,6 +47,10 @@ DEGENERATE_REL_TOL = 1e-18
 
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
 ORDERS = {h: np.array(list(itertools.permutations(range(h)))) for h in (1, 2, 3)}
+
+#: most column-cost cells (class pairs x orders x k x k) built in one numpy
+#: step by ``_max_metric``; a block holds at least one class pair
+MAX_METRIC_BLOCK = 1 << 16
 
 
 def _simplices(points):
@@ -105,17 +119,58 @@ def _least(candidates):
 
 
 def _max_metric(dx, dy, cx, cy, orders):
-    """Least over (index map i, row map r) of the larger of |dx[i] - dy|_inf
-    and the bottleneck distance between the columns of cx[r] and cy.
+    """Matrix of the max metric between the classes of X and of Y.
 
-    Arrays of different shapes are infinitely far apart.
+    ``dx``/``cx`` list the base vectors and column matrices of the classes
+    of X, ``dy``/``cy`` those of Y, and ``orders`` is a pair of arrays: one
+    index map of the base vector and one row map of the columns per order.
+    Entry (a, b) is the least over the orders (i, r) of the larger of
+    |dx[a][i] - dy[b]|_inf and the bottleneck distance between the columns
+    of cx[a][r] and cy[b] under the Chebyshev norm.  Classes of different
+    shapes are infinitely far apart.
     """
-    if dx.shape != dy.shape or cx.shape != cy.shape:
-        return float("inf")
-    return float(min(
-        max(np.abs(dx[i] - dy).max(), bottleneck_from_costs(_pairwise(cx[r].T, cy.T, INF)))
-        for i, r in orders
-    ))
+    shapes = {np.shape(d) for d in (*dx, *dy)}, {np.shape(c) for c in (*cx, *cy)}
+    if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
+        return np.full((len(dx), len(dy)), np.inf)
+    dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
+    if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
+        raise ValueError("non-finite coordinates")
+    index, rows = orders
+    dx, cx = dx[:, index], cx[:, rows]  # one base vector and column matrix per order
+    nx, ny = len(dx), len(dy)
+    k = cy.shape[-1]
+    out = np.empty(nx * ny)
+    step = max(1, MAX_METRIC_BLOCK // max(1, len(index) * k * k))
+    for start in range(0, nx * ny, step):
+        a, b = np.divmod(np.arange(start, min(start + step, nx * ny)), ny)
+        cheb = np.abs(dx[a] - dy[b, None]).max(axis=-1)
+        # costs[pair, order, u, v] = max over rows of |x_r[u] - y_r[v]|
+        costs = np.abs(cx[a, :, 0, :, None] - cy[b, None, 0, None, :])
+        for r in range(1, cy.shape[1]):
+            np.maximum(costs, np.abs(cx[a, :, r, :, None] - cy[b, None, r, None, :]), out=costs)
+        matched = np.maximum(costs.min(axis=3).max(axis=2), costs.min(axis=2).max(axis=2))
+        bound = np.maximum(cheb, matched)
+        for p, ranked in enumerate(np.argsort(bound, axis=1, kind="stable")):
+            out[start + p] = _least_order_value(costs[p, ranked], bound[p, ranked])
+    return out.reshape(nx, ny)
+
+
+def _least_order_value(costs, bound):
+    """Least over orders o of max(term_o, bottleneck(costs[o])), where
+    term_o <= bound[o] <= that value, bound[o] is at least the largest row
+    and column minimum of costs[o], and the orders come by increasing bound."""
+    best = np.inf
+    for c, t in zip(costs, bound.tolist()):
+        if t >= best:
+            break
+        if _feasible(c, t):
+            return t
+        # the order is worth its bottleneck, a cost above t; on the costs
+        # clipped to [next cost above t, best] the search gives min(it, best)
+        above = c[c > t].min()
+        if above < best:
+            best = bottleneck_from_costs(np.clip(c, above, best))
+    return best
 
 
 @dataclass(frozen=True)
@@ -168,6 +223,10 @@ def sdd(C, h):
     """Simplexwise Distance Distribution: weighted RDDs of all h-point bases."""
     pts = _as_points(C)
     m = len(pts)
+    try:
+        h = operator.index(h)
+    except TypeError:
+        raise ValueError(f"order h must be an integer, got {h!r}") from None
     if not 1 <= h <= 3:
         raise ValueError("supported orders are h in {1, 2, 3}")
     if h >= m:
@@ -183,15 +242,26 @@ def sdd(C, h):
     return Sdd(*_weighted_classes(rdds))
 
 
+def _rdd_costs(xs, ys):
+    """Max-metric matrix between two sequences of RDDs of one order h: an
+    order p maps D to D[p][:, p] and R to R[p]."""
+    hs = {r.h for r in (*xs, *ys)}
+    if len(hs) > 1:
+        raise ValueError("incompatible orders h")
+    h = max(hs, default=1)
+    p = ORDERS[h]
+    index = (p[:, :, None] * h + p[:, None, :]).reshape(len(p), -1)
+    return _max_metric(
+        [r.D.ravel() for r in xs], [r.D.ravel() for r in ys],
+        [r.R for r in xs], [r.R for r in ys], (index, p),
+    )
+
+
 def rdd_max_metric(X, Y):
     """Max metric on RDDs: min over base orders of the larger of the
     Chebyshev distance between D matrices and the bottleneck distance
     between R columns."""
-    if X.h != Y.h:
-        raise ValueError("incompatible orders h")
-    h = X.h
-    orders = (((p[:, None] * h + p).ravel(), p) for p in ORDERS[h])
-    return _max_metric(X.D.ravel(), Y.D.ravel(), X.R, Y.R, orders)
+    return float(_rdd_costs([X], [Y])[0, 0])
 
 
 def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=None):
@@ -212,7 +282,7 @@ def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=
 
 def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
-    costs = np.array([[rdd_max_metric(a, b) for b in Y.rdds] for a in X.rdds])
+    costs = _rdd_costs(X.rdds, Y.rdds)
     return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
 
 
@@ -241,7 +311,9 @@ class Ocd:
         return Ocd(self.dvec, self.cols, -self.signs, self.strengths)
 
 
-def _ocd_for_base(pts, base_idx):
+def _ocd_for_base(pts, base_idx, signs, strengths):
+    """The least OCD of one base; ``signs``/``strengths`` hold one row per
+    order of the base, for the simplices (ordered base, origin, q)."""
     origin = np.zeros((1, pts.shape[1]))
     base_pts = pts[list(base_idx)]
     rest = pts[[i for i in range(len(pts)) if i not in base_idx]]
@@ -249,20 +321,14 @@ def _ocd_for_base(pts, base_idx):
     # rows: base points then the origin; columns: the same, then the rest
     anchors = np.vstack([base_pts, origin])
     d = _pairwise(anchors, np.vstack([anchors, rest]))
-    # one simplex (permuted base, origin, q) per remaining point q
-    simplices = np.zeros((len(rest), h + 2, pts.shape[1]))
-    simplices[:, h + 1] = rest
 
-    def candidate(p):
-        simplices[:, :h] = base_pts[p]
+    def candidate(o, p):
         dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
         cols = d[np.append(p, h), h + 1 :]
-        signs = simplex_sign(simplices)
-        strengths = strength(simplices)
-        order = np.lexsort(np.vstack([cols, signs])[::-1])
-        return Ocd(dvec, cols[:, order], signs[order], strengths[order])
+        order = np.lexsort(np.vstack([cols, signs[o]])[::-1])
+        return Ocd(dvec, cols[:, order], signs[o][order], strengths[o][order])
 
-    return _least(candidate(p) for p in ORDERS[h])
+    return _least(candidate(o, p) for o, p in enumerate(ORDERS[h]))
 
 
 @dataclass(frozen=True)
@@ -296,32 +362,43 @@ def scd(C, center=True):
     m = len(pts)
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
-    ocds = (_ocd_for_base(pts, base) for base in itertools.combinations(range(m), n - 1))
+    bases = np.array(list(itertools.combinations(range(m), n - 1)))
+    rest = np.array([[i for i in range(m) if i not in base] for base in bases])
+    # one simplex (ordered base, origin, q) per base, order and remaining q
+    simplices = np.zeros((len(bases), math.factorial(n - 1), m - n + 1, n + 1, n))
+    simplices[..., : n - 1, :] = pts[bases[:, ORDERS[n - 1]]][:, :, None]
+    simplices[..., n, :] = pts[rest][:, None]
+    signs, strengths = simplex_sign(simplices), strength(simplices)
+    ocds = (_ocd_for_base(pts, *args) for args in zip(bases, signs, strengths))
     return Scd(*_weighted_classes(ocds))
+
+
+def _ocd_costs(xs, ys):
+    """Max-metric matrix between two sequences of OCDs.
+
+    Columns are compared as points (distances, sign * strength / lambda_n).
+    An order permutes the distances from the base to the origin (``dvec``
+    holds the pairwise base distances first, which stay fixed) and the base
+    rows of the columns of X; the signs of X are not changed.
+    """
+    n = max((o.n for o in xs), default=2)
+    h, lam = n - 1, LAMBDA[n]
+    pair = h * (h - 1) // 2
+    p = ORDERS[h]
+    index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
+    rows = np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
+    cx, cy = ([np.vstack([o.cols, o.signs * o.strengths / lam]) for o in side] for side in (xs, ys))
+    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], cx, cy, (index, rows))
 
 
 def ocd_max_metric(X, Y):
     """Max metric on OCDs: base orders are minimized over; columns are
     compared as points (distances, sign * strength / lambda_n) by the
-    bottleneck distance.
-
-    An order permutes the distances from the base to the origin (``dvec``
-    holds the pairwise base distances first, which stay fixed) and the base
-    rows of the columns of X; the signs of X are not changed.
-    """
-    h = X.n - 1
-    lam = LAMBDA[X.n]
-    sx = np.vstack([X.cols, (X.signs * X.strengths / lam)[None, :]])
-    sy = np.vstack([Y.cols, (Y.signs * Y.strengths / lam)[None, :]])
-    pair = h * (h - 1) // 2
-    orders = (
-        (np.concatenate([np.arange(pair), pair + p]), np.concatenate([p, (h, h + 1)]))
-        for p in ORDERS[h]
-    )
-    return _max_metric(X.dvec, Y.dvec, sx, sy, orders)
+    bottleneck distance (see ``_ocd_costs``)."""
+    return float(_ocd_costs([X], [Y])[0, 0])
 
 
 def scd_dist(X, Y, mode="emd"):
     """Metric between SCDs via EMD or LAC over the OCD max metric."""
-    costs = np.array([[ocd_max_metric(a, b) for b in Y.ocds] for a in X.ocds])
+    costs = _ocd_costs(X.ocds, Y.ocds)
     return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)

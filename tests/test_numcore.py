@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from conftest import bottleneck_oracle, emd_oracle
 from geoinv.numcore import (
@@ -103,6 +103,42 @@ def test_bottleneck_large_chain_has_zero_matching():
     costs[idx[:-1], idx[:-1] + 1] = 0.0
     costs[k - 1, 0] = 0.0
     assert bottleneck_from_costs(costs) == 0.0
+
+
+def _ref_bottleneck_from_costs(costs):
+    """Binary search over all distinct costs, with no bound step."""
+    costs = np.asarray(costs, dtype=float)
+    cand = np.unique(costs)
+    lo, hi = 0, len(cand) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        above = costs > cand[mid]
+        if above[linear_sum_assignment(above)].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(cand[lo])
+
+
+def test_bound_first_bottleneck_equals_full_search(rng):
+    # random, integer-tied and partly infinite matrices, 1x1 up to 160x160;
+    # both the bound and the search above it are taken many times
+    sizes = [1, 2, 3, 4, 5, 6, 8, 11, 16, 40, 160]
+    settled = 0
+    for trial in range(330):
+        k = sizes[trial % len(sizes)]
+        kind = trial // len(sizes) % 3
+        if kind == 0:
+            costs = rng.random((k, k))
+        elif kind == 1:
+            costs = rng.integers(0, 4, size=(k, k)).astype(float)
+        else:
+            costs = rng.random((k, k))
+            costs[rng.random((k, k)) < 0.3] = np.inf
+        want = _ref_bottleneck_from_costs(costs)
+        assert bottleneck_from_costs(costs) == want
+        settled += want == max(costs.min(axis=1).max(), costs.min(axis=0).max())
+    assert 30 < settled < 300
 
 
 def test_bottleneck_nan_cost_rejected():

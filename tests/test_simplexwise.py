@@ -10,13 +10,17 @@ import numpy as np
 import pytest
 
 from conftest import random_isometry, random_rotation
+from geoinv import simplexwise
 from geoinv.clouds import PointCloud, spd
-from geoinv.numcore import INF, _pairwise, bottleneck_from_costs
+from geoinv.numcore import INF, _pairwise
 from geoinv.simplexwise import (
     LAMBDA,
+    ORDERS,
     Ocd,
     Rdd,
     _distribution_dist,
+    _ocd_costs,
+    _rdd_costs,
     _round_key,
     _weighted_classes,
     ocd_max_metric,
@@ -28,6 +32,7 @@ from geoinv.simplexwise import (
     simplex_sign,
     strength,
 )
+from test_numcore import _ref_bottleneck_from_costs
 
 S2 = math.sqrt(2)
 
@@ -274,7 +279,7 @@ def _ref_rdd_max_metric(X, Y):
         d1 = np.abs(X.D[np.ix_(p, p)] - Y.D).max() if h > 1 else 0.0
         if X.R.size:
             costs = _pairwise(X.R[p].T, Y.R.T, INF)
-            d2 = bottleneck_from_costs(costs)
+            d2 = _ref_bottleneck_from_costs(costs)
         else:
             d2 = 0.0
         best = min(best, max(d1, d2))
@@ -306,7 +311,7 @@ def _ref_ocd_max_metric(X, Y):
             )
             py = np.vstack([Y.cols, (Y.signs * Y.strengths / lam)[None, :]])
             costs = _pairwise(px.T, py.T, INF)
-            d2 = bottleneck_from_costs(costs)
+            d2 = _ref_bottleneck_from_costs(costs)
         else:
             d2 = 0.0
         best = min(best, max(d1, d2))
@@ -344,9 +349,12 @@ def _assert_same_classes(got, want, reps):
 
 
 def _assert_same_dists(dist, metric, ref_metric, X, Y, reps):
-    """Equal cost matrices, then equal EMD and LAC values."""
+    """Equal cost matrices (all pairs at once and pair by pair), then equal
+    EMD and LAC values."""
     xs, ys = getattr(X, reps), getattr(Y, reps)
     costs = np.array([[ref_metric(a, b) for b in ys] for a in xs])
+    all_pairs = _rdd_costs if reps == "rdds" else _ocd_costs
+    assert np.array_equal(all_pairs(xs, ys), costs)
     assert np.array_equal(np.array([[metric(a, b) for b in ys] for a in xs]), costs)
     for mode in ("emd", "lac"):
         want = _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
@@ -373,6 +381,103 @@ def test_scd_matches_reference_oracle(rng):
             for other in (Y, Y.mirror(), image):
                 _assert_same_dists(scd_dist, ocd_max_metric, _ref_ocd_max_metric, X, other, "ocds")
 
+
+def _grid_or_normal(rng, m, n, side):
+    """m distinct points of the grid {0..side-1}^n plus 1e-12 noise (ties
+    after rounding), or m normal points, and a copy moved by 0.05 noise."""
+    grid = np.array(list(itertools.product(range(side), repeat=n)), dtype=float)
+    for pts in (
+        grid[rng.choice(len(grid), m, replace=False)] + 1e-12 * rng.normal(size=(m, n)),
+        rng.normal(size=(m, n)),
+    ):
+        yield pts, pts + 0.05 * rng.normal(size=pts.shape)
+
+
+@pytest.mark.parametrize("pairs_per_block", [None, 1, 7])
+def test_max_metrics_match_oracle_at_bench_sizes(rng, monkeypatch, pairs_per_block):
+    # SCD in R^2 with m = 12 (k = 11 columns, one order) and SDD with h = 3,
+    # m = 6 (6 orders, k = 3), with the default block size, one class pair
+    # per block and seven pairs per block (so that blocks end mid-row)
+    def check(dist, metric, ref_metric, X, Y, reps, orders, k):
+        if pairs_per_block is not None:
+            monkeypatch.setattr(simplexwise, "MAX_METRIC_BLOCK", pairs_per_block * orders * k * k)
+        _assert_same_dists(dist, metric, ref_metric, X, Y, reps)
+
+    for pts, qts in _grid_or_normal(rng, 12, 2, 4):
+        X, Y = scd(pts), scd(qts)
+        assert len(X) == 12
+        for other in (Y, Y.mirror()):
+            check(scd_dist, ocd_max_metric, _ref_ocd_max_metric, X, other, "ocds", 1, 11)
+    for pts, qts in _grid_or_normal(rng, 6, 3, 3):
+        X, Y = sdd(pts, 3), sdd(qts, 3)
+        assert len(Y) > 7
+        check(sdd_dist, rdd_max_metric, _ref_rdd_max_metric, X, Y, "rdds", 6, 3)
+
+
+def test_max_metric_search_count_is_bounded_and_repeatable(rng, monkeypatch):
+    # the bound and the pruning leave at most half of the |X| |Y| h!
+    # bottleneck searches that one search per pair and order would make
+    calls = []
+
+    def counted(costs):
+        calls.append(len(costs))
+        return real(costs)
+
+    real = simplexwise.bottleneck_from_costs
+    monkeypatch.setattr(simplexwise, "bottleneck_from_costs", counted)
+    pts = rng.normal(size=(7, 3))
+    qts = pts + 0.01 * rng.normal(size=pts.shape)
+    for X, Y, dist, h in (
+        (scd(pts), scd(qts), scd_dist, 2),
+        (sdd(pts, 3), sdd(qts, 3), sdd_dist, 3),
+    ):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            dist(X, Y)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= len(X) * len(Y) * len(ORDERS[h]) // 2
+
+
+def test_sdd_rejects_non_integer_order():
+    pts = np.arange(12.0).reshape(4, 3) ** 1.5
+    for h in (2.0, "2", None, 2.5):
+        with pytest.raises(ValueError, match="integer"):
+            sdd(pts, h)
+    X = sdd(pts, np.int64(2))
+    assert X.rdds[0].h == 2 and sdd_dist(X, sdd(pts, 2)) == 0.0
+
+
+def test_max_metrics_reject_non_finite_columns(rng):
+    pts = rng.normal(size=(6, 3))
+    X, Y = sdd(pts, 2), scd(pts)
+    small_r, small_o = sdd(pts[:5], 2).rdds[0], scd(pts[:5]).ocds[0]
+    for bad in (math.nan, math.inf, -math.inf):
+        r, o = X.rdds[0], Y.ocds[0]
+        R, cols = r.R.copy(), o.cols.copy()
+        R[1, -1] = cols[0, -1] = bad
+        bad_r, bad_o = Rdd(r.D, R), dataclasses.replace(o, cols=cols)
+        bad_X = dataclasses.replace(X, rdds=X.rdds[:1] + (bad_r,) + X.rdds[2:])
+        bad_Y = dataclasses.replace(Y, ocds=(bad_o,) + Y.ocds[1:])
+        for call in (
+            lambda: rdd_max_metric(bad_r, r),
+            lambda: rdd_max_metric(r, bad_r),
+            lambda: ocd_max_metric(bad_o, o),
+            lambda: ocd_max_metric(o, bad_o),
+            lambda: sdd_dist(bad_X, X),
+            lambda: sdd_dist(X, bad_X, mode="lac"),
+            lambda: scd_dist(bad_Y, Y),
+            lambda: scd_dist(Y, bad_Y, mode="lac"),
+        ):
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                call()
+        # classes of different shapes stay infinitely far apart
+        assert rdd_max_metric(bad_r, small_r) == math.inf
+        assert ocd_max_metric(small_o, bad_o) == math.inf
+    with pytest.raises(ValueError, match="incompatible sizes"):
+        scd_dist(Y, scd(pts[:5]))
+
+
 def test_simplexwise_error_paths(rng):
     pts = rng.normal(size=(6, 3))
     X = sdd(pts, 2)
@@ -388,3 +493,7 @@ def test_simplexwise_error_paths(rng):
         scd_dist(scd(pts), scd(pts), mode="bogus")
     with pytest.raises(ValueError, match="incompatible orders"):
         rdd_max_metric(X.rdds[0], sdd(pts, 1).rdds[0])
+    with pytest.raises(ValueError, match="incompatible orders"):
+        sdd_dist(X, sdd(pts, 3))
+    with pytest.raises(ValueError, match="weights"):
+        sdd_dist(dataclasses.replace(X, weights=np.array([]), rdds=()), X)

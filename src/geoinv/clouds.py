@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numcore import INF, _check_weights, _pairwise, emd, norm_exponent
+from .numcore import INF, _as_index, _check_weights, _pairwise, emd, norm_exponent
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ def collapse_rows(rows, weights, tol=0.0):
     """Merge rows equal within ``tol`` componentwise; canonical lex order."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     weights = np.asarray(weights, dtype=float)
+    if rows.size == 0:
+        raise ValueError("collapse_rows needs at least one non-empty row")
     order = np.lexsort(rows.T[::-1])
     rows, weights = rows[order], weights[order]
     out_rows, out_w = [rows[0]], [weights[0]]
@@ -111,6 +113,7 @@ def pdd(A, k, collapse_tol=0.0):
     """
     pts = _as_points(A)
     m = len(pts)
+    k = _as_index(k, "k")
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must be in [1, {m - 1}], got {k}")
     d = _pairwise(pts, pts)

@@ -1,16 +1,21 @@
 """Exact metric and combinatorial-optimization kernel.
 
 Minkowski/Chebyshev norms, Hausdorff distance, exact bound-first bottleneck
-matching, Linear Assignment Cost and exact Earth Mover's Distance on weighted
-distributions.  All functions are pure and safe for concurrent use.
+matching of one cost matrix or a stack of them (one Hopcroft-Karp matching
+per search step for a stack), Linear Assignment Cost and exact Earth Mover's
+Distance on weighted distributions.  All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial.distance import cdist
 
 
@@ -45,6 +50,14 @@ def norm_exponent(q):
             raise ValueError(f"exponent q must satisfy q >= 1, got {q}")
         return q
     raise TypeError(f"cannot interpret exponent {q!r}")
+
+
+def _as_index(value, what):
+    """``value`` as a Python integer; ValueError for any non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def lq_norm(v, q=2.0):
@@ -96,41 +109,66 @@ def hausdorff(A, B, q=2.0):
 
 
 def _feasible(costs, t):
-    """Whether a perfect matching inside ``costs <= t`` exists, that is
-    whether the 0/1 matrix ``costs > t`` has a zero-cost assignment."""
-    above = costs > t
-    return not above[linear_sum_assignment(above)].any()
+    """Whether each matrix of the stack ``costs`` (n, k, k) has a perfect
+    matching inside ``costs <= t``, for per-matrix thresholds ``t`` (n,).
+
+    One matrix is tested by a zero-cost assignment of the 0/1 matrix
+    ``costs > t``.  A larger stack is one Hopcroft-Karp maximum matching of
+    the block-diagonal bipartite graph of ``costs <= t``: row u of matrix i
+    is vertex i k + u on one side, column v is vertex i k + v on the other.
+    """
+    n, k = costs.shape[:2]
+    if n == 1:
+        above = costs[0] > t[0]
+        return np.array([not above[linear_sum_assignment(above)].any()])
+    edges = np.flatnonzero(costs <= t[:, None, None])  # (i k + u) k + v
+    rows = edges // k
+    indptr = np.zeros(n * k + 1, dtype=edges.dtype)
+    np.cumsum(np.bincount(rows, minlength=n * k), out=indptr[1:])
+    cols = rows // k * k + edges - rows * k  # i k + v
+    graph = csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(n * k, n * k))
+    matched = maximum_bipartite_matching(graph, perm_type="column")
+    return (matched.reshape(n, k) >= 0).all(axis=1)
 
 
 def bottleneck_from_costs(costs):
     """Minimum over perfect matchings of the maximum matched cost.
 
-    Exact and bound-first.  Every matching uses an entry of each row and of
-    each column, so no matching beats the bound max(largest row minimum,
-    largest column minimum), which is itself a cost.  When the bound is
-    feasible (``_feasible``) it is the answer after one assignment;
-    otherwise a binary search over the sorted costs above the bound finds
-    the smallest feasible one.
+    ``costs`` is one square matrix (k, k), which gives a float, or a stack
+    (..., k, k), which gives a float array of shape (...).  Exact and
+    bound-first.  Every matching uses an entry of each row and of each
+    column, so no matching beats the bound max(largest row minimum, largest
+    column minimum), which is itself a cost.  All matrices are tested at
+    their bound in one ``_feasible`` call; those it does not settle
+    binary-search their sorted costs above the bound together, one
+    ``_feasible`` call per step, for the smallest feasible one.
     """
     costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
+    if costs.ndim < 2 or costs.shape[-1] != costs.shape[-2]:
         raise ValueError("bottleneck needs a square cost matrix")
-    if costs.size == 0:
+    if costs.shape[-1] == 0:
         raise ValueError("bottleneck requires non-empty sets")
     if np.isnan(costs).any():
         raise ValueError("NaN in bottleneck costs")
-    bound = max(costs.min(axis=1).max(), costs.min(axis=0).max())
-    if _feasible(costs, bound):
-        return float(bound)
-    cand = np.unique(costs[costs > bound])
-    lo, hi = 0, len(cand) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(costs, cand[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(cand[lo])
+    k = costs.shape[-1]
+    flat = costs.reshape(-1, k, k)
+    out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
+    todo = np.flatnonzero(~_feasible(flat, out))
+    if len(todo):
+        sub = flat[todo]
+        cand = np.sort(sub.reshape(len(todo), k * k), axis=1)
+        lo = (cand <= out[todo, None]).sum(axis=1)  # first cost above the bound
+        hi = np.full(len(todo), k * k - 1)  # the largest cost is always feasible
+        for _ in range((k * k).bit_length()):  # halvings enough for k^2 costs
+            step = np.flatnonzero(lo < hi)
+            if not step.size:
+                break
+            mid = (lo[step] + hi[step]) // 2
+            ok = _feasible(sub if len(step) == len(sub) else sub[step], cand[step, mid])
+            hi[step[ok]] = mid[ok]
+            lo[step[~ok]] = mid[~ok] + 1
+        out[todo] = cand[np.arange(len(todo)), lo]
+    return float(out[0]) if costs.ndim == 2 else out.reshape(costs.shape[:-2])
 
 
 def bottleneck(A, B, ground_q=2.0):

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
-from .numcore import INF, _pairwise
+from .numcore import INF, _as_index, _pairwise
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
@@ -58,7 +58,17 @@ class PeriodicSet:
         l, n = basis.shape
         if l > n:
             raise ValueError("period rank exceeds the ambient dimension")
-        g = basis @ basis.T
+        if not np.isfinite(basis).all():
+            raise ValueError("non-finite basis")
+        if not np.isfinite(motif).all():
+            raise ValueError("non-finite motif coordinates")
+        if len(motif) == 0:
+            raise ValueError("empty motif")
+        # checked before pinv, whose SVD does not return on inf or nan
+        with np.errstate(over="ignore"):
+            g = basis @ basis.T
+        if not np.isfinite(g).all():
+            raise ValueError("basis Gram matrix overflows")
         if np.linalg.det(g) <= 0:
             raise ValueError("basis vectors are linearly dependent")
         if motif.shape[1] != n:
@@ -76,7 +86,9 @@ class PeriodicSet:
     def from_fractional(cls, basis, frac, labels=None):
         basis = np.atleast_2d(np.asarray(basis, dtype=float))
         frac = np.atleast_2d(np.asarray(frac, dtype=float))
-        return cls(basis, frac @ basis, labels)
+        with np.errstate(all="ignore"):  # a non-finite motif is rejected on init
+            motif = frac @ basis
+        return cls(basis, motif, labels)
 
     @property
     def rank(self):
@@ -119,7 +131,7 @@ def _lattice_ball(basis, radii, rho):
 
 def _check_budget(cells, what, k):
     """Raise ValueError if one array of a neighbour search passes the budget."""
-    if cells > NEIGHBOUR_CELL_BUDGET:
+    if not cells <= NEIGHBOUR_CELL_BUDGET:  # NaN cells fail too
         raise ValueError(
             f"neighbour search for k={k} needs {cells:.3g} cells of {what}, "
             f"over the budget of {NEIGHBOUR_CELL_BUDGET}"
@@ -139,6 +151,7 @@ def neighbours(S, k):
     at a time; a coefficient box or candidate set over NEIGHBOUR_CELL_BUDGET
     cells raises ValueError before it is allocated.
     """
+    k = _as_index(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= NEIGHBOUR_CELL_BUDGET:
@@ -146,8 +159,6 @@ def neighbours(S, k):
         raise ValueError(f"k={k} is over the neighbour cell budget of {NEIGHBOUR_CELL_BUDGET}")
     basis, motif = S.basis, S.motif
     m = len(motif)
-    if m == 0:
-        raise ValueError("empty motif")
     diam = float(_pairwise(motif, motif).max())
     # z @ basis lies |z_i| * h_i from the hyperplane spanned by the other
     # basis vectors, where h_i = 1/sqrt(ginv_ii) is the plane gap of axis i
@@ -220,10 +231,15 @@ def deviations(S, k):
     }
 
 
+def _check_ranks(sets):
+    """Raise if the periodic sets among ``sets`` differ in period rank."""
+    if len({S.rank for S in sets if isinstance(S, PeriodicSet)}) > 1:
+        raise ValueError("period ranks differ")
+
+
 def pda_dist(S, Q, k, q=INF):
     """EMD between the PDA matrices of two periodic sets (ground L_q)."""
-    if S.rank != Q.rank:
-        raise ValueError("period ranks differ")
+    _check_ranks([S, Q])
     return pdd_dist(deviations(S, k)["pda"], deviations(Q, k)["pda"], q)
 
 
@@ -243,6 +259,7 @@ def lnd(S, dataset, k, ids=None):
     """
     if not dataset:
         raise ValueError("empty dataset")
+    _check_ranks([S, *dataset])
     dev_s = deviations(S, k)
     devs = [deviations(Q, k) for Q in dataset]
     gaps = [_ada_gap(dev_s, dev) for dev in devs]
@@ -268,6 +285,7 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     for name, t in (("ada_threshold", ada_threshold), ("confirm_threshold", confirm_threshold)):
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {t}")
+    _check_ranks(dataset)
     if ids is None:
         ids = list(range(len(dataset)))
     devs = [deviations(S, k) for S in dataset]

@@ -11,33 +11,31 @@ a simplex.
 Both invariants share one base-order form.  Each of the h! orders of a base
 (``ORDERS``) gives a vector of distances inside the base and a matrix with
 one column per remaining point; the order moves both.  A class is
-represented by the order with the least rounded key, its columns sorted
-lexicographically (``_least``), and two classes are compared by the least,
-over the orders of one of them, of the larger of the Chebyshev distance
-between the base vectors and the bottleneck distance between the columns.
+represented by the first order with the least rounded key, its columns
+sorted lexicographically, and two classes are compared by the least, over
+the orders of one of them, of the larger of the Chebyshev distance between
+the base vectors and the bottleneck distance between the columns.
 
-``_max_metric`` computes that metric for all class pairs of two
-distributions in one cost tensor: for every pair and order, the Chebyshev
-term, the Chebyshev cost matrix of the columns and the lower bound
-max(Chebyshev term, largest row minimum, largest column minimum).  Each pair
-visits its orders by increasing bound and stops at the first bound that is
-no better than the best value so far; an order whose bound admits a perfect
-matching is worth exactly its bound, and only the others search the costs
-between the bound and the best value.  The max metrics of two classes are
-the 1 x 1 case.
+Both directions are array-shaped.  ``_canonical`` builds the forms of all
+bases and orders of a cloud in one stack, sorts their columns with one
+lexsort, picks the least order of each base and groups the bases into
+classes by one lexsort of the least keys.  ``_max_metric`` computes the max
+metric for all class pairs of two distributions in one cost tensor: for
+every pair and order, the Chebyshev term and the Chebyshev cost matrix of
+the columns, whose bottlenecks one stacked ``bottleneck_from_costs`` call
+gives.  The max metrics of two classes are the 1 x 1 case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import _feasible, _pairwise, bottleneck_from_costs, emd, lac
+from .numcore import _as_index, _pairwise, bottleneck_from_costs, emd, lac
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -48,8 +46,9 @@ DEGENERATE_REL_TOL = 1e-18
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
 ORDERS = {h: np.array(list(itertools.permutations(range(h)))) for h in (1, 2, 3)}
 
-#: most column-cost cells (class pairs x orders x k x k) built in one numpy
-#: step by ``_max_metric``; a block holds at least one class pair
+#: most cells built in one numpy step: column costs (class pairs x orders x
+#: k x k) in ``_max_metric`` and base-order forms (bases x orders x form
+#: length) in ``_canonical``; a block holds at least one pair or base
 MAX_METRIC_BLOCK = 1 << 16
 
 
@@ -113,9 +112,75 @@ def _round_key(*arrays, decimals=9):
     )
 
 
-def _least(candidates):
-    """The first of the candidates with the least ``key()``."""
-    return min(candidates, key=lambda c: c.key())
+def _bases(m, h):
+    """The h-point bases of m points in lexicographic order (bases, h) and
+    the remaining points of each in increasing order (bases, m - h)."""
+    bases = np.array(list(itertools.combinations(range(m), h)))
+    rest = np.ones((len(bases), m), dtype=bool)
+    rest[np.arange(len(bases))[:, None], bases] = False
+    return bases, np.nonzero(rest)[1].reshape(len(bases), m - h)
+
+
+def _least_forms(head, rows, keyed):
+    """The least base-order form of each base of a block.
+
+    ``head`` (bases, orders, a) holds the base vectors and ``rows`` (bases,
+    orders, r, k) the column matrices under each order.  A form is the base
+    vector followed by the rows, its columns sorted lexicographically by the
+    first ``keyed`` rows (one lexsort whose primary key is the (base, order)
+    index; later rows are carried along).  The least form of a base is the
+    first order whose rounded form is lexicographically least.  Returns
+    (bases, a + r k).
+    """
+    nb, no, r, k = rows.shape
+    g = nb * no
+    flat = rows.reshape(g, r, k).transpose(1, 0, 2).reshape(r, g * k)
+    perm = np.lexsort((*flat[keyed - 1 :: -1], np.repeat(np.arange(g), k)))
+    rows = flat[:, perm].reshape(r, g, k).transpose(1, 0, 2)
+    forms = np.concatenate([head.reshape(g, -1), rows.reshape(g, r * k)], axis=1)
+    forms = forms.reshape(nb, no, -1)
+    keys = np.round(forms, 9)
+    at, best = np.arange(nb), np.zeros(nb, dtype=int)
+    for o in range(1, no):
+        new, old = keys[:, o], keys[at, best]
+        differ = new != old
+        i = differ.argmax(axis=1)
+        best[differ[at, i] & (new[at, i] < old[at, i])] = o
+    return forms[at, best]
+
+
+def _columns(cells, r):
+    """A copy of r rows of columns in Fortran order, the layout that
+    indexing the columns of a matrix gives (so pickles do not change)."""
+    return np.array(cells.reshape(r, -1), order="F")
+
+
+def _canonical(m, h, width, forms_of):
+    """Classes of the least forms of all h-point bases of m points.
+
+    ``forms_of(ordered, rest)`` gives ``(head, rows, keyed)`` for
+    ``_least_forms`` from the ordered bases (bases, orders, h) and the
+    remaining points (bases, m - h) of a block; a form has ``width`` cells.
+    Classes are the rounded least forms, in first-seen order (one lexsort of
+    the rounded forms, then ``!=`` between neighbours).  Returns ``(weights,
+    representatives, total)``: the share of bases in each class, a copy of
+    the form of its first base, and the number of bases.
+    """
+    bases, rest = _bases(m, h)
+    total, orders = len(bases), ORDERS[h]
+    forms = np.empty((total, width))
+    step = max(1, MAX_METRIC_BLOCK // (len(orders) * width))
+    for lo in range(0, total, step):
+        block = slice(lo, lo + step)
+        forms[block] = _least_forms(*forms_of(bases[block][:, orders], rest[block]))
+    keys = np.round(forms, 9)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    first = order[starts]  # the lexsort is stable: the first base of each class
+    seen = np.argsort(first)
+    counts = np.diff(np.r_[starts, total])[seen]
+    return counts / total, forms[first[seen]], total
 
 
 def _max_metric(dx, dy, cx, cy, orders):
@@ -148,29 +213,8 @@ def _max_metric(dx, dy, cx, cy, orders):
         costs = np.abs(cx[a, :, 0, :, None] - cy[b, None, 0, None, :])
         for r in range(1, cy.shape[1]):
             np.maximum(costs, np.abs(cx[a, :, r, :, None] - cy[b, None, r, None, :]), out=costs)
-        matched = np.maximum(costs.min(axis=3).max(axis=2), costs.min(axis=2).max(axis=2))
-        bound = np.maximum(cheb, matched)
-        for p, ranked in enumerate(np.argsort(bound, axis=1, kind="stable")):
-            out[start + p] = _least_order_value(costs[p, ranked], bound[p, ranked])
+        out[start : start + len(a)] = np.maximum(cheb, bottleneck_from_costs(costs)).min(axis=1)
     return out.reshape(nx, ny)
-
-
-def _least_order_value(costs, bound):
-    """Least over orders o of max(term_o, bottleneck(costs[o])), where
-    term_o <= bound[o] <= that value, bound[o] is at least the largest row
-    and column minimum of costs[o], and the orders come by increasing bound."""
-    best = np.inf
-    for c, t in zip(costs, bound.tolist()):
-        if t >= best:
-            break
-        if _feasible(c, t):
-            return t
-        # the order is worth its bottleneck, a cost above t; on the costs
-        # clipped to [next cost above t, best] the search gives min(it, best)
-        above = c[c > t].min()
-        if above < best:
-            best = bottleneck_from_costs(np.clip(c, above, best))
-    return best
 
 
 @dataclass(frozen=True)
@@ -205,41 +249,26 @@ class Sdd:
         return len(self.rdds)
 
 
-def _weighted_classes(items):
-    """Group items by ``key()`` in first-seen order.
-
-    Returns ``(weights, representatives, total)``: the share of items in
-    each class, the first item of each class, and the number of items.
-    """
-    groups = {}
-    for item in items:
-        groups.setdefault(item.key(), [0, item])[0] += 1
-    total = sum(count for count, _ in groups.values())
-    weights = np.array([count / total for count, _ in groups.values()])
-    return weights, tuple(rep for _, rep in groups.values()), total
-
-
 def sdd(C, h):
     """Simplexwise Distance Distribution: weighted RDDs of all h-point bases."""
     pts = _as_points(C)
     m = len(pts)
-    try:
-        h = operator.index(h)
-    except TypeError:
-        raise ValueError(f"order h must be an integer, got {h!r}") from None
+    h = _as_index(h, "order h")
     if not 1 <= h <= 3:
         raise ValueError("supported orders are h in {1, 2, 3}")
     if h >= m:
         raise ValueError("h must be smaller than the cloud size")
     d = _pairwise(pts, pts)
-    rdds = []
-    for base in itertools.combinations(range(m), h):
-        D = d[np.ix_(base, base)]
-        R = d[np.ix_(base, [i for i in range(m) if i not in base])]
-        rdds.append(_least(
-            Rdd(D[np.ix_(p, p)], R[p][:, np.lexsort(R[p][::-1])]) for p in ORDERS[h]
-        ))
-    return Sdd(*_weighted_classes(rdds))
+    k = m - h
+
+    def forms_of(ordered, rest):
+        # D[p][:, p] and R[p] of every base and order p, all rows keyed
+        D = d[ordered[..., :, None], ordered[..., None, :]]
+        return D, d[ordered[..., None], rest[:, None, None]], h
+
+    weights, forms, total = _canonical(m, h, h * h + h * k, forms_of)
+    rdds = tuple(Rdd(f[: h * h].reshape(h, h).copy(), _columns(f[h * h :], h)) for f in forms)
+    return Sdd(weights, rdds, total)
 
 
 def _rdd_costs(xs, ys):
@@ -311,26 +340,6 @@ class Ocd:
         return Ocd(self.dvec, self.cols, -self.signs, self.strengths)
 
 
-def _ocd_for_base(pts, base_idx, signs, strengths):
-    """The least OCD of one base; ``signs``/``strengths`` hold one row per
-    order of the base, for the simplices (ordered base, origin, q)."""
-    origin = np.zeros((1, pts.shape[1]))
-    base_pts = pts[list(base_idx)]
-    rest = pts[[i for i in range(len(pts)) if i not in base_idx]]
-    h = len(base_pts)
-    # rows: base points then the origin; columns: the same, then the rest
-    anchors = np.vstack([base_pts, origin])
-    d = _pairwise(anchors, np.vstack([anchors, rest]))
-
-    def candidate(o, p):
-        dvec = np.concatenate([d[np.ix_(p, p)][np.triu_indices(h, k=1)], d[p, h]])
-        cols = d[np.append(p, h), h + 1 :]
-        order = np.lexsort(np.vstack([cols, signs[o]])[::-1])
-        return Ocd(dvec, cols[:, order], signs[o][order], strengths[o][order])
-
-    return _least(candidate(o, p) for o, p in enumerate(ORDERS[h]))
-
-
 @dataclass(frozen=True)
 class Scd:
     """Weighted unordered collection of OCDs (one per (n-1)-point base)."""
@@ -362,15 +371,34 @@ def scd(C, center=True):
     m = len(pts)
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
-    bases = np.array(list(itertools.combinations(range(m), n - 1)))
-    rest = np.array([[i for i in range(m) if i not in base] for base in bases])
-    # one simplex (ordered base, origin, q) per base, order and remaining q
-    simplices = np.zeros((len(bases), math.factorial(n - 1), m - n + 1, n + 1, n))
-    simplices[..., : n - 1, :] = pts[bases[:, ORDERS[n - 1]]][:, :, None]
-    simplices[..., n, :] = pts[rest][:, None]
-    signs, strengths = simplex_sign(simplices), strength(simplices)
-    ocds = (_ocd_for_base(pts, *args) for args in zip(bases, signs, strengths))
-    return Scd(*_weighted_classes(ocds))
+    h, k = n - 1, m - n + 1
+    with_origin = np.vstack([pts, np.zeros((1, n))])  # the origin is point m
+    d = _pairwise(with_origin, with_origin)
+    i, j = np.triu_indices(h, k=1)
+    a = len(i) + h
+
+    def forms_of(ordered, rest):
+        # dvec: distances inside the ordered base, then from it to the origin
+        dvec = np.concatenate([d[ordered[..., i], ordered[..., j]], d[ordered, m]], axis=-1)
+        anchors = np.concatenate([ordered, np.full(ordered.shape[:2] + (1,), m)], axis=-1)
+        # one simplex (ordered base, origin, q) per base, order and remaining q
+        simplices = np.zeros(ordered.shape[:2] + (k, n + 1, n))
+        simplices[..., :h, :] = pts[ordered][:, :, None]
+        simplices[..., n, :] = pts[rest][:, None]
+        rows = np.concatenate([
+            d[anchors[..., None], rest[:, None, None]],
+            simplex_sign(simplices)[:, :, None],
+            strength(simplices)[:, :, None],
+        ], axis=2)
+        return dvec, rows, n + 1  # columns keyed by distances, then signs
+
+    weights, forms, total = _canonical(m, h, a + (n + 2) * k, forms_of)
+    ocds = tuple(
+        Ocd(f[:a].copy(), _columns(f[a : a + n * k], n),
+            f[a + n * k : a + (n + 1) * k].copy(), f[a + (n + 1) * k :].copy())
+        for f in forms
+    )
+    return Scd(weights, ocds, total)
 
 
 def _ocd_costs(xs, ys):

@@ -114,3 +114,15 @@ def test_pdd_rejects_bad_k():
         pdd(T, 4)
     with pytest.raises(ValueError):
         pdd(T, 0)
+
+
+def test_pdd_rejects_non_integer_k():
+    for k in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            pdd(T, k)
+    assert pdd(T, np.int64(2)).k == 2
+
+
+def test_collapse_rows_rejects_zero_rows():
+    with pytest.raises(ValueError, match="non-empty row"):
+        collapse_rows(np.zeros((0, 3)), [])

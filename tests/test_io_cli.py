@@ -355,3 +355,25 @@ def test_cli_xyz_fault_named_exit_2(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["cloud", "pdd", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["inf", "1e200", "nan"])
+def test_cli_cif_infinite_or_overflowing_cell_exit_2(tmp_path, length):
+    # run in a subprocess with a timeout: an inf cell used to hang in the
+    # SVD of pinv, a 1e200 cell in an endless neighbour search
+    import subprocess
+    import sys
+
+    cif = tmp_path / "bad.cif"
+    cif.write_text((FIXTURES / "cubic.cif").read_text().replace(
+        "_cell_length_a 1.0", f"_cell_length_a {length}"))
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys; from geoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = ["periodic", "amd", str(cif), "--k", "4"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr

@@ -12,8 +12,10 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from conftest import bottleneck_oracle, emd_oracle
+from geoinv import numcore
 from geoinv.numcore import (
     INF,
+    _feasible,
     bottleneck,
     bottleneck_from_costs,
     emd,
@@ -139,6 +141,74 @@ def test_bound_first_bottleneck_equals_full_search(rng):
         assert bottleneck_from_costs(costs) == want
         settled += want == max(costs.min(axis=1).max(), costs.min(axis=0).max())
     assert 30 < settled < 300
+
+
+def _mixed_stack(rng, shape, k):
+    """Random, integer-tied and partly infinite k x k cost matrices, mixed."""
+    costs = rng.random(shape + (k, k))
+    kind = rng.integers(0, 3, size=shape)
+    costs[kind == 1] = rng.integers(0, 4, size=costs[kind == 1].shape)
+    partly = costs[kind == 2]
+    partly[rng.random(partly.shape) < 0.3] = np.inf
+    costs[kind == 2] = partly
+    return costs
+
+
+def test_stacked_bottleneck_equals_full_search_per_matrix(rng):
+    settled = searched = 0
+    for k in range(1, 13):
+        for shape in ((30,), (5, 6), (1,), (1, 1)):
+            costs = _mixed_stack(rng, shape, k)
+            got = bottleneck_from_costs(costs)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            for idx in np.ndindex(shape):
+                want = _ref_bottleneck_from_costs(costs[idx])
+                assert got[idx] == want
+                assert bottleneck_from_costs(costs[idx]) == want
+                bound = max(costs[idx].min(axis=1).max(), costs[idx].min(axis=0).max())
+                settled += want == bound
+                searched += want != bound
+    assert settled > 100 and searched > 100
+
+
+def test_feasible_matching_and_assignment_agree(rng):
+    # the Hopcroft-Karp branch (a stack) and the assignment branch (one
+    # matrix) on seeded 0/1 matrices of several densities
+    for k in (1, 2, 3, 5, 8, 12):
+        for density in (0.2, 0.5, 0.8):
+            costs = (rng.random((40, k, k)) > density).astype(float)
+            t = np.full(40, 0.5)
+            matched = _feasible(costs, t)
+            assigned = [_feasible(costs[i : i + 1], t[i : i + 1])[0] for i in range(40)]
+            assert matched.tolist() == assigned
+    costs = (rng.random((400, 4, 4)) > 0.5).astype(float)
+    feasible = _feasible(costs, np.full(400, 0.5))
+    assert 50 < feasible.sum() < 350
+
+
+def test_stacked_search_step_count_is_bounded_and_repeatable(rng, monkeypatch):
+    # one _feasible call for the bounds, then at most ceil(log2 k^2) steps
+    # of the binary search over the k^2 sorted costs of the unsettled ones
+    real = numcore._feasible
+
+    def counted(costs, t):
+        calls.append(len(costs))
+        assert len(calls) <= limit, "too many search steps"
+        return real(costs, t)
+
+    monkeypatch.setattr(numcore, "_feasible", counted)
+    searches = []
+    for k in (2, 3, 5, 8, 12):
+        limit = 1 + math.ceil(math.log2(k * k))
+        costs = _mixed_stack(rng, (40,), k)
+        counts = []
+        for _ in range(2):
+            calls = []
+            bottleneck_from_costs(costs)
+            counts.append(calls)
+        assert counts[0] == counts[1] and counts[0][0] == 40
+        searches.append(len(counts[0]) - 1)
+    assert max(searches) > 1
 
 
 def test_bottleneck_nan_cost_rejected():

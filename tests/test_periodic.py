@@ -369,3 +369,40 @@ def test_dedup_rejects_bad_thresholds(bad):
         dedup([Z3, Z3], k=4, ada_threshold=bad)
     with pytest.raises(ValueError, match="confirm_threshold"):
         dedup([Z3, Z3], k=4, confirm_threshold=bad)
+
+
+def test_neighbours_rejects_non_integer_k():
+    for k in (2.5, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            neighbours(Z3, k)
+    assert neighbours(Z3, np.int64(6)).shape == (1, 6)
+
+
+def test_lnd_and_dedup_reject_mixed_period_ranks():
+    S2 = PeriodicSet(np.eye(2, 3), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="period ranks differ"):
+        lnd(Z3, [S2], 3)
+    with pytest.raises(ValueError, match="period ranks differ"):
+        lnd(Z3, [Z3, S2], 3)
+    with pytest.raises(ValueError, match="period ranks differ"):
+        dedup([Z3, S2], 3)
+    assert lnd(S2, [S2], 3)[1] == 0
+
+
+@pytest.mark.parametrize(
+    "basis, motif, message",
+    [
+        ([[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0]], "non-finite basis"),
+        (np.eye(3), [[0, np.inf, 0]], "non-finite motif"),
+        (np.eye(3), np.zeros((0, 3)), "empty motif"),
+        (1e200 * np.eye(3), [[0, 0, 0]], "Gram matrix overflows"),
+    ],
+)
+def test_periodic_set_rejects_non_finite_or_empty_input(basis, motif, message):
+    with pytest.raises(ValueError, match=message):
+        PeriodicSet(np.array(basis, dtype=float), np.array(motif, dtype=float))
+
+
+def test_neighbour_budget_rejects_nan_cells():
+    with pytest.raises(ValueError, match="budget"):
+        periodic._check_budget(math.nan, "coefficient box", 3)

@@ -22,7 +22,6 @@ from geoinv.simplexwise import (
     _ocd_costs,
     _rdd_costs,
     _round_key,
-    _weighted_classes,
     ocd_max_metric,
     rdd_max_metric,
     scd,
@@ -205,6 +204,20 @@ def test_simplex_rejects_non_finite_and_bad_shapes(fn):
 
 # Reference oracle: the canonicalisers and max metrics written out per
 # invariant, one order at a time, with the least key tracked by hand.
+
+
+def _weighted_classes(items):
+    """Group items by ``key()`` in first-seen order.
+
+    Returns ``(weights, representatives, total)``: the share of items in
+    each class, the first item of each class, and the number of items.
+    """
+    groups = {}
+    for item in items:
+        groups.setdefault(item.key(), [0, item])[0] += 1
+    total = sum(count for count, _ in groups.values())
+    weights = np.array([count / total for count, _ in groups.values()])
+    return weights, tuple(rep for _, rep in groups.values()), total
 
 
 def _ref_canonical_rdd(D, R):

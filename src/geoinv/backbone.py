@@ -1,5 +1,5 @@
 """Protein-backbone invariants: TRIN, BRI, BRAIN, mirror and subchain rules,
-and O(m) reconstruction from the invariant matrix.
+and reconstruction from the invariant matrix by composed residue frames.
 
 A backbone is an ordered chain of residues, each contributing the main-chain
 atoms N, A (alpha-carbon) and C.  Every residue carries an orthonormal frame
@@ -18,6 +18,8 @@ import numpy as np
 HEIGHT_TOL = 1e-6
 #: minimum bond length between consecutive bonded atoms
 BOND_TOL = 1e-2
+#: largest absolute atom coordinate or BRI entry; squared bond lengths stay finite
+MAX_COORD = 1e150
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class Backbone:
             raise ValueError("need at least one residue")
         if not np.isfinite(atoms).all():
             raise ValueError("non-finite coordinates")
+        if np.abs(atoms).max() > MAX_COORD:
+            raise ValueError(f"coordinates above {MAX_COORD:g} in absolute value")
         # a zero N-A bond makes its TRIN row NaN; it is reported as a short bond
         with np.errstate(divide="ignore", invalid="ignore"):
             t = _trin(atoms)
@@ -133,26 +137,41 @@ def mirror_bri(b):
 
 def reconstruct(b):
     """Backbone realising a BRI matrix; A_1 at the origin, first residue in
-    the xy-plane with N_1 on the positive x-axis."""
+    the xy-plane with N_1 on the positive x-axis.
+
+    Row i + 1 holds the bonds of residue i + 1 in the frame F_i of residue
+    i, and ``_frame`` is rigid-equivariant, so F_(i+1) = G_(i+1) F_i where
+    G_(i+1) is the frame of the stored N->A and A->C bonds of that row.  All
+    G come from one stacked ``_frame`` call, the frames from a prefix product
+    in ceil(log2 m) stacked matmuls (Hillis-Steele), the bonds from one
+    batched matmul and the atoms from one cumulative sum starting at C_1.
+    """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 9:
         raise ValueError(f"a BRI matrix has m >= 1 rows of 9 numbers, got shape {b.shape}")
-    m = len(b)
+    if not np.isfinite(b).all():
+        raise ValueError("non-finite BRI entries")
+    if np.abs(b).max() > MAX_COORD:
+        raise ValueError(f"BRI entries above {MAX_COORD:g} in absolute value")
     l, x, y = b[0, :3]
     if l <= 0 or y == 0:
         raise ValueError("unrealisable first row")
-    atoms = np.empty((m, 3, 3))
-    a = np.zeros(3)
-    n = np.array([l, 0.0, 0.0])
-    c = np.array([x, y, 0.0])
-    atoms[0] = (n, a, c)
-    for i in range(1, m):
-        bonds = b[i].reshape(3, 3) @ _frame(n, a, c)
-        n = c + bonds[0]
-        a = n + bonds[1]
-        c = a + bonds[2]
-        atoms[i] = (n, a, c)
-    return Backbone(atoms)
+    n1, a1, c1 = np.array([l, 0.0, 0.0]), np.zeros(3), np.array([x, y, 0.0])
+    bonds = b[1:].reshape(-1, 3, 3)  # C->N, N->A, A->C of residues 2..m
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN frames are reported below
+        frames = np.concatenate(
+            [_frame(n1, a1, c1)[None], _frame(-bonds[:-1, 1], a1, bonds[:-1, 2])]
+        )
+    bad = ~np.isfinite(frames).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"BRI row {int(bad.argmax()) + 1}: no frame for a zero N-A bond "
+                         "or exactly collinear N, A, C")
+    step = 1
+    while step < len(frames):
+        frames[step:] = frames[step:] @ frames[:-step]
+        step *= 2
+    path = np.cumsum(np.vstack([c1, (bonds @ frames[: len(bonds)]).reshape(-1, 3)]), axis=0)
+    return Backbone(np.concatenate([[[n1, a1, c1]], path[1:].reshape(-1, 3, 3)]))
 
 
 def subchain(b, i, j):

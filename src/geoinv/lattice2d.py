@@ -8,6 +8,7 @@ families, the spherical lattice map and inverse design from invariants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from .numcore import INF, lq_norm, norm_exponent
 
 #: relative tolerance used by the sign-0 boundary test
 SIGN_TOL = 1e-9
+#: squared basis lengths for which no product in the reduction overflows or
+#: underflows: a basis that passes the degeneracy test has no lattice vector
+#: shorter than 1e-12 times its shorter vector
+NORM2_RANGE = (1e24 * sys.float_info.min, sys.float_info.max / 8)
 
 
 @dataclass(frozen=True)
@@ -28,9 +33,19 @@ class Basis2D:
     def __post_init__(self):
         v1 = np.asarray(self.v1, dtype=float)
         v2 = np.asarray(self.v2, dtype=float)
-        det = v1[0] * v2[1] - v1[1] * v2[0]
-        if abs(det) <= 1e-12 * np.linalg.norm(v1) * np.linalg.norm(v2):
+        if v1.shape != (2,) or v2.shape != (2,):
+            raise ValueError("a 2D basis is two vectors of 2 numbers")
+        (x1, y1), (x2, y2) = v1.tolist(), v2.tolist()
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ValueError("non-finite basis")
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        lo, hi = NORM2_RANGE
+        if not max(n1, n2) <= hi:
+            raise ValueError(f"basis vector too long: squared length above {hi:.3g}")
+        if abs(x1 * y2 - y1 * x2) <= 1e-12 * math.sqrt(n1) * math.sqrt(n2):
             raise ValueError("degenerate basis")
+        if min(n1, n2) < lo:
+            raise ValueError(f"basis vector too short: squared length below {lo:.3g}")
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
 
@@ -47,8 +62,13 @@ class ObtuseSuperbase2D:
         return np.array([self.v0, self.v1, self.v2])
 
     def conorm(self, i, j):
-        v = self.vectors()
-        return float(-np.dot(v[i], v[j]))
+        v = _floats(self)
+        return -(v[i][0] * v[j][0] + v[i][1] * v[j][1])
+
+
+def _floats(sb):
+    """The superbase vectors as three (x, y) pairs of Python floats."""
+    return sb.v0.tolist(), sb.v1.tolist(), sb.v2.tolist()
 
 
 @dataclass(frozen=True)
@@ -85,29 +105,30 @@ def reduce_basis(basis):
 
     Lagrange-Gauss reduction (|v1| <= |v2| <= |v1 +- v2|), then the sign of
     v2 is chosen so that v1 . v2 <= 0 and v0 = -v1 - v2 closes the triple.
+    The arithmetic runs on Python floats.
     """
     if not isinstance(basis, Basis2D):
         basis = Basis2D(*basis)
-    v1, v2 = basis.v1.copy(), basis.v2.copy()
-    if np.dot(v1, v1) > np.dot(v2, v2):
-        v1, v2 = v2, v1
+    (x1, y1), (x2, y2) = basis.v1.tolist(), basis.v2.tolist()
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    if n1 > n2:
+        x1, y1, x2, y2, n1 = x2, y2, x1, y1, n2
     for _ in range(10000):
-        x = round(np.dot(v1, v2) / np.dot(v1, v1))
-        v2 = v2 - x * v1
-        if np.dot(v2, v2) >= np.dot(v1, v1):
+        k = round((x1 * x2 + y1 * y2) / n1)
+        x2, y2 = x2 - k * x1, y2 - k * y1
+        n2 = x2 * x2 + y2 * y2
+        if n2 >= n1:
             break
-        v1, v2 = v2, v1
+        x1, y1, x2, y2, n1 = x2, y2, x1, y1, n2
     else:  # pragma: no cover - Gauss reduction always terminates
         raise RuntimeError("basis reduction did not terminate")
-    if np.dot(v1, v2) > 0:
-        v2 = -v2
-    v0 = -v1 - v2
-    sb = ObtuseSuperbase2D(v0, v1, v2)
-    tol = 1e-9 * max(np.dot(v, v) for v in (v0, v1, v2))
-    for i, j in ((1, 2), (0, 1), (0, 2)):
-        if sb.conorm(i, j) < -tol:  # pragma: no cover - defensive
-            raise RuntimeError("reduction failed to produce an obtuse superbase")
-    return sb
+    if x1 * x2 + y1 * y2 > 0:
+        x2, y2 = -x2, -y2
+    return ObtuseSuperbase2D(*np.array([[-x1 - x2, -y1 - y2], [x1, y1], [x2, y2]]))
+
+
+#: the conorm pairs (i, j) in the order whose ties the stable sort keeps
+_PAIRS = ((1, 2), (0, 1), (0, 2))
 
 
 def root_invariant(sb):
@@ -119,28 +140,23 @@ def root_invariant(sb):
     """
     if isinstance(sb, (Basis2D, tuple, list, np.ndarray)):
         sb = reduce_basis(sb)
-    v = sb.vectors()
-    pairs = [(1, 2), (0, 1), (0, 2)]
-    conorms = [max(sb.conorm(i, j), 0.0) for i, j in pairs]
-    order = np.argsort(conorms, kind="stable")
-    sorted_pairs = [pairs[i] for i in order]
-    p12, p01, p02 = (conorms[i] for i in order)
-    r12, r01, r02 = math.sqrt(p12), math.sqrt(p01), math.sqrt(p02)
+    (x0, y0), (x1, y1), (x2, y2) = v = _floats(sb)
+    conorms = [
+        0.0 if 0.0 > p else p  # max(p, 0.0)
+        for p in (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
+    ]
+    order = sorted(range(3), key=conorms.__getitem__)
+    r12, r01, r02 = [math.sqrt(conorms[k]) for k in order]
 
     # labelling: v1 is shared by the two smallest-conorm pairs, v2 the other
     # vector of the smallest pair
-    small, middle = set(sorted_pairs[0]), set(sorted_pairs[1])
-    shared = small & middle
-    i1 = shared.pop() if shared else sorted_pairs[0][0]
-    i2 = (small - {i1}).pop()
+    (a, b), middle = _PAIRS[order[0]], _PAIRS[order[1]]
+    i1 = a if a in middle else b
+    i2 = b if i1 == a else a
     det = v[i1][0] * v[i2][1] - v[i1][1] * v[i2][0]
 
-    scale = max(r02, 1e-300)
-    if (
-        r12 <= SIGN_TOL * scale
-        or abs(r01 - r12) <= SIGN_TOL * max(r01, scale)
-        or abs(r02 - r01) <= SIGN_TOL * max(r02, scale)
-    ):
+    # r12 <= r01 <= r02, so every gap is measured against r02
+    if min(r12, r01 - r12, r02 - r01) <= SIGN_TOL * max(r02, 1e-300):
         sign = 0
     else:
         sign = 1 if det > 0 else -1
@@ -301,10 +317,15 @@ def superbase_from_root_invariant(ri):
     between them satisfies cos = -r12^2 / (|v1| |v2|); the orientation of v2
     follows the invariant's sign (counter-clockwise for sign >= 0).
     """
-    n1 = math.sqrt(ri.r12**2 + ri.r01**2)
-    n2 = math.sqrt(ri.r12**2 + ri.r02**2)
+    try:
+        n1 = math.sqrt(ri.r12**2 + ri.r01**2)
+        n2 = math.sqrt(ri.r12**2 + ri.r02**2)
+    except OverflowError:  # float ** raises where * would give inf
+        n1 = n2 = math.inf
     if n1 <= 0 or n2 <= 0:
         raise ValueError("degenerate root invariant")
+    if not (n1 < math.inf and n2 < math.inf):
+        raise ValueError("root invariant too large: its basis lengths overflow")
     cos = -(ri.r12**2) / (n1 * n2)
     sin = math.sqrt(max(1.0 - cos * cos, 0.0))
     if ri.sign < 0:
@@ -319,8 +340,8 @@ def inverse_design(x, y, size, sign=1):
     root-invariant size ``size`` and the requested orientation sign."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and x + y <= 1.0 + 1e-12):
         raise ValueError("(x, y) must lie in the quotient triangle")
-    if size <= 0:
-        raise ValueError("size must be positive")
+    if not 0 < size < math.inf:
+        raise ValueError("size must be positive and finite")
     r12 = size * y / 3.0
     r01 = size * (3.0 - 3.0 * x - y) / 6.0
     r02 = size * (3.0 + 3.0 * x - y) / 6.0

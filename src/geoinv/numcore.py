@@ -121,9 +121,11 @@ def _feasible(costs, t):
     if n == 1:
         above = costs[0] > t[0]
         return np.array([not above[linear_sum_assignment(above)].any()])
-    edges = np.flatnonzero(costs <= t[:, None, None])  # (i k + u) k + v
+    # int32 indices, when they fit, spare the constructor a downcasting copy
+    index = np.int32 if n * k * k < 1 << 31 else np.int64
+    edges = np.flatnonzero(costs <= t[:, None, None]).astype(index)  # (i k + u) k + v
     rows = edges // k
-    indptr = np.zeros(n * k + 1, dtype=edges.dtype)
+    indptr = np.zeros(n * k + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n * k), out=indptr[1:])
     cols = rows // k * k + edges - rows * k  # i k + v
     graph = csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(n * k, n * k))

@@ -67,9 +67,12 @@ class PeriodicSet:
         # checked before pinv, whose SVD does not return on inf or nan
         with np.errstate(over="ignore"):
             g = basis @ basis.T
-        if not np.isfinite(g).all():
-            raise ValueError("basis Gram matrix overflows")
-        if np.linalg.det(g) <= 0:
+            if not np.isfinite(g).all():
+                raise ValueError("basis Gram matrix overflows")
+            det = np.linalg.det(g)
+        if not np.isfinite(det):
+            raise ValueError(f"cell volume overflows for cell lengths {_cell_lengths(basis)}")
+        if det <= 0:
             raise ValueError("basis vectors are linearly dependent")
         if motif.shape[1] != n:
             raise ValueError("motif dimension does not match the basis")
@@ -129,12 +132,17 @@ def _lattice_ball(basis, radii, rho):
     return translates[np.linalg.norm(translates, axis=1) <= rho]
 
 
-def _check_budget(cells, what, k):
-    """Raise ValueError if one array of a neighbour search passes the budget."""
+def _cell_lengths(basis):
+    return ", ".join(f"{x:.3g}" for x in np.linalg.norm(basis, axis=1))
+
+
+def _check_budget(cells, what, k, basis):
+    """Raise ValueError, naming the cell, if one array of a neighbour search
+    passes the budget."""
     if not cells <= NEIGHBOUR_CELL_BUDGET:  # NaN cells fail too
         raise ValueError(
-            f"neighbour search for k={k} needs {cells:.3g} cells of {what}, "
-            f"over the budget of {NEIGHBOUR_CELL_BUDGET}"
+            f"neighbour search for k={k} needs {cells:.3g} cells of {what} "
+            f"(cell lengths {_cell_lengths(basis)}), over the budget of {NEIGHBOUR_CELL_BUDGET}"
         )
 
 
@@ -169,9 +177,9 @@ def neighbours(S, k):
         # the relative margin keeps boundary translates, far above rounding
         rho = (r + diam) * (1.0 + 1e-9)
         radii = np.floor(rho * inv_gaps)
-        _check_budget(float(np.prod(2 * radii + 1)) * (S.rank + S.dim), "coefficient box", k)
+        _check_budget(float(np.prod(2 * radii + 1)) * (S.rank + S.dim), "coefficient box", k, basis)
         translates = _lattice_ball(basis, radii.astype(int), rho)
-        _check_budget(m * len(translates) * S.dim, "candidate points", k)
+        _check_budget(m * len(translates) * S.dim, "candidate points", k, basis)
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
         if len(points) <= k:
             r *= 2.0

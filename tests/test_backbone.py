@@ -9,6 +9,7 @@ import pytest
 from conftest import random_rotation
 from geoinv.backbone import (
     Backbone,
+    _frame,
     brain,
     bri,
     bri_dist,
@@ -35,6 +36,39 @@ def random_chain(rng, m):
             c = a + rng.normal(size=3)
         atoms[i] = (n, a, c)
         pos = c + rng.normal(size=3) * 0.5 + np.array([2.0, 0, 0])
+    return Backbone(atoms)
+
+
+def protein_chain(rng, m):
+    """(m, 3, 3) N/A/C coordinates with protein-like bond lengths; each bond
+    leaves the previous one at 1.2 rad with a random azimuth."""
+    kicks = rng.normal(size=(3 * m, 3))
+    kicks /= np.linalg.norm(kicks, axis=1, keepdims=True)
+    heading, pts = kicks[-1], [np.zeros(3)]
+    for length, kick in zip(np.tile([1.46, 1.52, 1.33], m)[: 3 * m - 1], kicks):
+        heading = heading * np.cos(1.2) + kick * np.sin(1.2)
+        heading /= np.linalg.norm(heading)
+        pts.append(pts[-1] + length * heading)
+    return np.array(pts).reshape(m, 3, 3)
+
+
+def _loop_reconstruct(b):
+    """Verbatim copy of the per-residue reconstruction loop that the composed
+    frames replaced (input checks dropped); the oracle for ``reconstruct``."""
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    m = len(b)
+    l, x, y = b[0, :3]
+    atoms = np.empty((m, 3, 3))
+    a = np.zeros(3)
+    n = np.array([l, 0.0, 0.0])
+    c = np.array([x, y, 0.0])
+    atoms[0] = (n, a, c)
+    for i in range(1, m):
+        bonds = b[i].reshape(3, 3) @ _frame(n, a, c)
+        n = c + bonds[0]
+        a = n + bonds[1]
+        c = a + bonds[2]
+        atoms[i] = (n, a, c)
     return Backbone(atoms)
 
 
@@ -140,6 +174,55 @@ def test_reconstruct_round_trip(rng):
         S = random_chain(rng, int(rng.integers(2, 15)))
         b = bri(S)
         assert np.abs(bri(reconstruct(b)) - b).max() < 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 100, 1000, 5000])
+def test_reconstruct_matches_the_residue_loop(m):
+    rng = np.random.default_rng(m)
+    b = bri(Backbone(protein_chain(rng, m)))
+    S = reconstruct(b)
+    assert bri_dist(b, bri(S)) <= 1e-12
+    assert np.abs(S.atoms - _loop_reconstruct(b).atoms).max() <= 1e-9
+
+
+def test_reconstruct_places_the_first_residue(rng):
+    b = bri(Backbone(protein_chain(rng, 4)))
+    n, a, c = reconstruct(b).atoms[0]
+    assert np.array_equal(a, np.zeros(3))
+    assert n[0] > 0 and n[1] == n[2] == 0.0 and c[2] == 0.0
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 2), (2, 4), (4, 8)])
+def test_reconstruct_rejects_non_finite_entries(rng, value, row, col):
+    b = bri(Backbone(protein_chain(rng, 5)))
+    b[row, col] = value
+    with pytest.raises(ValueError, match="non-finite BRI entries"):
+        reconstruct(b)
+
+
+def test_reconstruct_names_a_row_without_frame(rng):
+    b = bri(Backbone(protein_chain(rng, 6)))
+    zero_na, zero_ac = b.copy(), b.copy()
+    zero_na[2, 3:6] = 0.0
+    zero_ac[4, 6:9] = 0.0
+    for bad, row in ((zero_na, 3), (zero_ac, 5)):
+        with pytest.raises(ValueError, match=f"BRI row {row}: no frame"):
+            reconstruct(bad)
+    # rounding may leave parallel bonds a finite frame, which Backbone rejects
+    parallel = b.copy()
+    parallel[3, 6:9] = -2.0 * parallel[3, 3:6]
+    with pytest.raises(ValueError, match="BRI row 4: no frame|residue 4: collinear"):
+        reconstruct(parallel)
+
+
+def test_reconstruct_and_backbone_reject_huge_values(rng):
+    b = bri(Backbone(protein_chain(rng, 4)))
+    b[2, 3:6] = 1e300  # squares would overflow in the frame norms
+    with pytest.raises(ValueError, match="BRI entries above 1e\\+150"):
+        reconstruct(b)
+    with pytest.raises(ValueError, match="coordinates above 1e\\+150"):
+        Backbone(protein_chain(rng, 3) + 1e200)
 
 
 def test_subchain_matches_geometry(rng):

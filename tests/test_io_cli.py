@@ -108,6 +108,18 @@ def test_cli_lattice_invariant(capsys):
     assert out[1] == "0,1,1,0,0,0"
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (["nan", "0", "0", "1"], "non-finite basis"),
+        (["1e160", "0", "0", "1e160"], "basis vector too long"),
+    ],
+)
+def test_cli_lattice_bad_basis_exit_2(capsys, basis, message):
+    assert main(["lattice", "invariant", "--basis", *basis]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_cloud_compare(capsys):
     code = main(
         [
@@ -254,6 +266,14 @@ def test_cli_backbone_reconstruct_empty_file_exit_2(tmp_path, capsys):
     assert "9 numbers" in capsys.readouterr().err
 
 
+def test_cli_backbone_reconstruct_non_finite_exit_2(tmp_path, capsys):
+    b = tmp_path / "bri.csv"
+    b.write_text("1.5,0.5,1.2,0,0,0,0,0,0\n1.3,-0.4,1.1,inf,0.5,0.2,1.4,0.3,-0.6\n")
+    assert main(["backbone", "reconstruct", str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite BRI entries" in captured.err
+
+
 def test_cli_backbone_reconstruct_json(tmp_path, capsys):
     import json
 
@@ -377,3 +397,21 @@ def test_cli_cif_infinite_or_overflowing_cell_exit_2(tmp_path, length):
     )
     assert done.returncode == 2
     assert done.stdout == "" and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ((1e120, 1.0, 1.0), "coefficient box (cell lengths 1e+120, 1, 1)"),
+        ((1e120, 1e120, 1e120), "cell volume overflows for cell lengths 1e+120, 1e+120, 1e+120"),
+    ],
+)
+def test_cli_cif_extreme_cell_is_named(tmp_path, capsys, lengths, message):
+    text = (FIXTURES / "cubic.cif").read_text()
+    for axis, length in zip("abc", lengths):
+        text = text.replace(f"_cell_length_{axis} 1.0", f"_cell_length_{axis} {length:g}")
+    cif = tmp_path / "extreme.cif"
+    cif.write_text(text)
+    assert main(["periodic", "amd", str(cif), "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

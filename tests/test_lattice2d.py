@@ -10,6 +10,7 @@ import pytest
 
 from geoinv.lattice2d import (
     Basis2D,
+    ObtuseSuperbase2D,
     ProjectedInvariant2D,
     RootInvariant2D,
     chiral,
@@ -247,3 +248,129 @@ def test_reduction_random_bases_match_invariant(rng):
         ri2 = root_invariant(reduce_basis(Basis2D(m[0], m[1])))
         assert ri.triple() == pytest.approx(ri2.triple(), abs=1e-9)
         assert ri.sign == ri2.sign
+
+
+def _dot_conorm(v, i, j):
+    """``ObtuseSuperbase2D.conorm`` before the float rewrite."""
+    return float(-np.dot(v[i], v[j]))
+
+
+def _dot_reduce_basis(basis):
+    """Verbatim copy of ``reduce_basis`` on numpy 2-vectors (``np.dot``),
+    with its superbase checks inlined; the oracle for the float version."""
+    v1, v2 = basis.v1.copy(), basis.v2.copy()
+    if np.dot(v1, v1) > np.dot(v2, v2):
+        v1, v2 = v2, v1
+    for _ in range(10000):
+        x = round(np.dot(v1, v2) / np.dot(v1, v1))
+        v2 = v2 - x * v1
+        if np.dot(v2, v2) >= np.dot(v1, v1):
+            break
+        v1, v2 = v2, v1
+    else:  # pragma: no cover - Gauss reduction always terminates
+        raise RuntimeError("basis reduction did not terminate")
+    if np.dot(v1, v2) > 0:
+        v2 = -v2
+    v0 = -v1 - v2
+    v = np.array([v0, v1, v2])
+    tol = 1e-9 * max(np.dot(u, u) for u in v)
+    assert all(_dot_conorm(v, i, j) >= -tol for i, j in ((1, 2), (0, 1), (0, 2)))
+    return v
+
+
+def _dot_root_invariant(v):
+    """Verbatim copy of ``root_invariant`` on the (3, 2) superbase array,
+    returning (r12, r01, r02, sign)."""
+    pairs = [(1, 2), (0, 1), (0, 2)]
+    conorms = [max(_dot_conorm(v, i, j), 0.0) for i, j in pairs]
+    order = np.argsort(conorms, kind="stable")
+    sorted_pairs = [pairs[i] for i in order]
+    p12, p01, p02 = (conorms[i] for i in order)
+    r12, r01, r02 = math.sqrt(p12), math.sqrt(p01), math.sqrt(p02)
+    small, middle = set(sorted_pairs[0]), set(sorted_pairs[1])
+    shared = small & middle
+    i1 = shared.pop() if shared else sorted_pairs[0][0]
+    i2 = (small - {i1}).pop()
+    det = v[i1][0] * v[i2][1] - v[i1][1] * v[i2][0]
+    scale = max(r02, 1e-300)
+    if (
+        r12 <= 1e-9 * scale
+        or abs(r01 - r12) <= 1e-9 * max(r01, scale)
+        or abs(r02 - r01) <= 1e-9 * max(r02, scale)
+    ):
+        sign = 0
+    else:
+        sign = 1 if det > 0 else -1
+    return r12, r01, r02, sign
+
+
+def _oracle_bases():
+    rng = np.random.default_rng(10)
+    named = [
+        ((1.0, 0.0), (0.0, 1.0)),  # square
+        ((1.0, 0.0), (0.5, math.sqrt(3) / 2)),  # hexagonal
+        ((2.0, 0.0), (0.0, 3.0)),  # rectangular
+        ((1.0, 0.0), (1e6 + 0.5, 1e-3)),  # a long Gauss reduction
+    ]
+    return named + [tuple(b) for b in rng.normal(size=(10000, 2, 2))]
+
+
+def test_float_reduction_matches_the_dot_product_oracle():
+    signs = []
+    for v1, v2 in _oracle_bases():
+        try:
+            basis = Basis2D(v1, v2)
+        except ValueError:
+            continue
+        sb = reduce_basis(basis)
+        want = _dot_reduce_basis(basis)
+        assert np.abs(sb.vectors() - want).max() <= 1e-12 * np.abs(want).max()
+        tol = 1e-12 * (want**2).sum(axis=1).max()
+        assert min(sb.conorm(i, j) for i, j in ((1, 2), (0, 1), (0, 2))) >= -tol
+        ri, (r12, r01, r02, sign) = root_invariant(sb), _dot_root_invariant(want)
+        assert np.abs(ri.triple() - [r12, r01, r02]).max() <= 1e-12
+        assert ri.sign == sign
+        signs.append(sign)
+    assert signs[:3] == [0, 0, 0] and len(signs) > 9900
+    assert {-1, 1} <= set(signs[3:])
+
+
+def test_conorm_of_a_superbase():
+    sb = ObtuseSuperbase2D(np.array([-1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert [sb.conorm(i, j) for i, j in ((1, 2), (0, 1), (0, 2))] == [0.0, 1.0, 1.0]
+    assert isinstance(sb.conorm(0, 1), float)
+
+
+@pytest.mark.parametrize(
+    "v1, v2, message",
+    [
+        ((math.nan, 0.0), (0.0, 1.0), "non-finite basis"),
+        ((1.0, 0.0), (math.inf, 1.0), "non-finite basis"),
+        ((1e160, 0.0), (0.0, 1e160), "basis vector too long"),
+        ((1e-170, 0.0), (0.0, 1e150), "basis vector too short"),
+        ((1.0, 0.0), (2.0, 0.0), "degenerate basis"),
+        ((0.0, 0.0), (0.0, 1.0), "degenerate basis"),
+        ((1.0, 0.0, 0.0), (0.0, 1.0), "two vectors of 2 numbers"),
+    ],
+)
+def test_bad_bases_rejected(v1, v2, message):
+    with pytest.raises(ValueError, match=message):
+        Basis2D(v1, v2)
+
+
+def test_extreme_bases_in_range_reduce():
+    for scale in (1e-140, 1e150):
+        ri = root_invariant(Basis2D((scale, 0.0), (0.0, scale)))
+        assert ri.triple() == pytest.approx([0.0, scale, scale], rel=1e-12)
+        assert ri.sign == 0
+
+
+@pytest.mark.parametrize("size", [math.inf, math.nan, 0.0, -1.0])
+def test_inverse_design_rejects_bad_sizes(size):
+    with pytest.raises(ValueError, match="size must be positive and finite"):
+        inverse_design(0.2, 0.3, size)
+
+
+def test_inverse_design_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="root invariant too large"):
+        inverse_design(0.2, 0.3, 1e300)

@@ -396,6 +396,7 @@ def test_lnd_and_dedup_reject_mixed_period_ranks():
         (np.eye(3), [[0, np.inf, 0]], "non-finite motif"),
         (np.eye(3), np.zeros((0, 3)), "empty motif"),
         (1e200 * np.eye(3), [[0, 0, 0]], "Gram matrix overflows"),
+        (1e120 * np.eye(3), [[0, 0, 0]], "cell volume overflows for cell lengths 1e\\+120"),
     ],
 )
 def test_periodic_set_rejects_non_finite_or_empty_input(basis, motif, message):
@@ -405,4 +406,4 @@ def test_periodic_set_rejects_non_finite_or_empty_input(basis, motif, message):
 
 def test_neighbour_budget_rejects_nan_cells():
     with pytest.raises(ValueError, match="budget"):
-        periodic._check_budget(math.nan, "coefficient box", 3)
+        periodic._check_budget(math.nan, "coefficient box", 3, np.eye(3))

@@ -10,8 +10,9 @@ interval to the intervals k-1, k and k+1 places on.  The slopes sum to 0,
 so psi_k is constant after its last breakpoint, and the difference of two
 such functions is linear between the breakpoints of both: its sup is
 attained at one of them.  ``fingerprint_dist`` and ``fingerprint_equal``
-sort the hinges of all k at once and read that sup off two cumulative
-sums, without building any ``psi``.
+sort the hinges of all k at once and read that sup off cumulative sums,
+without building any ``psi``; the integer slope units of each sequence are
+summed apart, so equal fingerprints differ by exactly 0.
 """
 
 from __future__ import annotations
@@ -141,11 +142,16 @@ def _hinges(S, k_lo, k_hi):
     return c, np.maximum(x, 0.0), w
 
 
-def _values(c, x, w):
-    """Sort each hinge row; return the breakpoints and the function there."""
+def _values(c, x, w, periods):
+    """Sort each hinge row; return the breakpoints and the function there.
+
+    Each row of ``w`` holds one side's integer slope units (0 elsewhere), summed
+    exactly and divided by that side's period once, so equal hinges cancel.
+    """
     order = np.argsort(x, axis=1)
     x = np.take_along_axis(x, order, axis=1)
-    rise = np.cumsum(w[order][:, :-1], axis=1) * np.diff(x, axis=1)
+    slope = sum(np.cumsum(u[order][:, :-1], axis=1) / p for u, p in zip(w, periods))
+    rise = slope * np.diff(x, axis=1)
     v = np.concatenate([np.zeros((len(x), 1)), np.cumsum(rise, axis=1)], axis=1)
     return x, v + c[:, None]
 
@@ -159,7 +165,7 @@ def psi(S, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     c, x, w = _hinges(S, k, k)
-    x, v = _values(c, x, w)
+    x, v = _values(c, x, w[None], (1.0,))
     x, y = _merge_corners(np.concatenate([[0.0], x[0]]), np.concatenate([c, v[0]]))
     return PiecewiseLinear(np.column_stack([x * S.period, y]))
 
@@ -190,8 +196,8 @@ def _sup_diffs(S, Q, k_max):
     cs, xs, ws = _hinges(S, 0, k_max)
     cq, xq, wq = _hinges(Q, 0, k_max)
     x = np.concatenate([xs * S.period, xq * Q.period], axis=1)
-    w = np.concatenate([ws / S.period, -wq / Q.period])
-    return np.abs(_values(cs - cq, x, w)[1]).max(axis=1)
+    w = np.block([[ws, 0 * wq], [0 * ws, -wq]])
+    return np.abs(_values(cs - cq, x, w, (S.period, Q.period))[1]).max(axis=1)
 
 
 def fingerprint_equal(S, Q, k_max=None, tol=1e-9):

@@ -40,12 +40,15 @@ def _cif_number(token):
 def parse_cif_lite(text):
     """Parse a minimal P1 CIF into a PeriodicSet.
 
-    Requires the six cell tags and an ``_atom_site`` loop with fractional
-    coordinates.  Symmetry settings other than P1, occupancies other than 1,
-    and angles outside (0, 180) degrees are rejected.
+    Requires one data block with the six cell tags and an ``_atom_site``
+    loop with fractional coordinates; ``_atom_site_aniso`` loops are skipped.
+    Symmetry settings other than P1, occupancies other than 1, a second
+    data block and angles outside (0, 180) degrees are rejected.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if sum(ln.lower().startswith("data_") for ln in lines) > 1:
+        raise ValueError("more than one data_ block: one crystal per file is supported")
 
     values = {}
     for ln in lines:
@@ -83,6 +86,8 @@ def parse_cif_lite(text):
             headers.append(lines[i].split()[0])
             i += 1
         if not any(h.startswith("_atom_site") for h in headers):
+            continue
+        if all(h.startswith("_atom_site_aniso") for h in headers):
             continue
         if any(h.startswith("_space_group_symop") or h.startswith("_symmetry_equiv")
                for h in headers):

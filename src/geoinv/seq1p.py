@@ -2,9 +2,12 @@
 
 Finite ordered sequences in R^n are encoded by cyclic distance matrices
 (CDM), optionally with a determinant-sign row made continuous by simplex
-strengths (CDS).  1-periodic sequences in R x R^(n-1) are compared by
-extending motifs to the least common multiple size and minimizing over the
-cyclic or dihedral group acting on the motif order.
+strengths (CDS).  1-periodic sequences S, Q in R x R^(n-1) are compared by
+tiling both motifs to m = lcm(S.m, Q.m) points and minimizing over the
+cyclic or dihedral group acting on the motif order.  Every re-encoding of Q
+is a rotation of Q, or of Q reversed: time shifts, CDM and signed strengths
+are computed once per direction and rotated by index, and as the tiled Q
+repeats every Q.m places, Q.m shifts per direction are compared.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import numpy as np
 from .numcore import INF, _pairwise, norm_exponent
 from .simplexwise import LAMBDA, simplex_sign, strength
 
-#: cap for the least-common-multiple motif extension
-LCM_CAP = 100_000
+#: most cells of the ``seq_metric`` search, checked before any array is
+#: built: directions x Q.m shifts x m^2 CDM cells (m without a value term);
+#: at the budget, under a second and about 260 MiB at peak when Q.m = 1
+SEQ_CELL_BUDGET = 2**23
 
 
 def cdm(points):
@@ -123,75 +128,52 @@ class OnePeriodicSequence:
 def time_shift(S):
     """Gaps (d_1, ..., d_m) between successive time projections; sums to l."""
     t = S.motif[:, 0]
-    return np.concatenate([np.diff(t), [S.motif[0, 0] + S.period - t[-1]]])
-
-
-def _extend(S, copies):
-    """Concatenate ``copies`` shifted copies of the motif (period multiplies)."""
-    motif = np.tile(S.motif, (copies, 1))
-    motif[:, 0] += np.repeat(np.arange(copies) * S.period, S.m)
-    return OnePeriodicSequence(S.period * copies, motif)
-
-
-def _candidate_orders(m, group):
-    """Motif orders with traversal direction for the cyclic/dihedral group."""
-    base = list(range(m))
-    orders = [(base[j:] + base[:j], 1) for j in range(m)]
-    if group == "dihedral":
-        rev = base[::-1]
-        orders += [(rev[j:] + rev[:j], -1) for j in range(m)]
-    elif group != "cyclic":
-        raise ValueError("group must be 'cyclic' or 'dihedral'")
-    return orders
-
-
-def _ts_of_order(times, order, period, direction=1):
-    """Time-shift vector of the re-ordered motif.
-
-    Gaps are measured along the traversal direction, so a reversed order
-    yields the reversed gap vector of the forward sequence.
-    """
-    t = times[order]
-    if len(t) == 1:
-        return np.array([period])
-    return direction * (np.roll(t, -1) - t) % period
+    return np.concatenate([np.diff(t), [t[0] - t[-1] + S.period]])
 
 
 def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
     """Metric between 1-periodic sequences.
 
-    Motifs are extended to the least common multiple of their sizes; the
-    result is the minimum over the cyclic (or dihedral) group of the larger
-    of the time-shift distance and the projected-motif CDM (isometry) or
-    CDS-based (rigid) metric.
+    The minimum over the cyclic (or dihedral) group of the larger of the
+    time-shift distance and the projected-motif CDM (isometry) or CDS-based
+    (rigid) metric, searched by rotations as in the module docstring.  Raises
+    ValueError before any array is built when the search passes
+    SEQ_CELL_BUDGET.
     """
     qn = norm_exponent(q)
+    if group not in ("cyclic", "dihedral"):
+        raise ValueError("group must be 'cyclic' or 'dihedral'")
+    if equivalence not in ("isometry", "rigid"):
+        raise ValueError("equivalence must be 'isometry' or 'rigid'")
     m = math.lcm(S.m, Q.m)
-    if m > LCM_CAP:
-        raise ValueError(f"lcm motif size {m} exceeds cap {LCM_CAP}")
-    S_ext = _extend(S, m // S.m)
-    Q_ext = _extend(Q, m // Q.m)
-
-    ts_s = time_shift(S_ext)
-    vals_s = S_ext.motif[:, 1:]
     # a one-point motif has an empty CDM, so its value term is 0
     use_values = S.value_dim >= 1 and m > 1
-    if use_values:
-        cdm_s = cdm(vals_s)
-        if equivalence == "rigid":
-            ss_s = _signed_strengths(vals_s)
-            lam = LAMBDA[S.value_dim]
+    rigid = use_values and equivalence == "rigid"
+    directions = 2 if group == "dihedral" else 1
+    cells = directions * Q.m * m * (m if use_values else 1)
+    if cells > SEQ_CELL_BUDGET:
+        raise ValueError(f"motif sizes {S.m} and {Q.m} need {cells} search cells, "
+                         f"over the budget of {SEQ_CELL_BUDGET}")
 
-    times_q = Q_ext.motif[:, 0]
-    vals_q = Q_ext.motif[:, 1:]
+    def encode(motif, gaps):
+        """Tiled gaps, CDM and signed strengths of one motif direction."""
+        reps = m // len(motif)
+        vals = np.tile(motif[:, 1:], (reps, 1))
+        cdm_v = cdm(vals) if use_values else None
+        return np.tile(gaps, reps), cdm_v, _signed_strengths(vals) if rigid else None
+
+    ts_s, cdm_s, ss_s = encode(S.motif, time_shift(S))
+    g = time_shift(Q)
+    # reversed point i is Q's point Q.m-1-i, so reversed gap i is Q's gap Q.m-2-i
+    encodings = [(Q.motif, g), (Q.motif[::-1], np.roll(g[::-1], -1))]
     best = math.inf
-    for order, direction in _candidate_orders(m, group):
-        d = _normalized_lq(ts_s - _ts_of_order(times_q, order, Q_ext.period, direction), qn)
-        if use_values and d < best:
-            vq = vals_q[order]
-            d = max(d, _normalized_lq(cdm_s - cdm(vq), qn))
-            if equivalence == "rigid" and d < best:
-                gap = np.abs(ss_s - _signed_strengths(vq)).max()
-                d = max(d, 2.0 / lam * gap)
-        best = min(best, d)
+    for ts_q, cdm_q, ss_q in (encode(*e) for e in encodings[:directions]):
+        for s in range(Q.m):
+            idx = (np.arange(m) + s) % m
+            d = _normalized_lq(ts_s - ts_q[idx], qn)
+            if use_values and d < best:
+                d = max(d, _normalized_lq(cdm_s - cdm_q[:, idx], qn))
+                if rigid and d < best:
+                    d = max(d, 2.0 / LAMBDA[S.value_dim] * np.abs(ss_s - ss_q[idx]).max())
+            best = min(best, d)
     return best

@@ -25,7 +25,7 @@ from geoinv.backbone import (
     subchain,
 )
 from geoinv.clouds import PointCloud, WeightedRows, pdd, pdd_dist, spd, srd
-from geoinv.density1d import PeriodicSequence1D, fingerprint_equal, psi, rho
+from geoinv.density1d import PeriodicSequence1D, fingerprint_dist, fingerprint_equal, psi, rho
 from geoinv.lattice2d import (
     ProjectedInvariant2D,
     chiral,
@@ -39,8 +39,8 @@ from geoinv.lattice2d import (
 )
 from geoinv.numcore import INF, bottleneck, emd
 from geoinv.periodic import PeriodicSet, amd, dedup, deviations, pda_dist, pdd_periodic, ppc
-from geoinv.seq1p import OnePeriodicSequence, cdm, seq_metric, sign_row, strengths_row
-from geoinv.simplexwise import LAMBDA, sdd, sdd_dist, strength
+from geoinv.seq1p import OnePeriodicSequence, cdm, mcd, mcs, seq_metric, sign_row, strengths_row
+from geoinv.simplexwise import LAMBDA, scd, scd_dist, sdd, sdd_dist, strength
 
 S2, S5, S10 = math.sqrt(2), math.sqrt(5), math.sqrt(10)
 
@@ -536,3 +536,49 @@ def test_ac16_solver_cross_checks():
     assert pdd_dist(tri, sq, INF) == pytest.approx(want, abs=1e-9)
     costs = np.abs(tri.rows[:, None, :] - sq.rows[None, :, :]).max(axis=2)
     assert emd_oracle(tri.weights, sq.weights, costs) == pytest.approx(want, abs=1e-9)
+
+
+def test_ac17_identity_of_indiscernibles():
+    # a metric on classes gives d(X, X) = 0 exactly, not a rounding residue
+    rng = np.random.default_rng(17)
+    for n in (2, 3):
+        pts = rng.normal(size=(6, n))
+        P = pdd(PointCloud(pts), 4)
+        for q in (1, 2, INF):
+            assert pdd_dist(P, P, q) == 0.0
+        assert pdd_dist(P, P, 2, rms=True) == 0.0
+        for mode in ("emd", "lac"):
+            X = sdd(PointCloud(pts[:5]), 2)
+            assert sdd_dist(X, X, mode) == 0.0
+            Y = scd(PointCloud(pts[:5]))
+            assert scd_dist(Y, Y, mode) == 0.0
+        for q in (1, 2, INF):
+            assert mcd(pts, pts, q) == 0.0
+            assert mcs(pts, pts, q) == 0.0
+        S = PeriodicSet(np.eye(n) + 0.2 * rng.normal(size=(n, n)), rng.uniform(0, 1, (3, n)))
+        assert pda_dist(S, S, 6) == 0.0
+    for _ in range(20):
+        m, value_dim = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        period = float(rng.uniform(0.5, 2.0))
+        times = (rng.choice(4 * m, m, replace=False) + rng.uniform(0, 0.5, m)) * period / (4 * m)
+        seq = OnePeriodicSequence(period, np.column_stack([times, rng.normal(size=(m, value_dim))]))
+        for group in ("cyclic", "dihedral"):
+            for equivalence in ("isometry", "rigid") if value_dim in (2, 3) else ("isometry",):
+                for q in (1, 2, INF):
+                    assert seq_metric(seq, seq, q, group, equivalence) == 0.0
+        m = int(rng.integers(1, 12))
+        period = float(rng.uniform(0.5, 3.0))
+        centres = (np.arange(m) + rng.uniform(0, 0.5, m)) * period / m
+        radii = rng.uniform(0, 0.25, m) * period / m if rng.random() < 0.5 else None
+        T = PeriodicSequence1D(period, centres, radii)
+        assert fingerprint_dist(T, T) == 0.0
+        assert fingerprint_equal(T, T, tol=0.0)
+    for _ in range(20):
+        ri = root_invariant(reduce_basis(rng.normal(size=(2, 2))))
+        pi = projected_invariant(ri)
+        for q in (1, 2, INF):
+            for oriented in (False, True):
+                assert rm(ri, ri, q, oriented) == 0.0
+                assert pm(pi, pi, q, oriented) == 0.0
+    b = bri(_random_chain(rng, 8))
+    assert bri_dist(b, b) == 0.0

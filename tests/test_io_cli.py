@@ -82,6 +82,23 @@ def test_cif_uncertainty_suffix():
     assert S.basis[0, 0] == pytest.approx(1.0)
 
 
+def test_cif_second_data_block_rejected():
+    # two crystals in one file used to merge into one motif
+    text = (FIXTURES / "cubic.cif").read_text()
+    with pytest.raises(ValueError, match="data_ block"):
+        parse_cif_lite(text + text.replace("data_", "data_second_").replace("C1 0.0", "C2 0.5"))
+
+
+def test_cif_aniso_loop_skipped():
+    text = (FIXTURES / "hexagonal.cif").read_text() + (
+        "loop_\n_atom_site_aniso_label\n_atom_site_aniso_U_11\n_atom_site_aniso_U_22\n"
+        "C1 0.01 0.02\n"
+    )
+    S = parse_cif_lite(text)
+    T = parse_cif_lite((FIXTURES / "hexagonal.cif").read_text())
+    assert np.array_equal(S.motif, T.motif) and np.array_equal(S.basis, T.basis)
+
+
 def test_xyz_round_trip():
     text = (FIXTURES / "trapezium.xyz").read_text()
     C = parse_xyz(text)
@@ -346,6 +363,17 @@ def test_cli_periodic_neighbour_budget_exit_2(capsys):
 def test_cli_dedup_nan_threshold_exit_2(capsys):
     assert main(["periodic", "dedup", str(FIXTURES), "--threshold", "nan"]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+def test_cli_seq1_over_budget_exit_2(tmp_path, capsys):
+    # lcm 89 700: the CDM alone would need about 64 GB
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("".join(f"{i / 300} 0\n" for i in range(300)))
+    b.write_text("".join(f"{i / 299} 0\n" for i in range(299)))
+    assert main(["seq1", "metric", str(a), str(b), "--period", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 
 def test_cli_seq1_one_point_motifs(tmp_path, capsys):

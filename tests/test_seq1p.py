@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import geoinv.seq1p as seq1p
 from conftest import random_rotation
-from geoinv.numcore import INF
-from geoinv.simplexwise import simplex_sign, strength
+from geoinv.numcore import INF, norm_exponent
+from geoinv.simplexwise import LAMBDA, simplex_sign, strength
 from geoinv.seq1p import (
     OnePeriodicSequence,
+    _normalized_lq,
+    _signed_strengths,
     cdm,
     cds,
     mcd,
@@ -215,3 +218,137 @@ def test_one_point_motifs_have_no_value_term():
     # compares the repeated point's zero distance with the two-point CDM
     T = OnePeriodicSequence(1.0, [[0.0, 1.5], [0.5, 2.5]])
     assert seq_metric(S, T) == pytest.approx(1.0)
+
+
+# Verbatim copy of the earlier seq_metric and its helpers (time_shift then
+# closed the last gap as t[0] + l - t[-1]), which extended both motifs to the
+# lcm size and re-encoded Q for every order of the group: the oracle for the
+# rotation search.
+
+
+def _extend(S, copies):
+    """Concatenate ``copies`` shifted copies of the motif (period multiplies)."""
+    motif = np.tile(S.motif, (copies, 1))
+    motif[:, 0] += np.repeat(np.arange(copies) * S.period, S.m)
+    return OnePeriodicSequence(S.period * copies, motif)
+
+
+def _time_shift(S):
+    """Gaps (d_1, ..., d_m) between successive time projections; sums to l."""
+    t = S.motif[:, 0]
+    return np.concatenate([np.diff(t), [S.motif[0, 0] + S.period - t[-1]]])
+
+
+def _candidate_orders(m, group):
+    """Motif orders with traversal direction for the cyclic/dihedral group."""
+    base = list(range(m))
+    orders = [(base[j:] + base[:j], 1) for j in range(m)]
+    if group == "dihedral":
+        rev = base[::-1]
+        orders += [(rev[j:] + rev[:j], -1) for j in range(m)]
+    elif group != "cyclic":
+        raise ValueError("group must be 'cyclic' or 'dihedral'")
+    return orders
+
+
+def _ts_of_order(times, order, period, direction=1):
+    """Time-shift vector of the re-ordered motif.
+
+    Gaps are measured along the traversal direction, so a reversed order
+    yields the reversed gap vector of the forward sequence.
+    """
+    t = times[order]
+    if len(t) == 1:
+        return np.array([period])
+    return direction * (np.roll(t, -1) - t) % period
+
+
+def _ref_seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
+    qn = norm_exponent(q)
+    m = math.lcm(S.m, Q.m)
+    S_ext = _extend(S, m // S.m)
+    Q_ext = _extend(Q, m // Q.m)
+
+    ts_s = _time_shift(S_ext)
+    vals_s = S_ext.motif[:, 1:]
+    # a one-point motif has an empty CDM, so its value term is 0
+    use_values = S.value_dim >= 1 and m > 1
+    if use_values:
+        cdm_s = cdm(vals_s)
+        if equivalence == "rigid":
+            ss_s = _signed_strengths(vals_s)
+            lam = LAMBDA[S.value_dim]
+
+    times_q = Q_ext.motif[:, 0]
+    vals_q = Q_ext.motif[:, 1:]
+    best = math.inf
+    for order, direction in _candidate_orders(m, group):
+        d = _normalized_lq(ts_s - _ts_of_order(times_q, order, Q_ext.period, direction), qn)
+        if use_values and d < best:
+            vq = vals_q[order]
+            d = max(d, _normalized_lq(cdm_s - cdm(vq), qn))
+            if equivalence == "rigid" and d < best:
+                gap = np.abs(ss_s - _signed_strengths(vq)).max()
+                d = max(d, 2.0 / lam * gap)
+        best = min(best, d)
+    return best
+
+
+def _random_sequence(rng, u, value_dim):
+    period = float(rng.uniform(0.5, 2.0))
+    times = np.sort(rng.choice(4 * u, size=u, replace=False) + rng.uniform(0, 0.5, u))
+    return OnePeriodicSequence(period, np.column_stack([times * period / (4 * u),
+                                                        rng.normal(size=(u, value_dim))]))
+
+
+def test_seq_metric_matches_reference(rng):
+    sizes = [(1, 1), (1, 3), (2, 2), (3, 4), (4, 6), (5, 6), (6, 10), (12, 5), (15, 4)]
+    for a, b in sizes:
+        for value_dim in (0, 1, 2, 3):
+            S, Q = _random_sequence(rng, a, value_dim), _random_sequence(rng, b, value_dim)
+            # near copies of S, forward and reversed in time, so the value
+            # terms of each direction are reached
+            T = OnePeriodicSequence(S.period, S.motif + rng.uniform(-1e-3, 1e-3, S.motif.shape))
+            R = OnePeriodicSequence(S.period, T.motif * ([-1] + [1] * value_dim))
+            pairs = [(S, Q), (Q, S), (S, T), (S, R)]
+            equivalences = ("isometry",)
+            if value_dim in (2, 3):
+                # a mirror image: only the signed strengths tell it apart
+                flip = [1, -1] + [1] * (value_dim - 1)
+                pairs.append((S, OnePeriodicSequence(S.period, T.motif * flip)))
+                equivalences = ("isometry", "rigid")
+            for X, Y in pairs:
+                for group in ("cyclic", "dihedral"):
+                    for equivalence in equivalences:
+                        for q in (1, 2, INF):
+                            want = _ref_seq_metric(X, Y, q, group, equivalence)
+                            got = seq_metric(X, Y, q, group, equivalence)
+                            assert abs(got - want) <= 1e-12
+                            assert seq_metric(X, X, q, group, equivalence) == 0.0
+
+
+def test_seq_metric_rejects_unknown_group_and_equivalence():
+    S = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="group"):
+        seq_metric(S, S, group="cycle")
+    with pytest.raises(ValueError, match="equivalence"):
+        seq_metric(S, S, equivalence="isometric")
+
+
+def test_seq_metric_search_budget(monkeypatch):
+    # motifs of 300 and 299 points: lcm 89 700, an 89 700^2 CDM per direction
+    S = OnePeriodicSequence(1.0, np.column_stack([np.arange(300) / 300, np.zeros(300)]))
+    Q = OnePeriodicSequence(1.0, np.column_stack([np.arange(299) / 299, np.zeros(299)]))
+    with pytest.raises(ValueError, match="budget"):
+        seq_metric(S, Q)
+    # the budget counts directions x Q.m shifts x m^2 cells, m without values
+    two = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0]])
+    three = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0], [0.7, 0.0]])
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6**2)
+    assert seq_metric(two, three, group="dihedral") > 0.0
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6**2 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        seq_metric(two, three, group="dihedral")
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6)
+    times_only = [OnePeriodicSequence(1.0, X.motif[:, :1]) for X in (two, three)]
+    assert seq_metric(*times_only, group="dihedral") > 0.0

@@ -68,6 +68,16 @@ def _read_periodic(path):
     return io.parse_cif_lite(Path(path).read_text())
 
 
+def _read_periodic_dir(directory):
+    """The sets and ids (file stems) of the CIFs in a directory, checked as
+    stacks; a data error names the file at fault."""
+    paths = sorted(Path(directory).glob("*.cif"))
+    if not paths:
+        raise ValueError(f"no CIF files in {directory}")
+    sets = io._parse_cifs([p.read_text() for p in paths], [p.name for p in paths])
+    return sets, [p.stem for p in paths]
+
+
 def _matrix_csv(rows, header=None):
     return io.to_csv([list(map(float, r)) for r in np.atleast_2d(rows)], header)
 
@@ -196,13 +206,9 @@ def _cmd_lattice(args):
 
 def _cmd_periodic(args):
     if args.action == "dedup":
-        paths = sorted(Path(args.file).glob("*.cif"))
-        if not paths:
-            raise ValueError(f"no CIF files in {args.file}")
-        sets = [_read_periodic(p) for p in paths]
+        sets, ids = _read_periodic_dir(args.file)
         pairs = periodic.dedup(
-            sets, k=args.k, ada_threshold=args.threshold, confirm_threshold=args.threshold,
-            ids=[p.stem for p in paths],
+            sets, k=args.k, ada_threshold=args.threshold, confirm_threshold=args.threshold, ids=ids
         )
         rows = [[i, j, a, e] for i, j, a, e in pairs]
         _emit(
@@ -216,11 +222,8 @@ def _cmd_periodic(args):
         return 0
     if args.action == "novelty":
         S = _read_periodic(args.file)
-        paths = sorted(Path(args.file2).glob("*.cif"))
-        if not paths:
-            raise ValueError(f"no CIF files in {args.file2}")
-        sets = [_read_periodic(p) for p in paths]
-        d, best = periodic.lnd(S, sets, args.k, ids=[p.stem for p in paths])
+        sets, ids = _read_periodic_dir(args.file2)
+        d, best = periodic.lnd(S, sets, args.k, ids=ids)
         _emit(args, io.to_csv([[str(best), d]], ["nearest", "lnd"]), {"nearest": best, "lnd": d})
         return 0
     S = _read_periodic(args.file)

@@ -3,7 +3,8 @@
 The Pointwise Distance Distribution PDD(A; k) stores, for every point of a
 cloud, the sorted distances to its k nearest neighbours; equal rows are
 collapsed into weighted rows and the matrix is canonicalized
-lexicographically.  PDDs are compared by exact Earth Mover's Distance.
+lexicographically, by array operations on all rows at once.  PDDs are
+compared by exact Earth Mover's Distance.
 """
 
 from __future__ import annotations
@@ -68,21 +69,48 @@ class WeightedRows:
 
 
 def collapse_rows(rows, weights, tol=0.0):
-    """Merge rows equal within ``tol`` componentwise; canonical lex order."""
+    """Merge rows equal within ``tol`` componentwise; canonical lex order.
+
+    Rows are put in stable lexicographic order and a row is merged into the
+    last row kept before it when no entry differs by more than ``tol``; a
+    NaN entry never merges.  A merged row's weight is summed from left to
+    right, one run position at a time.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     weights = np.asarray(weights, dtype=float)
     if rows.size == 0:
         raise ValueError("collapse_rows needs at least one non-empty row")
-    order = np.lexsort(rows.T[::-1])
-    rows, weights = rows[order], weights[order]
-    out_rows, out_w = [rows[0]], [weights[0]]
-    for row, w in zip(rows[1:], weights[1:]):
-        if np.abs(row - out_rows[-1]).max() <= tol:
-            out_w[-1] += w
-        else:
-            out_rows.append(row)
-            out_w.append(w)
-    return WeightedRows(np.array(out_w), np.array(out_rows))
+    k = rows.shape[1]
+    # Rows are sorted on their leading c columns, doubling c until rows that
+    # tie there are equal (a NaN step is never equal), which makes it the
+    # full lexicographic order.  Mutual nearest neighbours share their first
+    # distance, so the first column of a PDD nearly always ties: c starts at 2.
+    c = 2
+    while True:
+        order = np.lexsort(rows[:, min(c, k) - 1 :: -1].T)
+        ordered = rows[order]
+        steps = np.abs(ordered[1:] - ordered[:-1])
+        gaps = steps.max(axis=1)
+        if c >= k or ((steps[:, :c].max(axis=1) > 0) | (gaps == 0)).all():
+            break
+        c *= 2
+    rows, weights = ordered, weights[order]
+    keep = np.ones(len(rows) + 1, dtype=bool)  # the last entry closes the last run
+    keep[1:-1] = ~(gaps <= tol)
+    if tol > 0 and (gaps[~keep[1:-1]] > 0).any():
+        # merged rows differ: compare each row with the last row kept
+        last = rows[0]
+        for i in range(1, len(rows)):
+            keep[i] = not np.abs(rows[i] - last).max() <= tol
+            if keep[i]:
+                last = rows[i]
+    bounds = np.flatnonzero(keep)
+    starts, runs = bounds[:-1], bounds[1:] - bounds[:-1]
+    sums = weights[starts]
+    for j in range(1, runs.max()):
+        longer = runs > j
+        sums[longer] += weights[starts[longer] + j]
+    return WeightedRows(sums, rows[starts])
 
 
 def srd(A):

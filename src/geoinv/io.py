@@ -1,5 +1,8 @@
 """File formats: CIF-lite (P1 only), XYZ point clouds, backbone TSV, and the
 CSV/JSON serializers shared by the command-line interface.
+
+Many CIF-lite texts (a directory) are parsed one by one and then checked as
+stacks of sets, one stack per motif size; one text is a stack of one.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import re
 import numpy as np
 
 from .clouds import PointCloud
-from .periodic import PeriodicSet, cell_to_basis
+from .periodic import PeriodicSet, _from_fractional_stack, cell_to_basis
 
 #: numbers are printed with this many significant digits
 SIG_DIGITS = 12
@@ -33,8 +36,10 @@ _SYMOP_XYZ = re.compile(r"^['\"]?[xyz+\-\d/ ]+,")
 
 def _cif_number(token):
     """Parse a CIF numeric token, dropping a trailing standard uncertainty."""
-    token = _UNCERTAINTY.sub("", token)
-    return float(token)
+    try:
+        return float(token)
+    except ValueError:
+        return float(_UNCERTAINTY.sub("", token))
 
 
 def parse_cif_lite(text):
@@ -43,18 +48,45 @@ def parse_cif_lite(text):
     Requires one data block with the six cell tags and an ``_atom_site``
     loop with fractional coordinates; ``_atom_site_aniso`` loops are skipped.
     Symmetry settings other than P1, occupancies other than 1, a second
-    data block and angles outside (0, 180) degrees are rejected.
+    data block and angles outside (0, 180) degrees are rejected.  The set is
+    checked as a stack of one; ``_parse_cifs`` checks many texts as stacks.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if sum(ln.lower().startswith("data_") for ln in lines) > 1:
-        raise ValueError("more than one data_ block: one crystal per file is supported")
+    return PeriodicSet.from_fractional(*_cif_fields(text))
 
-    values = {}
-    for ln in lines:
-        parts = ln.split(None, 1)
-        if len(parts) == 2 and parts[0].startswith("_"):
-            values[parts[0]] = parts[1].strip()
+
+def _parse_cifs(texts, names):
+    """``parse_cif_lite`` of many texts: each is parsed, then the sets are
+    checked a group of equal shapes at a time.  An error is prefixed with
+    the name of the text at fault."""
+    fields = []
+    for text, name in zip(texts, names):
+        try:
+            fields.append(_cif_fields(text))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return _from_fractional_stack(*zip(*fields), names)
+
+
+def _cif_fields(text):
+    """The basis, fractional motif and labels of a CIF-lite text."""
+    lines, values = [], {}
+    blocks = sym_ops = 0
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        lines.append(ln)
+        if ln.startswith("_"):
+            parts = ln.split(None, 1)
+            if len(parts) == 2:
+                values[parts[0]] = parts[1].strip()
+        elif ln[:5].lower() == "data_":
+            blocks += 1
+        # a symmetry operation, numbered or not, has exactly two commas
+        elif ln.count(",") == 2 and (_SYMOP_NUMBERED.match(ln) or _SYMOP_XYZ.match(ln.lower())):
+            sym_ops += 1
+    if blocks > 1:
+        raise ValueError("more than one data_ block: one crystal per file is supported")
 
     for tag in _CELL_TAGS:
         if tag not in values:
@@ -117,18 +149,9 @@ def parse_cif_lite(text):
     if not found or not frac:
         raise ValueError("no atom_site loop found")
 
-    # reject symmetry-operation loops with more than the identity
-    sym_ops = []
-    for ln in lines:
-        if _SYMOP_NUMBERED.match(ln) and "," in ln and ln.count(",") == 2:
-            sym_ops.append(ln)
-        elif _SYMOP_XYZ.match(ln.lower()) and ln.count(",") == 2:
-            sym_ops.append(ln)
-    if len(sym_ops) > 1:
+    if sym_ops > 1:
         raise ValueError("only P1 CIFs are supported (symmetry operations found)")
-
-    basis = cell_to_basis(a, b, c, al, be, ga)
-    return PeriodicSet.from_fractional(basis, np.array(frac), labels)
+    return cell_to_basis(a, b, c, al, be, ga), np.array(frac), labels
 
 
 def write_cif_lite(S, name="geoinv"):

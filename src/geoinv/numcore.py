@@ -29,6 +29,10 @@ INF = Exponent.INF
 
 #: tolerance for weight-vector normalization
 WEIGHT_TOL = 1e-9
+#: most cells, (m + n - 1) * m * n, of the dense constraint matrix of one
+#: transportation LP; at the budget (about 203 x 202) an LP takes about a
+#: second and 0.5 GiB at peak
+EMD_CELL_BUDGET = 2**24
 
 
 def norm_exponent(q):
@@ -222,7 +226,8 @@ def emd(P, Q, costs):
     so the linear assignment optimum ``lac(costs)`` is the exact EMD and
     the flow is that permutation matrix divided by m.  One-point sides have
     a closed form; every other input is solved as the transportation LP by
-    the HiGHS dual simplex.
+    the HiGHS dual simplex, whose (m + n - 1) x mn constraint matrix over
+    EMD_CELL_BUDGET cells raises ValueError before it is built.
     """
     wp = _check_weights(P)
     wq = _check_weights(Q)
@@ -247,6 +252,12 @@ def emd(P, Q, costs):
         flow[rows, cols] = 1.0 / m
         return float(costs[rows, cols].sum() / m), flow
 
+    cells = (m + n - 1) * m * n
+    if cells > EMD_CELL_BUDGET:
+        raise ValueError(
+            f"EMD of {m} x {n} weighted rows needs a transportation LP of {cells:.3g} "
+            f"constraint cells, over the budget of {EMD_CELL_BUDGET}"
+        )
     # Balanced transportation LP: row sums = wp, column sums = wq (the
     # inequality form of the definition collapses to equalities because the
     # total flow 1 equals the sum of either marginal).  One constraint is

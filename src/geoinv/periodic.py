@@ -1,12 +1,18 @@
 """Invariants of periodic point sets: PDD/AMD, packing coefficient and the
 asymptotic deviations (ADA/PDA/AND/PND), EMD metrics, novelty distance and
 the near-duplicate detection pipeline.
+
+Sets are built as stacks: the sets of a dataset that share a motif size,
+rank and dimension are checked, reduced into their cells and given the
+preamble of their neighbour search (Gram determinant and inverse plane
+gaps) by one stacked call, and a single ``PeriodicSet`` is the stack of
+one.  The lattice ball and the distance blocks of a search stay per set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,44 +52,27 @@ def cell_to_basis(a, b, c, alpha, beta, gamma_deg):
 
 @dataclass(frozen=True)
 class PeriodicSet:
-    """An l-periodic set in R^n: basis (l x n) plus a finite Cartesian motif."""
+    """An l-periodic set in R^n: basis (l x n) plus a finite Cartesian motif.
+
+    Construction is the stack of one of ``_checked``: the input is checked,
+    the motif reduced into the cell, and the Gram determinant (for the cell
+    volume) and the inverse plane gaps (for the neighbour search) are kept.
+    """
 
     basis: np.ndarray
     motif: np.ndarray
     labels: Optional[Sequence[str]] = None
+    _det: float = field(init=False, repr=False, compare=False)
+    _inv_gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         motif = np.atleast_2d(np.asarray(self.motif, dtype=float))
-        l, n = basis.shape
-        if l > n:
-            raise ValueError("period rank exceeds the ambient dimension")
-        if not np.isfinite(basis).all():
-            raise ValueError("non-finite basis")
-        if not np.isfinite(motif).all():
-            raise ValueError("non-finite motif coordinates")
-        if len(motif) == 0:
-            raise ValueError("empty motif")
-        # checked before pinv, whose SVD does not return on inf or nan
-        with np.errstate(over="ignore"):
-            g = basis @ basis.T
-            if not np.isfinite(g).all():
-                raise ValueError("basis Gram matrix overflows")
-            det = np.linalg.det(g)
-        if not np.isfinite(det):
-            raise ValueError(f"cell volume overflows for cell lengths {_cell_lengths(basis)}")
-        if det <= 0:
-            raise ValueError("basis vectors are linearly dependent")
-        if motif.shape[1] != n:
-            raise ValueError("motif dimension does not match the basis")
-        # reduce motif representatives into the fundamental cell
-        pinv = np.linalg.pinv(basis)
-        frac = motif @ pinv
-        ortho = motif - frac @ basis  # component outside the period span
-        motif = (frac - np.floor(frac)) @ basis + ortho
-        _reject_duplicates(motif, basis, pinv)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "motif", motif)
+        self._keep(basis, *(a[0] for a in _checked(basis[None], motif[None])))
+
+    def _keep(self, basis, motif, det, inv_gaps):
+        for name, value in zip(("basis", "motif", "_det", "_inv_gaps"), (basis, motif, det, inv_gaps)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_fractional(cls, basis, frac, labels=None):
@@ -102,32 +91,107 @@ class PeriodicSet:
         return self.basis.shape[1]
 
     def cell_volume(self):
-        g = self.basis @ self.basis.T
-        return float(math.sqrt(np.linalg.det(g)))
+        return math.sqrt(self._det)
 
 
-def _reject_duplicates(motif, basis, pinv):
-    """Raise if two motif points differ by a lattice vector (up to the tol).
+def _checked(bases, motifs):
+    """Check a stack of bases (G, l, n) with motifs (G, m, n) of equal shapes.
 
-    Pairs i < j are tested a block of rows at a time, with at most
-    MOTIF_PAIR_BLOCK candidate pairs per block (one row if m is larger).
+    Returns the motifs reduced into their cells, the Gram determinants (G,)
+    and the inverse plane gaps (G, l); raises ValueError naming the first
+    fault of the stack, in the order a single set is checked.
     """
-    m = len(motif)
+    l, n = bases.shape[1:]
+    if l > n:
+        raise ValueError("period rank exceeds the ambient dimension")
+    if not np.isfinite(bases).all():
+        raise ValueError("non-finite basis")
+    if not np.isfinite(motifs).all():
+        raise ValueError("non-finite motif coordinates")
+    if motifs.shape[1] == 0:
+        raise ValueError("empty motif")
+    # checked before pinv, whose SVD does not return on inf or nan
+    with np.errstate(over="ignore"):
+        grams = bases @ bases.transpose(0, 2, 1)
+        if not np.isfinite(grams).all():
+            raise ValueError("basis Gram matrix overflows")
+        dets = np.linalg.det(grams)
+    overflow = ~np.isfinite(dets)
+    if overflow.any():
+        lengths = _cell_lengths(bases[overflow.argmax()])
+        raise ValueError(f"cell volume overflows for cell lengths {lengths}")
+    if not (dets > 0).all():
+        raise ValueError("basis vectors are linearly dependent")
+    if motifs.shape[2] != n:
+        raise ValueError("motif dimension does not match the basis")
+    # reduce motif representatives into the fundamental cell
+    pinvs = np.linalg.pinv(bases)
+    frac = motifs @ pinvs
+    ortho = motifs - frac @ bases  # component outside the period span
+    motifs = (frac - np.floor(frac)) @ bases + ortho
+    _reject_duplicates(motifs, bases, pinvs)
+    # z @ basis lies |z_i| * h_i from the hyperplane spanned by the other
+    # basis vectors, where h_i = 1/sqrt(ginv_ii) is the plane gap of axis i
+    inv_gaps = np.sqrt(np.diagonal(np.linalg.inv(grams), axis1=1, axis2=2))
+    return motifs, dets, inv_gaps
+
+
+def _from_fractional_stack(bases, fracs, labels, names):
+    """``PeriodicSet.from_fractional`` of many sets, one ``_checked`` call per
+    group of equal basis and motif shapes; the sets are returned in order.
+
+    If a group fails its check, its sets are built one by one, and the error
+    of the first faulty one is raised prefixed with its name.
+    """
+    groups = {}
+    for i, (basis, frac) in enumerate(zip(bases, fracs)):
+        groups.setdefault((basis.shape, frac.shape), []).append(i)
+    sets = [None] * len(bases)
+    for idx in groups.values():
+        group_bases = np.stack([bases[i] for i in idx])
+        with np.errstate(all="ignore"):  # a non-finite motif is rejected below
+            motifs = np.stack([fracs[i] for i in idx]) @ group_bases
+        try:
+            checked = _checked(group_bases, motifs)
+        except ValueError:
+            for i in idx:
+                try:
+                    PeriodicSet.from_fractional(bases[i], fracs[i])
+                except ValueError as exc:
+                    raise ValueError(f"{names[i]}: {exc}") from None
+            raise
+        for i, basis, *kept in zip(idx, group_bases, *checked):
+            S = sets[i] = object.__new__(PeriodicSet)
+            object.__setattr__(S, "labels", labels[i])
+            S._keep(basis, *kept)
+    return sets
+
+
+def _reject_duplicates(motifs, bases, pinvs):
+    """Raise if two points of one motif differ by a lattice vector (up to the tol).
+
+    Pairs i < j are tested for a block of motifs and rows at a time, with at
+    most MOTIF_PAIR_BLOCK candidate pairs per block (one row of one motif if
+    m is larger).
+    """
+    count, m = motifs.shape[:2]
     cols = np.arange(m)
     step = max(1, MOTIF_PAIR_BLOCK // max(m, 1))
-    for i0 in range(0, m - 1, step):
-        i, j = np.nonzero(cols[i0 : i0 + step, None] < cols)
-        diff = motif[i + i0] - motif[j]
-        f = diff @ pinv
-        nearest = (f - np.rint(f)) @ basis + (diff - f @ basis)
-        if (np.linalg.norm(nearest, axis=1) < MOTIF_DUPLICATE_TOL).any():
-            raise ValueError("duplicate motif points under lattice translation")
+    per_block = max(1, MOTIF_PAIR_BLOCK // (min(step, m) * m))
+    for g in range(0, count, per_block):
+        block = slice(g, g + per_block)
+        for i0 in range(0, m - 1, step):
+            i, j = np.nonzero(cols[i0 : i0 + step, None] < cols)
+            diff = motifs[block, i + i0] - motifs[block, j]
+            f = diff @ pinvs[block]
+            nearest = (f - np.rint(f)) @ bases[block] + (diff - f @ bases[block])
+            if (np.linalg.norm(nearest, axis=-1) < MOTIF_DUPLICATE_TOL).any():
+                raise ValueError("duplicate motif points under lattice translation")
 
 
 def _lattice_ball(basis, radii, rho):
     """Lattice vectors of norm <= rho inside the coefficient box |z_i| <= radii[i]."""
-    ranges = [np.arange(-R, R + 1) for R in radii]
-    coeffs = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, len(radii))
+    coeffs = np.indices(2 * radii + 1).reshape(len(radii), -1).T - radii
     translates = coeffs @ basis
     return translates[np.linalg.norm(translates, axis=1) <= rho]
 
@@ -168,15 +232,12 @@ def neighbours(S, k):
     basis, motif = S.basis, S.motif
     m = len(motif)
     diam = float(_pairwise(motif, motif).max())
-    # z @ basis lies |z_i| * h_i from the hyperplane spanned by the other
-    # basis vectors, where h_i = 1/sqrt(ginv_ii) is the plane gap of axis i
-    inv_gaps = np.sqrt(np.diag(np.linalg.inv(basis @ basis.T)))
     # initial radius from the packing coefficient asymptotic
     r = ppc(S) * (k / m + 1) ** (1.0 / S.rank) + diam
     while True:
         # the relative margin keeps boundary translates, far above rounding
         rho = (r + diam) * (1.0 + 1e-9)
-        radii = np.floor(rho * inv_gaps)
+        radii = np.floor(rho * S._inv_gaps)
         _check_budget(float(np.prod(2 * radii + 1)) * (S.rank + S.dim), "coefficient box", k, basis)
         translates = _lattice_ball(basis, radii.astype(int), rho)
         _check_budget(m * len(translates) * S.dim, "candidate points", k, basis)

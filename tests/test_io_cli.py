@@ -443,3 +443,60 @@ def test_cli_cif_extreme_cell_is_named(tmp_path, capsys, lengths, message):
     assert main(["periodic", "amd", str(cif), "--k", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def _xyz(points):
+    return f"{len(points)}\n\n" + "".join(f"X {x} {y} {z}\n" for x, y, z in points)
+
+
+def test_cli_cloud_compare_over_emd_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # 30 against 29 points: a transportation LP of 58 x 870 = 50460 constraint cells
+    from geoinv import numcore
+
+    monkeypatch.setattr(numcore, "EMD_CELL_BUDGET", 5 * 10**4)
+    rng = np.random.default_rng(5)
+    a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+    a.write_text(_xyz(rng.uniform(size=(30, 3))))
+    b.write_text(_xyz(rng.uniform(size=(29, 3))))
+    assert main(["cloud", "compare", str(a), str(b), "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "5.05e+04 constraint cells, over the budget of 50000" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("_cell_length_b 1.0\n", ""),
+         "broken.cif: missing CIF tag _cell_length_b"),
+        (lambda text: text + "C2 0.0 0.0 1.0\n", "broken.cif: duplicate motif points"),
+        (lambda text: text.replace("_cell_length_a 1.0", "_cell_length_a 1e120")
+         .replace("_cell_length_b 1.0", "_cell_length_b 1e120")
+         .replace("_cell_length_c 1.0", "_cell_length_c 1e120"),
+         "broken.cif: cell volume overflows"),
+    ],
+)
+def test_cli_directory_readers_name_the_bad_file(tmp_path, capsys, edit, message):
+    cubic = (FIXTURES / "cubic.cif").read_text()
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.cif").write_text(cubic.replace("1.0", "1.5"))
+    (tmp_path / "broken.cif").write_text(edit(cubic))
+    (tmp_path / "d.cif").write_text(cubic)
+    query = str(FIXTURES / "cubic.cif")
+    for argv in (["periodic", "dedup", str(tmp_path)], ["periodic", "novelty", query, str(tmp_path)]):
+        assert main([*argv, "--k", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"geoinv: {message}" in captured.err
+
+
+def test_python_m_geoinv_runs_the_cli():
+    import subprocess
+    import sys
+
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "geoinv", "periodic", "ppc", str(FIXTURES / "cubic.cif")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "ppc"

@@ -348,3 +348,25 @@ def test_emd_non_assignment_inputs_match_vertex_enumeration(rng):
         assert value == pytest.approx(emd_oracle(wp, wq, costs), abs=1e-9)
         assert np.allclose(flow.sum(axis=1), wp, atol=1e-9)
         assert np.allclose(flow.sum(axis=0), wq, atol=1e-9)
+
+
+
+def test_emd_lp_over_cell_budget_rejected_before_building(monkeypatch):
+    # the largest LP of the budget runs; one cell more is refused
+    wp, wq = np.full(3, 1 / 3), np.array([0.5, 0.5])
+    monkeypatch.setattr(numcore, "EMD_CELL_BUDGET", 4 * 3 * 2)
+    assert emd(wp, wq, np.ones((3, 2)))[0] == pytest.approx(1.0)
+    monkeypatch.setattr(numcore, "EMD_CELL_BUDGET", 4 * 3 * 2 - 1)
+    with pytest.raises(ValueError, match="24 constraint cells"):
+        emd(wp, wq, np.ones((3, 2)))
+    monkeypatch.undo()
+
+    # 1000 against 999 weighted rows would need a 1998 x 999000 dense A_eq
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP built over the budget")
+
+    monkeypatch.setattr(numcore, "linprog", no_lp)
+    monkeypatch.setattr(numcore.np, "kron", no_lp)
+    m, n = 1000, 999
+    with pytest.raises(ValueError, match="over the budget"):
+        emd(np.full(m, 1 / m), np.full(n, 1 / n), np.ones((m, n)))

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Output is CSV by
 default (12 significant digits) or JSON via ``--format json``, written to
 stdout or ``--output PATH``.
+
+``_COMMANDS`` maps each group and action to its handler and to the
+arguments it reads, in the order they are added to the parser; an action
+accepts no other option.  A handler takes the parsed arguments and returns
+``(csv_text, json_obj)``; ``main`` alone writes the output.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import density1d, io, lattice2d, periodic, seq1p, simplexwise
-from .clouds import pdd, pdd_dist, spd, srd
+from .clouds import PointCloud, pdd, pdd_dist, spd, srd
 from .numcore import norm_exponent
 
 
@@ -34,30 +39,6 @@ def _exponent(text):
         return norm_exponent(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _common(sub, reads="", k=None):
-    """Attach the output options, and each of --k/--q/--tol named in ``reads``."""
-    reads = reads.split()
-    if "k" in reads:
-        sub.add_argument("--k", type=int, default=k, help="neighbour count / order")
-    if "q" in reads:
-        sub.add_argument(
-            "--q", type=_exponent, default="inf", help="Minkowski exponent (accepts 'inf')"
-        )
-    if "tol" in reads:
-        sub.add_argument("--tol", type=float, default=0.0, help="collapse tolerance")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", type=Path, default=None)
-    return sub
-
-
-def _emit(args, csv_text, json_obj):
-    text = csv_text if args.format == "csv" else io.to_json(json_obj)
-    if args.output:
-        args.output.write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_cloud(path):
@@ -82,251 +63,177 @@ def _matrix_csv(rows, header=None):
     return io.to_csv([list(map(float, r)) for r in np.atleast_2d(rows)], header)
 
 
-# ---------------------------------------------------------------- cloud
+def _scalar(name, v):
+    return _matrix_csv([[v]], [name]), {name: v}
 
 
-def _cmd_cloud(args):
-    C = _read_cloud(args.file)
-    if args.action == "srd":
-        v = srd(C)
-        _emit(args, _matrix_csv([v]), {"srd": v})
-    elif args.action == "spd":
-        v = spd(C)
-        _emit(args, _matrix_csv([v]), {"spd": v})
-    elif args.action == "pdd":
-        k = args.k if args.k is not None else len(C.points) - 1
-        P = pdd(C, k, args.tol)
-        rows = [[w, *r] for w, r in zip(P.weights, P.rows)]
-        _emit(args, _matrix_csv(rows), {"weights": P.weights, "rows": P.rows})
-    elif args.action == "compare":
-        D = _read_cloud(args.file2)
-        k = args.k if args.k is not None else min(len(C.points), len(D.points)) - 1
-        d = pdd_dist(pdd(C, k, args.tol), pdd(D, k, args.tol), args.q)
-        _emit(args, _matrix_csv([[d]], ["pdd_dist"]), {"pdd_dist": d})
-    return 0
+def _vector(name, v):
+    return _matrix_csv([v]), {name: v}
 
 
-# ---------------------------------------------------------------- simplex
+def _weighted(P):
+    rows = [[w, *r] for w, r in zip(P.weights, P.rows)]
+    return _matrix_csv(rows), {"weights": P.weights, "rows": P.rows}
 
 
-def _cmd_simplex(args):
-    C = _read_cloud(args.file)
-    if args.action == "sdd":
-        X = simplexwise.sdd(C, args.order)
-        rows = []
-        for w, r in zip(X.weights, X.rdds):
-            rows.append([w, *r.D[np.triu_indices(args.order, 1)], *r.R.ravel()])
-        _emit(args, _matrix_csv(rows), {"weights": X.weights, "rows": [r[1:] for r in rows]})
-    elif args.action == "scd":
-        X = simplexwise.scd(C, center=not args.no_center)
-        rows = [[w, *o.dvec, *o.cols.ravel(), *o.signs] for w, o in zip(X.weights, X.ocds)]
-        _emit(args, _matrix_csv(rows), {"rows": rows})
-    elif args.action == "compare":
-        D = _read_cloud(args.file2)
-        if args.invariant == "scd":
-            d = simplexwise.scd_dist(
-                simplexwise.scd(C, center=not args.no_center),
-                simplexwise.scd(D, center=not args.no_center),
-                mode=args.mode,
-            )
-        else:
-            d = simplexwise.sdd_dist(
-                simplexwise.sdd(C, args.order),
-                simplexwise.sdd(D, args.order),
-                mode=args.mode,
-            )
-        _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
-    return 0
+def _cloud_pdd(a):
+    C = _read_cloud(a.file)
+    return _weighted(pdd(C, len(C.points) - 1 if a.k is None else a.k, a.tol))
 
 
-# ---------------------------------------------------------------- lattice
+def _cloud_compare(a):
+    C, D = _read_cloud(a.file), _read_cloud(a.file2)
+    k = min(len(C.points), len(D.points)) - 1 if a.k is None else a.k
+    return _scalar("pdd_dist", pdd_dist(pdd(C, k, a.tol), pdd(D, k, a.tol), a.q))
 
 
-def _basis_of(vals):
+def _simplex_sdd(a):
+    X = simplexwise.sdd(_read_cloud(a.file), a.order)
+    upper = np.triu_indices(a.order, 1)
+    rows = [[w, *r.D[upper], *r.R.ravel()] for w, r in zip(X.weights, X.rdds)]
+    return _matrix_csv(rows), {"weights": X.weights, "rows": [r[1:] for r in rows]}
+
+
+def _simplex_scd(a):
+    X = simplexwise.scd(_read_cloud(a.file), center=not a.no_center)
+    rows = [[w, *o.dvec, *o.cols.ravel(), *o.signs] for w, o in zip(X.weights, X.ocds)]
+    return _matrix_csv(rows), {"rows": rows}
+
+
+def _simplex_compare(a):
+    C, D = _read_cloud(a.file), _read_cloud(a.file2)
+    if a.invariant == "scd":
+        X, Y = (simplexwise.scd(E, center=not a.no_center) for E in (C, D))
+        return _scalar("dist", simplexwise.scd_dist(X, Y, mode=a.mode))
+    X, Y = (simplexwise.sdd(E, a.order) for E in (C, D))
+    return _scalar("dist", simplexwise.sdd_dist(X, Y, mode=a.mode))
+
+
+def _reduced(vals):
     if len(vals) != 4:
         raise ValueError("a 2D basis needs 4 numbers: x1 y1 x2 y2")
-    return lattice2d.Basis2D(np.array(vals[:2]), np.array(vals[2:]))
+    return lattice2d.reduce_basis(lattice2d.Basis2D(np.array(vals[:2]), np.array(vals[2:])))
 
 
-def _cmd_lattice(args):
-    if args.action == "design":
-        b = lattice2d.inverse_design(args.x, args.y, args.size, args.sign)
-        _emit(
-            args,
-            _matrix_csv([[*b.v1, *b.v2]], ["v1x", "v1y", "v2x", "v2y"]),
-            {"v1": b.v1, "v2": b.v2},
-        )
-        return 0
-    sb = lattice2d.reduce_basis(_basis_of(args.basis))
-    if args.action == "reduce":
-        v = sb.vectors()
-        _emit(
-            args,
-            _matrix_csv([[*v[0], *v[1], *v[2]]], ["v0x", "v0y", "v1x", "v1y", "v2x", "v2y"]),
-            {"v0": v[0], "v1": v[1], "v2": v[2]},
-        )
-        return 0
-    ri = lattice2d.root_invariant(sb)
-    pi = lattice2d.projected_invariant(ri)
-    if args.action == "invariant":
-        _emit(
-            args,
-            _matrix_csv(
-                [[ri.r12, ri.r01, ri.r02, ri.sign, pi.x, pi.y]],
-                ["r12", "r01", "r02", "sign", "x", "y"],
-            ),
-            {"ri": ri.triple(), "sign": ri.sign, "pi": pi.pair()},
-        )
-    elif args.action == "metric":
-        sb2 = lattice2d.reduce_basis(_basis_of(args.other))
-        ri2 = lattice2d.root_invariant(sb2)
-        if args.projected:
-            d = lattice2d.pm(
-                pi, lattice2d.projected_invariant(ri2), args.q, oriented=args.oriented
-            )
-        else:
-            d = lattice2d.rm(ri, ri2, args.q, oriented=args.oriented)
-        _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
-    elif args.action == "chiral":
-        inv = pi if args.projected else ri
-        d = lattice2d.chiral(inv, args.group, args.q)
-        _emit(args, _matrix_csv([[d]], ["chiral"]), {"chiral": d})
-    elif args.action == "map":
-        lat, lon = lattice2d.slm(pi)
-        _emit(
-            args,
-            _matrix_csv([[lat, math.nan if lon is None else lon]], ["lat", "lon"]),
-            {"lat": lat, "lon": lon},
-        )
-    return 0
+def _invariants(vals):
+    ri = lattice2d.root_invariant(_reduced(vals))
+    return ri, lattice2d.projected_invariant(ri)
 
 
-# ---------------------------------------------------------------- periodic
+def _lattice_reduce(a):
+    v = _reduced(a.basis).vectors()
+    header = ["v0x", "v0y", "v1x", "v1y", "v2x", "v2y"]
+    return _matrix_csv([[*v[0], *v[1], *v[2]]], header), {"v0": v[0], "v1": v[1], "v2": v[2]}
 
 
-def _cmd_periodic(args):
-    if args.action == "dedup":
-        sets, ids = _read_periodic_dir(args.file)
-        pairs = periodic.dedup(
-            sets, k=args.k, ada_threshold=args.threshold, confirm_threshold=args.threshold, ids=ids
-        )
-        rows = [[i, j, a, e] for i, j, a, e in pairs]
-        _emit(
-            args,
-            io.to_csv(
-                [[str(i), str(j), a, e] for i, j, a, e in pairs],
-                ["id1", "id2", "ada_gap", "emd"],
-            ),
-            {"pairs": rows},
-        )
-        return 0
-    if args.action == "novelty":
-        S = _read_periodic(args.file)
-        sets, ids = _read_periodic_dir(args.file2)
-        d, best = periodic.lnd(S, sets, args.k, ids=ids)
-        _emit(args, io.to_csv([[str(best), d]], ["nearest", "lnd"]), {"nearest": best, "lnd": d})
-        return 0
-    S = _read_periodic(args.file)
-    if args.action == "pdd":
-        P = periodic.pdd_periodic(S, args.k, args.tol)
-        rows = [[w, *r] for w, r in zip(P.weights, P.rows)]
-        _emit(args, _matrix_csv(rows), {"weights": P.weights, "rows": P.rows})
-    elif args.action == "amd":
-        v = periodic.amd(S, args.k)
-        _emit(args, _matrix_csv([v]), {"amd": v})
-    elif args.action == "ppc":
-        v = periodic.ppc(S)
-        _emit(args, _matrix_csv([[v]], ["ppc"]), {"ppc": v})
-    elif args.action == "ada":
-        v = periodic.deviations(S, args.k)["ada"]
-        _emit(args, _matrix_csv([v]), {"ada": v})
-    elif args.action == "compare":
-        Q = _read_periodic(args.file2)
-        d = periodic.pda_dist(S, Q, args.k, args.q)
-        _emit(args, _matrix_csv([[d]], ["pda_dist"]), {"pda_dist": d})
-    return 0
+def _lattice_invariant(a):
+    ri, pi = _invariants(a.basis)
+    rows = [[ri.r12, ri.r01, ri.r02, ri.sign, pi.x, pi.y]]
+    csv_text = _matrix_csv(rows, ["r12", "r01", "r02", "sign", "x", "y"])
+    return csv_text, {"ri": ri.triple(), "sign": ri.sign, "pi": pi.pair()}
 
 
-# ---------------------------------------------------------------- density
+def _lattice_metric(a):
+    ri, pi = _invariants(a.basis)
+    ri2 = lattice2d.root_invariant(_reduced(a.other))
+    if a.projected:
+        d = lattice2d.pm(pi, lattice2d.projected_invariant(ri2), a.q, oriented=a.oriented)
+    else:
+        d = lattice2d.rm(ri, ri2, a.q, oriented=a.oriented)
+    return _scalar("dist", d)
 
 
-def _seq_of(args, suffix=""):
-    centres = getattr(args, "points" + suffix)
-    radii = getattr(args, "radii" + suffix)
-    period = getattr(args, "period" + suffix)
-    if period is None:
-        period = args.period
-    return density1d.PeriodicSequence1D(period, np.array(centres), radii and np.array(radii))
+def _lattice_chiral(a):
+    ri, pi = _invariants(a.basis)
+    return _scalar("chiral", lattice2d.chiral(pi if a.projected else ri, a.group, a.q))
 
 
-def _cmd_density(args):
-    if args.action == "compare":
-        S, Q = _seq_of(args), _seq_of(args, "2")
-        eq = density1d.fingerprint_equal(S, Q, args.k)
-        d = density1d.fingerprint_dist(S, Q, args.k)
-        _emit(args, io.to_csv([[str(eq), d]], ["equal", "dist"]), {"equal": eq, "dist": d})
-        return 0
-    S = _seq_of(args)
-    if args.action == "psi":
-        f = density1d.psi(S, args.k)
-        _emit(args, _matrix_csv(f.corners, ["t", "psi"]), {"corners": f.corners})
-    elif args.action == "rho":
-        v = density1d.rho(S, args.k)
-        _emit(args, _matrix_csv([[v]], ["rho"]), {"rho": v})
-    return 0
+def _lattice_map(a):
+    lat, lon = lattice2d.slm(_invariants(a.basis)[1])
+    csv_text = _matrix_csv([[lat, math.nan if lon is None else lon]], ["lat", "lon"])
+    return csv_text, {"lat": lat, "lon": lon}
 
 
-# ---------------------------------------------------------------- seq1
+def _lattice_design(a):
+    b = lattice2d.inverse_design(a.x, a.y, a.size, a.sign)
+    return _matrix_csv([[*b.v1, *b.v2]], ["v1x", "v1y", "v2x", "v2y"]), {"v1": b.v1, "v2": b.v2}
 
 
-def _cmd_seq1(args):
-    if args.action == "cdm":
-        pts = np.loadtxt(args.file, ndmin=2)
-        M = seq1p.cdm(pts)
-        _emit(args, _matrix_csv(M), {"cdm": M})
-    elif args.action == "metric":
-        a = np.loadtxt(args.file, ndmin=2)
-        b = np.loadtxt(args.file2, ndmin=2)
-        S = seq1p.OnePeriodicSequence(args.period, a)
-        Q = seq1p.OnePeriodicSequence(args.period if args.period2 is None else args.period2, b)
-        d = seq1p.seq_metric(S, Q, args.q, group=args.group, equivalence=args.equivalence)
-        _emit(args, _matrix_csv([[d]], ["dist"]), {"dist": d})
-    return 0
+def _periodic_compare(a):
+    S, Q = _read_periodic(a.file), _read_periodic(a.file2)
+    return _scalar("pda_dist", periodic.pda_dist(S, Q, a.k, a.q))
 
 
-# ---------------------------------------------------------------- backbone
+def _periodic_dedup(a):
+    sets, ids = _read_periodic_dir(a.file)
+    pairs = periodic.dedup(
+        sets, k=a.k, ada_threshold=a.threshold, confirm_threshold=a.threshold, ids=ids
+    )
+    rows = [[str(i), str(j), g, e] for i, j, g, e in pairs]
+    return io.to_csv(rows, ["id1", "id2", "ada_gap", "emd"]), {"pairs": [list(p) for p in pairs]}
 
 
-def _cmd_backbone(args):
-    if args.action == "reconstruct":
-        b = np.loadtxt(args.file, delimiter=",", ndmin=2)
-        S = bb.reconstruct(b)
-        rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
-        text = "\n".join("\t".join(io.fmt(v) for v in row) for row in rows) + "\n"
-        _emit(args, text, {"atoms": S.atoms})
-        return 0
-    S = bb.read_tsv(args.file)
-    if args.action == "bri":
-        _emit(args, _matrix_csv(bb.bri(S)), {"bri": bb.bri(S)})
-    elif args.action == "brain":
-        v = bb.brain(S)
-        _emit(args, _matrix_csv([v]), {"brain": v})
-    elif args.action == "compare":
-        Q = bb.read_tsv(args.file2)
-        d = bb.bri_dist(S, Q)
-        _emit(args, _matrix_csv([[d]], ["bri_dist"]), {"bri_dist": d})
-    return 0
+def _periodic_novelty(a):
+    S = _read_periodic(a.file)
+    sets, ids = _read_periodic_dir(a.file2)
+    d, best = periodic.lnd(S, sets, a.k, ids=ids)
+    return io.to_csv([[str(best), d]], ["nearest", "lnd"]), {"nearest": best, "lnd": d}
 
 
-# ---------------------------------------------------------------- selftest
+def _sequence(a, suffix=""):
+    radii = getattr(a, "radii" + suffix)
+    period = getattr(a, "period" + suffix)
+    period = a.period if period is None else period
+    return density1d.PeriodicSequence1D(
+        period, np.array(getattr(a, "points" + suffix)), radii and np.array(radii)
+    )
 
 
-def _cmd_selftest(args):
-    rng = np.random.default_rng(args.seed)
+def _density_psi(a):
+    f = density1d.psi(_sequence(a), a.k)
+    return _matrix_csv(f.corners, ["t", "psi"]), {"corners": f.corners}
+
+
+def _density_compare(a):
+    S, Q = _sequence(a), _sequence(a, "2")
+    eq = density1d.fingerprint_equal(S, Q, a.k)
+    d = density1d.fingerprint_dist(S, Q, a.k)
+    return io.to_csv([[str(eq), d]], ["equal", "dist"]), {"equal": eq, "dist": d}
+
+
+def _seq1_cdm(a):
+    M = seq1p.cdm(np.loadtxt(a.file, ndmin=2))
+    return _matrix_csv(M), {"cdm": M}
+
+
+def _seq1_metric(a):
+    a1, b1 = np.loadtxt(a.file, ndmin=2), np.loadtxt(a.file2, ndmin=2)
+    S = seq1p.OnePeriodicSequence(a.period, a1)
+    Q = seq1p.OnePeriodicSequence(a.period if a.period2 is None else a.period2, b1)
+    d = seq1p.seq_metric(S, Q, a.q, group=a.group, equivalence=a.equivalence)
+    return _scalar("dist", d)
+
+
+def _backbone_bri(a):
+    B = bb.bri(bb.read_tsv(a.file))
+    return _matrix_csv(B), {"bri": B}
+
+
+def _backbone_compare(a):
+    return _scalar("bri_dist", bb.bri_dist(bb.read_tsv(a.file), bb.read_tsv(a.file2)))
+
+
+def _backbone_reconstruct(a):
+    S = bb.reconstruct(np.loadtxt(a.file, delimiter=",", ndmin=2))
+    rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
+    return "\n".join("\t".join(io.fmt(v) for v in row) for row in rows) + "\n", {"atoms": S.atoms}
+
+
+def _selftest(seed):
+    """Print a PASS/FAIL line per randomized check; exit code 2 on a failure."""
+    rng = np.random.default_rng(seed)
     checks = []
     # PDD isometry invariance on a random cloud
-    from .clouds import PointCloud
-
     pts = rng.normal(size=(6, 3))
     theta = rng.uniform(0, 2 * math.pi)
     c, s = math.cos(theta), math.sin(theta)
@@ -355,121 +262,136 @@ def _cmd_selftest(args):
     return 0 if all(ok for _, ok in checks) else 2
 
 
-# ---------------------------------------------------------------- wiring
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+_K, _K0, _K100 = (
+    _arg("--k", type=int, default=k, help="neighbour count / order") for k in (None, 0, 100)
+)
+_Q = _arg("--q", type=_exponent, default="inf", help="Minkowski exponent (accepts 'inf')")
+_TOL = _arg("--tol", type=float, default=0.0, help="collapse tolerance")
+_OUT = (_arg("--format", choices=("csv", "json"), default="csv"),
+        _arg("--output", type=Path, default=None))
+_FILE, _FILE2 = _arg("file"), _arg("file2")
+_ORDER = _arg("--order", type=int, default=2, help="simplex order h")
+_NO_CENTER = _arg("--no-center", action="store_true")
+_BASIS = _arg("--basis", type=float, nargs=4, required=True)
+_PROJECTED = _arg("--projected", action="store_true")
+_DENSITY = (_arg("--period", type=float, required=True),
+            _arg("--points", type=float, nargs="+", required=True),
+            _arg("--radii", type=float, nargs="+", default=None))
+
+_COMMANDS = {
+    "cloud": ("finite point-cloud invariants", {
+        "srd": (lambda a: _vector("srd", srd(_read_cloud(a.file))), [*_OUT, _FILE]),
+        "spd": (lambda a: _vector("spd", spd(_read_cloud(a.file))), [*_OUT, _FILE]),
+        "pdd": (_cloud_pdd, [_K, _TOL, *_OUT, _FILE]),
+        "compare": (_cloud_compare, [_K, _Q, _TOL, *_OUT, _FILE, _FILE2]),
+    }),
+    "simplex": ("simplexwise distributions", {
+        "sdd": (_simplex_sdd, [*_OUT, _FILE, _ORDER]),
+        "scd": (_simplex_scd, [*_OUT, _FILE, _NO_CENTER]),
+        "compare": (_simplex_compare, [
+            *_OUT, _FILE, _FILE2,
+            _arg("--invariant", choices=("sdd", "scd"), default="sdd"),
+            _arg("--mode", choices=("emd", "lac"), default="emd"),
+            _ORDER, _NO_CENTER,
+        ]),
+    }),
+    "lattice": ("2D lattice classification", {
+        "reduce": (_lattice_reduce, [*_OUT, _BASIS]),
+        "invariant": (_lattice_invariant, [*_OUT, _BASIS]),
+        "metric": (_lattice_metric, [
+            _Q, *_OUT, _BASIS, _arg("--other", type=float, nargs=4, required=True),
+            _arg("--oriented", action="store_true"), _PROJECTED,
+        ]),
+        "chiral": (_lattice_chiral, [
+            _Q, *_OUT, _BASIS, _arg("--group", choices=("D2", "D4", "D6"), default="D2"),
+            _PROJECTED,
+        ]),
+        "map": (_lattice_map, [*_OUT, _BASIS]),
+        "design": (_lattice_design, [
+            *_OUT, _arg("--x", type=float, required=True), _arg("--y", type=float, required=True),
+            _arg("--size", type=float, required=True), _arg("--sign", type=int, default=1),
+        ]),
+    }),
+    "periodic": ("periodic crystal invariants", {
+        "pdd": (lambda a: _weighted(periodic.pdd_periodic(_read_periodic(a.file), a.k, a.tol)),
+                [_K100, _TOL, *_OUT, _FILE]),
+        "amd": (lambda a: _vector("amd", periodic.amd(_read_periodic(a.file), a.k)),
+                [_K100, *_OUT, _FILE]),
+        "ppc": (lambda a: _scalar("ppc", periodic.ppc(_read_periodic(a.file))), [*_OUT, _FILE]),
+        "ada": (lambda a: _vector("ada", periodic.deviations(_read_periodic(a.file), a.k)["ada"]),
+                [_K100, *_OUT, _FILE]),
+        "compare": (_periodic_compare, [_K100, _Q, *_OUT, _FILE, _FILE2]),
+        "dedup": (_periodic_dedup,
+                  [_K100, *_OUT, _FILE, _arg("--threshold", type=float, default=0.01)]),
+        "novelty": (_periodic_novelty, [_K100, *_OUT, _FILE, _FILE2]),
+    }),
+    "density": ("1D density functions", {
+        "psi": (_density_psi, [_K0, *_OUT, *_DENSITY]),
+        "rho": (lambda a: _scalar("rho", density1d.rho(_sequence(a), a.k)),
+                [_K0, *_OUT, *_DENSITY]),
+        "compare": (_density_compare, [
+            _K, *_OUT, *_DENSITY,
+            _arg("--period2", type=float, default=None),
+            _arg("--points2", type=float, nargs="+", required=True),
+            _arg("--radii2", type=float, nargs="+", default=None),
+        ]),
+    }),
+    "seq1": ("1-periodic sequence invariants", {
+        "cdm": (_seq1_cdm, [*_OUT, _FILE]),
+        "metric": (_seq1_metric, [
+            _Q, *_OUT, _FILE, _FILE2,
+            _arg("--period", type=float, required=True),
+            _arg("--period2", type=float, default=None),
+            _arg("--group", choices=("cyclic", "dihedral"), default="cyclic"),
+            _arg("--equivalence", choices=("isometry", "rigid"), default="isometry"),
+        ]),
+    }),
+    "backbone": ("protein backbone invariants", {
+        "bri": (_backbone_bri, [*_OUT, _FILE]),
+        "brain": (lambda a: _vector("brain", bb.brain(bb.read_tsv(a.file))), [*_OUT, _FILE]),
+        "compare": (_backbone_compare, [*_OUT, _FILE, _FILE2]),
+        "reconstruct": (_backbone_reconstruct, [*_OUT, _FILE]),
+    }),
+}
 
 
 def build_parser():
     p = _Parser(prog="geoinv", description="Geometric invariants and exact metrics.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    cloud = sub.add_parser("cloud", help="finite point-cloud invariants")
-    cs = cloud.add_subparsers(dest="action", required=True)
-    for name, reads in (("srd", ""), ("spd", ""), ("pdd", "k tol"), ("compare", "k q tol")):
-        sp = _common(cs.add_parser(name), reads)
-        sp.add_argument("file")
-        if name == "compare":
-            sp.add_argument("file2")
-        sp.set_defaults(func=_cmd_cloud)
-
-    simplex = sub.add_parser("simplex", help="simplexwise distributions")
-    ss = simplex.add_subparsers(dest="action", required=True)
-    for name in ("sdd", "scd", "compare"):
-        sp = _common(ss.add_parser(name))
-        sp.add_argument("file")
-        if name == "compare":
-            sp.add_argument("file2")
-            sp.add_argument("--invariant", choices=("sdd", "scd"), default="sdd")
-            sp.add_argument("--mode", choices=("emd", "lac"), default="emd")
-        sp.add_argument("--order", type=int, default=2, help="simplex order h")
-        sp.add_argument("--no-center", action="store_true")
-        sp.set_defaults(func=_cmd_simplex)
-
-    lattice = sub.add_parser("lattice", help="2D lattice classification")
-    ls = lattice.add_subparsers(dest="action", required=True)
-    for name in ("reduce", "invariant", "metric", "chiral", "map", "design"):
-        sp = _common(ls.add_parser(name), "q" if name in ("metric", "chiral") else "")
-        if name == "design":
-            sp.add_argument("--x", type=float, required=True)
-            sp.add_argument("--y", type=float, required=True)
-            sp.add_argument("--size", type=float, required=True)
-            sp.add_argument("--sign", type=int, default=1)
-        else:
-            sp.add_argument("--basis", type=float, nargs=4, required=True)
-        if name == "metric":
-            sp.add_argument("--other", type=float, nargs=4, required=True)
-            sp.add_argument("--oriented", action="store_true")
-        if name == "chiral":
-            sp.add_argument("--group", choices=("D2", "D4", "D6"), default="D2")
-        if name in ("metric", "chiral"):
-            sp.add_argument("--projected", action="store_true")
-        sp.set_defaults(func=_cmd_lattice)
-
-    per = sub.add_parser("periodic", help="periodic crystal invariants")
-    ps = per.add_subparsers(dest="action", required=True)
-    for name, reads in (
-        ("pdd", "k tol"), ("amd", "k"), ("ppc", ""), ("ada", "k"),
-        ("compare", "k q"), ("dedup", "k"), ("novelty", "k"),
-    ):
-        sp = _common(ps.add_parser(name), reads, k=100)
-        sp.add_argument("file")
-        if name in ("compare", "novelty"):
-            sp.add_argument("file2")
-        if name == "dedup":
-            sp.add_argument("--threshold", type=float, default=0.01)
-        sp.set_defaults(func=_cmd_periodic)
-
-    dens = sub.add_parser("density", help="1D density functions")
-    ds = dens.add_subparsers(dest="action", required=True)
-    for name in ("psi", "rho", "compare"):
-        sp = _common(ds.add_parser(name), "k", k=None if name == "compare" else 0)
-        sp.add_argument("--period", type=float, required=True)
-        sp.add_argument("--points", type=float, nargs="+", required=True)
-        sp.add_argument("--radii", type=float, nargs="+", default=None)
-        if name == "compare":
-            sp.add_argument("--period2", type=float, default=None)
-            sp.add_argument("--points2", type=float, nargs="+", required=True)
-            sp.add_argument("--radii2", type=float, nargs="+", default=None)
-        sp.set_defaults(func=_cmd_density)
-
-    seq = sub.add_parser("seq1", help="1-periodic sequence invariants")
-    qs = seq.add_subparsers(dest="action", required=True)
-    for name in ("cdm", "metric"):
-        sp = _common(qs.add_parser(name), "q" if name == "metric" else "")
-        sp.add_argument("file")
-        if name == "metric":
-            sp.add_argument("file2")
-            sp.add_argument("--period", type=float, required=True)
-            sp.add_argument("--period2", type=float, default=None)
-            sp.add_argument("--group", choices=("cyclic", "dihedral"), default="cyclic")
-            sp.add_argument("--equivalence", choices=("isometry", "rigid"), default="isometry")
-        sp.set_defaults(func=_cmd_seq1)
-
-    back = sub.add_parser("backbone", help="protein backbone invariants")
-    bs = back.add_subparsers(dest="action", required=True)
-    for name in ("bri", "brain", "compare", "reconstruct"):
-        sp = _common(bs.add_parser(name))
-        sp.add_argument("file")
-        if name == "compare":
-            sp.add_argument("file2")
-        sp.set_defaults(func=_cmd_backbone)
-
-    st = _common(sub.add_parser("selftest", help="quick randomized self checks"))
+    for group, (help_text, actions) in _COMMANDS.items():
+        gs = sub.add_parser(group, help=help_text).add_subparsers(dest="action", required=True)
+        for action, (handler, arguments) in actions.items():
+            sp = gs.add_parser(action)
+            for flags, kw in arguments:
+                sp.add_argument(*flags, **kw)
+            sp.set_defaults(handler=handler)
+    st = sub.add_parser("selftest", help="quick randomized self checks")
     st.add_argument("--seed", type=int, default=0)
-    st.set_defaults(func=_cmd_selftest)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
     try:
-        return args.func(args)
+        if args.command == "selftest":
+            return _selftest(args.seed)
+        csv_text, json_obj = args.handler(args)
+        text = csv_text if args.format == "csv" else io.to_json(json_obj)
+        if args.output:
+            args.output.write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"geoinv: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import _as_index, _pairwise, bottleneck_from_costs, emd, lac
+from .numcore import _as_index, _pairwise, bottleneck_from_costs, emd
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -50,6 +50,11 @@ ORDERS = {h: np.array(list(itertools.permutations(range(h)))) for h in (1, 2, 3)
 #: k x k) in ``_max_metric`` and base-order forms (bases x orders x form
 #: length) in ``_canonical``; a block holds at least one pair or base
 MAX_METRIC_BLOCK = 1 << 16
+
+#: most cells of one SDD/SCD build (bases x orders x form length) and of one
+#: max-metric matrix (class pairs x orders x k x k), checked before either
+#: is allocated
+SIMPLEX_CELL_BUDGET = 2**23
 
 
 def _simplices(points):
@@ -149,12 +154,6 @@ def _least_forms(head, rows, keyed):
     return forms[at, best]
 
 
-def _columns(cells, r):
-    """A copy of r rows of columns in Fortran order, the layout that
-    indexing the columns of a matrix gives (so pickles do not change)."""
-    return np.array(cells.reshape(r, -1), order="F")
-
-
 def _canonical(m, h, width, forms_of):
     """Classes of the least forms of all h-point bases of m points.
 
@@ -164,10 +163,17 @@ def _canonical(m, h, width, forms_of):
     Classes are the rounded least forms, in first-seen order (one lexsort of
     the rounded forms, then ``!=`` between neighbours).  Returns ``(weights,
     representatives, total)``: the share of bases in each class, a copy of
-    the form of its first base, and the number of bases.
+    the form of its first base, and the number of bases.  Over
+    SIMPLEX_CELL_BUDGET form cells raises ValueError before any is built.
     """
+    total, orders = math.comb(m, h), ORDERS[h]
+    cells = total * len(orders) * width
+    if cells > SIMPLEX_CELL_BUDGET:
+        raise ValueError(
+            f"the {total} {h}-point bases of {m} points need {total} x {len(orders)} orders "
+            f"x {width} = {cells:.3g} form cells, over the budget of {SIMPLEX_CELL_BUDGET}"
+        )
     bases, rest = _bases(m, h)
-    total, orders = len(bases), ORDERS[h]
     forms = np.empty((total, width))
     step = max(1, MAX_METRIC_BLOCK // (len(orders) * width))
     for lo in range(0, total, step):
@@ -192,20 +198,26 @@ def _max_metric(dx, dy, cx, cy, orders):
     Entry (a, b) is the least over the orders (i, r) of the larger of
     |dx[a][i] - dy[b]|_inf and the bottleneck distance between the columns
     of cx[a][r] and cy[b] under the Chebyshev norm.  Classes of different
-    shapes are infinitely far apart.
+    shapes are infinitely far apart.  Over SIMPLEX_CELL_BUDGET cost cells
+    (class pairs x orders x k x k) raises ValueError before any is built.
     """
     shapes = {np.shape(d) for d in (*dx, *dy)}, {np.shape(c) for c in (*cx, *cy)}
     if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
         return np.full((len(dx), len(dy)), np.inf)
+    nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
+    cells = nx * ny * no * k * k
+    if cells > SIMPLEX_CELL_BUDGET:
+        raise ValueError(
+            f"the max metric of {nx} x {ny} classes needs {nx} x {ny} x {no} orders x {k} x {k}"
+            f" = {cells:.3g} cost cells, over the budget of {SIMPLEX_CELL_BUDGET}"
+        )
     dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")
     index, rows = orders
     dx, cx = dx[:, index], cx[:, rows]  # one base vector and column matrix per order
-    nx, ny = len(dx), len(dy)
-    k = cy.shape[-1]
     out = np.empty(nx * ny)
-    step = max(1, MAX_METRIC_BLOCK // max(1, len(index) * k * k))
+    step = max(1, MAX_METRIC_BLOCK // max(1, no * k * k))
     for start in range(0, nx * ny, step):
         a, b = np.divmod(np.arange(start, min(start + step, nx * ny)), ny)
         cheb = np.abs(dx[a] - dy[b, None]).max(axis=-1)
@@ -267,7 +279,7 @@ def sdd(C, h):
         return D, d[ordered[..., None], rest[:, None, None]], h
 
     weights, forms, total = _canonical(m, h, h * h + h * k, forms_of)
-    rdds = tuple(Rdd(f[: h * h].reshape(h, h).copy(), _columns(f[h * h :], h)) for f in forms)
+    rdds = tuple(Rdd(f[: h * h].reshape(h, h), f[h * h :].reshape(h, k)) for f in forms)
     return Sdd(weights, rdds, total)
 
 
@@ -294,19 +306,21 @@ def rdd_max_metric(X, Y):
 
 
 def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=None):
+    """EMD between two distributions of classes, or their LAC.
+
+    LAC needs equal totals T.  Both weight vectors are then counts over T,
+    and by Birkhoff-von Neumann the least assignment cost of the T x T
+    costs that repeat each class by its count is the EMD, so LAC is
+    computed as the EMD.
+    """
     if np.isinf(costs).any():
         raise ValueError("distributions of incompatible sizes")
-    if mode == "emd":
-        value, _ = emd(weights_x, weights_y, costs)
-        return value
-    if mode == "lac":
-        if total_x != total_y or total_x is None:
-            raise ValueError("LAC mode needs equal-size distributions")
-        cx = np.rint(np.asarray(weights_x) * total_x).astype(int)
-        cy = np.rint(np.asarray(weights_y) * total_y).astype(int)
-        expanded = np.repeat(np.repeat(costs, cx, axis=0), cy, axis=1)
-        return lac(expanded)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("emd", "lac"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "lac" and (total_x != total_y or total_x is None):
+        raise ValueError("LAC mode needs equal-size distributions")
+    value, _ = emd(weights_x, weights_y, costs)
+    return value
 
 
 def sdd_dist(X, Y, mode="emd"):
@@ -394,8 +408,8 @@ def scd(C, center=True):
 
     weights, forms, total = _canonical(m, h, a + (n + 2) * k, forms_of)
     ocds = tuple(
-        Ocd(f[:a].copy(), _columns(f[a : a + n * k], n),
-            f[a + n * k : a + (n + 1) * k].copy(), f[a + (n + 1) * k :].copy())
+        Ocd(f[:a], f[a : a + n * k].reshape(n, k), f[a + n * k : a + (n + 1) * k],
+            f[a + (n + 1) * k :])
         for f in forms
     )
     return Scd(weights, ocds, total)

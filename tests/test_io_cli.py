@@ -164,13 +164,23 @@ def test_cli_bad_exponent_exit_1(capsys):
     assert "q >= 1" in capsys.readouterr().err
 
 
-def test_cli_unread_options_rejected(capsys):
+def test_cli_unread_options_rejected(capsys, tmp_path):
     kite, trap = str(FIXTURES / "kite.xyz"), str(FIXTURES / "trapezium.xyz")
+    out = tmp_path / "out.json"
     # cloud pdd reads no exponent; sdd_dist uses a Chebyshev max metric
-    assert main(["cloud", "pdd", kite, "--q", "banana"]) == 1
-    assert main(["simplex", "compare", kite, trap, "--q", "1"]) == 1
-    assert main(["periodic", "ppc", str(FIXTURES / "cubic.cif"), "--k", "6"]) == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (
+        ["cloud", "pdd", kite, "--q", "banana"],
+        ["simplex", "compare", kite, trap, "--q", "1"],
+        ["periodic", "ppc", str(FIXTURES / "cubic.cif"), "--k", "6"],
+        # sdd is not centred, scd has the order of its dimension, selftest prints
+        ["simplex", "sdd", kite, "--no-center"],
+        ["simplex", "scd", kite, "--order", "3"],
+        ["selftest", "--format", "json", "--output", str(out)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert not out.exists()
 
 
 def test_cli_novelty(capsys):
@@ -461,6 +471,20 @@ def test_cli_cloud_compare_over_emd_budget_exit_2(tmp_path, capsys, monkeypatch)
     assert main(["cloud", "compare", str(a), str(b), "--k", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "5.05e+04 constraint cells, over the budget of 50000" in captured.err
+
+
+@pytest.mark.parametrize("order, message", [
+    ("3", "4 x 6 orders x 12 = 288 form cells, over the budget of 100"),
+    ("2", "4 x 4 x 2 orders x 2 x 2 = 128 cost cells, over the budget of 100"),
+])
+def test_cli_simplex_compare_over_cell_budget_exit_2(capsys, monkeypatch, order, message):
+    from geoinv import simplexwise
+
+    monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 100)
+    kite, trap = str(FIXTURES / "kite.xyz"), str(FIXTURES / "trapezium.xyz")
+    assert main(["simplex", "compare", kite, trap, "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_isometry, random_rotation
 from geoinv import simplexwise
 from geoinv.clouds import PointCloud, spd
-from geoinv.numcore import INF, _pairwise
+from geoinv.numcore import INF, _pairwise, lac
 from geoinv.simplexwise import (
     LAMBDA,
     ORDERS,
@@ -510,3 +510,69 @@ def test_simplexwise_error_paths(rng):
         sdd_dist(X, sdd(pts, 3))
     with pytest.raises(ValueError, match="weights"):
         sdd_dist(dataclasses.replace(X, weights=np.array([]), rdds=()), X)
+
+
+def _expanded_lac(X, Y, costs):
+    """Verbatim LAC of the costs with every class repeated by its count, the
+    way LAC mode was computed before it went through the EMD."""
+    cx = np.rint(np.asarray(X.weights) * X.total).astype(int)
+    cy = np.rint(np.asarray(Y.weights) * Y.total).astype(int)
+    return lac(np.repeat(np.repeat(costs, cx, axis=0), cy, axis=1))
+
+
+def test_lac_is_the_emd_of_equal_size_distributions(rng):
+    merged = singletons = 0
+    for m in range(4, 9):
+        angles = 2 * np.pi * np.arange(m) / m
+        polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+        clouds = (
+            (polygon, 1.05 * polygon[::-1]),  # classes merge on both sides
+            (polygon, polygon + 0.05 * rng.normal(size=(m, 2))),  # on one side
+            (rng.normal(size=(m, 2)), rng.normal(size=(m, 2))),  # singletons
+        )
+        for pts, qts in clouds:
+            pairs = [(sdd(pts, h), sdd(qts, h), sdd_dist, _rdd_costs, "rdds") for h in (1, 2)]
+            pairs.append((scd(pts), scd(qts), scd_dist, _ocd_costs, "ocds"))
+            for X, Y, dist, all_pairs, reps in pairs:
+                value = dist(X, Y, mode="lac")
+                assert value == dist(X, Y, mode="emd")
+                want = _expanded_lac(X, Y, all_pairs(getattr(X, reps), getattr(Y, reps)))
+                if len(X) == X.total and len(Y) == Y.total:
+                    singletons += 1
+                    assert value == want
+                else:
+                    merged += 1
+                    assert abs(value - want) <= 1e-12
+    assert merged >= 20 and singletons >= 10
+
+
+def test_simplex_cell_budget_raises_before_building(rng, monkeypatch):
+    pts = rng.normal(size=(8, 3))
+    X = sdd(pts, 2)  # 28 bases x 2 orders x (4 + 2 x 6) = 896 form cells
+    Y = scd(pts)  # 28 bases x 2 orders x (3 + 5 x 6) = 1848 form cells
+
+    def refuse(*args):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 895)
+    with monkeypatch.context() as m:
+        m.setattr(simplexwise, "_bases", refuse)
+        with pytest.raises(ValueError, match="28 x 2 orders x 16 = 896 form cells, over the"):
+            sdd(pts, 2)
+        with pytest.raises(ValueError, match="1.85e\\+03 form cells, over the budget of 895"):
+            scd(pts)
+        # a 200-point cloud at order 3 would need about 6 GB of forms
+        monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 2**23)
+        with pytest.raises(ValueError, match="1313400 3-point bases of 200 points"):
+            sdd(rng.normal(size=(200, 3)), 3)
+    # 28 x 28 classes x 2 orders x 6 x 6 = 56448 cost cells
+    monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 56447)
+    with monkeypatch.context() as m:
+        m.setattr(simplexwise, "bottleneck_from_costs", refuse)
+        for mode in ("emd", "lac"):
+            with pytest.raises(ValueError, match="28 x 28 x 2 orders x 6 x 6 = 5.64e\\+04 cost"):
+                sdd_dist(X, X, mode=mode)
+            with pytest.raises(ValueError, match="over the budget of 56447"):
+                scd_dist(Y, Y, mode=mode)
+    monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 56448)
+    assert sdd_dist(X, X) == 0.0 and scd_dist(Y, Y) == 0.0

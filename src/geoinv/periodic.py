@@ -6,7 +6,10 @@ Sets are built as stacks: the sets of a dataset that share a motif size,
 rank and dimension are checked, reduced into their cells and given the
 preamble of their neighbour search (Gram determinant and inverse plane
 gaps) by one stacked call, and a single ``PeriodicSet`` is the stack of
-one.  The lattice ball and the distance blocks of a search stay per set.
+one.  The neighbour search, which starts at the AMD_k asymptotic
+ppc * k^(1/l), stays per set.  ``dedup`` and ``lnd`` work from one (N, k)
+ADA matrix of the dataset, whose neighbour rows are collapsed one motif
+size at a time, and build a PDA only for a set that reaches an EMD.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import gamma
 
-from .clouds import WeightedRows, collapse_rows, pdd_dist
+from .clouds import WeightedRows, _collapse_stack, collapse_rows, pdd_dist
 from .numcore import INF, _as_index, _pairwise
 
 #: motif points closer than this under lattice translation are duplicates
@@ -210,30 +213,45 @@ def _check_budget(cells, what, k, basis):
         )
 
 
-def neighbours(S, k):
-    """Exact k nearest-neighbour distances within the infinite set.
-
-    Returns an (m, k) array: row i holds the k smallest distances from
-    motif point i to all other points of S.  Candidates are the motif
-    shifted by every lattice vector of norm <= rho = r + diam, so a point
-    left out is farther than r from every motif point, and a search whose
-    largest k-th distance is <= r is exact.  Otherwise it is repeated with
-    r set to that distance, which the larger candidate set can only lower,
-    so one more round suffices.  Distances are taken a block of motif rows
-    at a time; a coefficient box or candidate set over NEIGHBOUR_CELL_BUDGET
-    cells raises ValueError before it is allocated.
-    """
+def _checked_k(k):
+    """``k`` as a Python integer; ValueError unless 1 <= k < NEIGHBOUR_CELL_BUDGET."""
     k = _as_index(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= NEIGHBOUR_CELL_BUDGET:
         # each row needs k + 1 candidates, more cells than the budget
         raise ValueError(f"k={k} is over the neighbour cell budget of {NEIGHBOUR_CELL_BUDGET}")
+    return k
+
+
+def neighbours(S, k):
+    """Exact k nearest-neighbour distances within the infinite set.
+
+    Returns an (m, k) array: row i holds the k smallest distances from
+    motif point i to all other points of S.  Candidates are the motif
+    shifted by every lattice vector of norm <= rho = r + diam, so a point
+    left out is farther than r from every motif point, and a round whose
+    largest k-th distance is <= r is exact, whatever r it started from.
+    Otherwise r grows to that distance, which the larger candidate set can
+    only lower, so a round at it is the last.
+
+    The search starts at the AMD_k asymptotic, r = ppc * (k^(1/l) + 1/2):
+    k-th distances lie close to ppc * k^(1/l), and the margin of half a
+    packing radius lets one round certify nearly every set.  r grows no
+    further than r0 = ppc * (k/m + 1)^(1/l) + diam until a round at r0 has
+    run, so no ball is larger than those of a search started at r0, and a
+    set whose search from r0 fits the budget fits it from here too.
+    Distances are taken a block of motif rows at a time; a coefficient box
+    or candidate set over NEIGHBOUR_CELL_BUDGET cells raises ValueError
+    before it is allocated.
+    """
+    k = _checked_k(k)
     basis, motif = S.basis, S.motif
     m = len(motif)
     diam = float(_pairwise(motif, motif).max())
-    # initial radius from the packing coefficient asymptotic
-    r = ppc(S) * (k / m + 1) ** (1.0 / S.rank) + diam
+    c = ppc(S)
+    r0 = c * (k / m + 1) ** (1.0 / S.rank) + diam
+    r = min(c * (k ** (1.0 / S.rank) + 0.5), r0)
     while True:
         # the relative margin keeps boundary translates, far above rounding
         rho = (r + diam) * (1.0 + 1e-9)
@@ -243,20 +261,20 @@ def neighbours(S, k):
         _check_budget(m * len(translates) * S.dim, "candidate points", k, basis)
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
         if len(points) <= k:
-            r *= 2.0
-            continue
-        rows = np.empty((m, k))
-        step = max(1, NEIGHBOUR_CELL_BUDGET // len(points))
-        for i in range(0, m, step):
-            d = _pairwise(motif[i : i + step], points)
-            d.partition(k, axis=1)
-            # drop the zero self-distance in each row
-            rows[i : i + step] = np.sort(d[:, : k + 1], axis=1)[:, 1:]
-            del d
-        kth_max = float(rows[:, -1].max())
-        if kth_max <= r:
-            return rows
-        r = kth_max
+            grown = 2.0 * r
+        else:
+            rows = np.empty((m, k))
+            step = max(1, NEIGHBOUR_CELL_BUDGET // len(points))
+            for i in range(0, m, step):
+                d = _pairwise(motif[i : i + step], points)
+                d.partition(k, axis=1)
+                # drop the zero self-distance in each row
+                rows[i : i + step] = np.sort(d[:, : k + 1], axis=1)[:, 1:]
+                del d
+            grown = float(rows[:, -1].max())
+            if grown <= r:
+                return rows
+        r = grown if r >= r0 else min(grown, r0)
 
 
 def pdd_periodic(S, k, collapse_tol=0.0):
@@ -300,6 +318,44 @@ def deviations(S, k):
     }
 
 
+def _ada_pda(sets, k):
+    """The (N, k) ADA matrix of a dataset and ``pda(i)``, the PDA carrier of
+    set i, built at its first call; both equal ``deviations`` set by set.
+
+    k is checked before any array is built, and the sets are searched in
+    order, so a search over the budget raises for the first such set.  The
+    neighbour rows of the sets of one motif size and rank are stacked as
+    (G, m, k) and collapsed by one ``_collapse_stack``; the collapsed
+    weights are normalised once here and once more by the carrier, as
+    ``collapse_rows`` and ``deviations`` do.
+    """
+    k = _checked_k(k)
+    rows = [neighbours(S, k) for S in sets]
+    groups = {}
+    for i, S in enumerate(sets):
+        groups.setdefault((S.rank, len(S.motif)), []).append(i)
+    ada = np.empty((len(sets), k))
+    parts = [None] * len(sets)
+    for (l, m), idx in groups.items():
+        weights = np.full((len(idx), m), 1.0 / m)
+        owner, sums, kept = _collapse_stack(np.stack([rows[i] for i in idx]), weights)
+        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        asym = np.array([ppc(sets[i]) for i in idx])[:, None] * np.arange(1, k + 1) ** (1.0 / l)
+        for i, w, P, a in zip(idx, np.split(sums, cuts), np.split(kept, cuts), asym):
+            w = w / w.sum()
+            ada[i] = w @ P - a
+            parts[i] = (w, P, a)
+    carriers = {}
+
+    def pda(i):
+        if i not in carriers:
+            w, P, a = parts[i]
+            carriers[i] = WeightedRows(w, P - a)
+        return carriers[i]
+
+    return ada, pda
+
+
 def _check_ranks(sets):
     """Raise if the periodic sets among ``sets`` differ in period rank."""
     if len({S.rank for S in sets if isinstance(S, PeriodicSet)}) > 1:
@@ -312,31 +368,27 @@ def pda_dist(S, Q, k, q=INF):
     return pdd_dist(deviations(S, k)["pda"], deviations(Q, k)["pda"], q)
 
 
-def _ada_gap(dev_a, dev_b):
-    """L_inf distance between ADA vectors, a lower bound for EMD_inf(PDA)."""
-    return float(np.abs(dev_a["ada"] - dev_b["ada"]).max())
-
-
 def lnd(S, dataset, k, ids=None):
     """Local Novelty Distance: nearest EMD(PDA) over a reference dataset.
 
     Returns ``(value, id)`` of the reference with the smallest EMD_inf
     between PDA matrices; among equal values the smallest index wins.
-    References are visited in order of the L_inf(ADA) gap, a lower bound
-    for that EMD, and the scan stops at the first gap larger than the best
-    value found so far, since no later reference can then reach it.
+    The L_inf(ADA) gaps to every reference, lower bounds for that EMD, are
+    one max over the ADA matrix of S and the dataset.  References are
+    visited in order of gap, and the scan stops at the first gap larger
+    than the best value found so far, since no later reference can then
+    reach it; only the PDAs of visited references are built.
     """
     if not dataset:
         raise ValueError("empty dataset")
     _check_ranks([S, *dataset])
-    dev_s = deviations(S, k)
-    devs = [deviations(Q, k) for Q in dataset]
-    gaps = [_ada_gap(dev_s, dev) for dev in devs]
+    ada, pda = _ada_pda([S, *dataset], k)
+    gaps = np.abs(ada[0] - ada[1:]).max(axis=1).tolist()
     best, best_idx = math.inf, None
-    for gap, idx in sorted(zip(gaps, range(len(devs)))):
+    for gap, idx in sorted(zip(gaps, range(len(dataset)))):
         if gap > best:
             break
-        d = pdd_dist(dev_s["pda"], devs[idx]["pda"], INF)
+        d = pdd_dist(pda(0), pda(idx + 1), INF)
         if d < best or (d == best and idx < best_idx):
             best, best_idx = d, idx
     return best, ids[best_idx] if ids is not None else best_idx
@@ -346,8 +398,9 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     """Near-duplicate pairs: L_inf(ADA) filter then EMD(PDA) confirmation.
 
     The filter is a true lower bound for the confirmation metric, so no
-    acceptable pair is skipped; a KD-tree finds the pairs whose ADA gap is
-    <= ada_threshold.  Pairs are reported sorted by EMD value.
+    acceptable pair is skipped; a KD-tree over the rows of the (N, k) ADA
+    matrix finds the pairs whose ADA gap is <= ada_threshold, and only the
+    PDAs of their sets are built.  Pairs are reported sorted by EMD value.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -357,12 +410,11 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     _check_ranks(dataset)
     if ids is None:
         ids = list(range(len(dataset)))
-    devs = [deviations(S, k) for S in dataset]
-    ada = np.array([dev["ada"] for dev in devs])
+    ada, pda = _ada_pda(dataset, k)
     results = []
     for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):
-        value = pdd_dist(devs[i]["pda"], devs[j]["pda"], INF)
+        value = pdd_dist(pda(i), pda(j), INF)
         if value <= confirm_threshold:
-            results.append((ids[i], ids[j], _ada_gap(devs[i], devs[j]), value))
+            results.append((ids[i], ids[j], float(np.abs(ada[i] - ada[j]).max()), value))
     results.sort(key=lambda t: (t[3], t[0], t[1]))
     return results

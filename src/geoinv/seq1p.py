@@ -20,10 +20,16 @@ import numpy as np
 from .numcore import INF, _pairwise, norm_exponent
 from .simplexwise import LAMBDA, simplex_sign, strength
 
-#: most cells of the ``seq_metric`` search, checked before any array is
-#: built: directions x Q.m shifts x m^2 CDM cells (m without a value term);
-#: at the budget, under a second and about 260 MiB at peak when Q.m = 1
+#: most cells of one array of the ``seq_metric`` search, m^2 CDM cells (m
+#: without a value term), checked before any array is built; a search at
+#: the budget holds about 260 MiB (320 MiB with both directions)
 SEQ_CELL_BUDGET = 2**23
+#: most cells the search compares, directions x Q.m shifts x the cells of
+#: one array, checked before any array is built.  On one core of a shared
+#: x86-64 VM a cell costs about 14 ns at m = 930 and 30 ns at m = 2896, so
+#: motifs of 30 and 31 points take 0.4 s (0.75 s dihedral) and a search at
+#: both budgets (m = 2896, Q.m = 8) about 2.6 s
+SEQ_WORK_BUDGET = 2**26
 
 
 def cdm(points):
@@ -137,8 +143,8 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
     The minimum over the cyclic (or dihedral) group of the larger of the
     time-shift distance and the projected-motif CDM (isometry) or CDS-based
     (rigid) metric, searched by rotations as in the module docstring.  Raises
-    ValueError before any array is built when the search passes
-    SEQ_CELL_BUDGET.
+    ValueError before any array is built when one array of the search passes
+    SEQ_CELL_BUDGET (memory) or its comparisons pass SEQ_WORK_BUDGET (time).
     """
     qn = norm_exponent(q)
     if group not in ("cyclic", "dihedral"):
@@ -150,10 +156,13 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
     use_values = S.value_dim >= 1 and m > 1
     rigid = use_values and equivalence == "rigid"
     directions = 2 if group == "dihedral" else 1
-    cells = directions * Q.m * m * (m if use_values else 1)
+    cells = m * (m if use_values else 1)
     if cells > SEQ_CELL_BUDGET:
-        raise ValueError(f"motif sizes {S.m} and {Q.m} need {cells} search cells, "
-                         f"over the budget of {SEQ_CELL_BUDGET}")
+        raise ValueError(f"motif sizes {S.m} and {Q.m} need arrays of {cells} cells, "
+                         f"over the cell budget of {SEQ_CELL_BUDGET}")
+    if directions * Q.m * cells > SEQ_WORK_BUDGET:
+        raise ValueError(f"motif sizes {S.m} and {Q.m} need {directions * Q.m * cells} search cells, "
+                         f"over the work budget of {SEQ_WORK_BUDGET}")
 
     def encode(motif, gaps):
         """Tiled gaps, CDM and signed strengths of one motif direction."""

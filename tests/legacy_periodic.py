@@ -1,8 +1,10 @@
 """Reference copies of the one-set-at-a-time periodic code and the row loop
 of ``collapse_rows``, kept verbatim as oracles: the stacked construction,
-the neighbour search and the array ``collapse_rows`` must match them bit
-for bit.  ``PeriodicSet.__post_init__`` is kept as ``reduce_motif``, which
-returns the checked basis and the reduced motif.
+the neighbour search, the array ``collapse_rows`` and the dataset path of
+``lnd`` and ``dedup`` must match them bit for bit.
+``PeriodicSet.__post_init__`` is kept as ``reduce_motif``, which returns the
+checked basis and the reduced motif; ``lnd`` and ``dedup`` call the
+``deviations`` of this module once per set.
 """
 
 from __future__ import annotations
@@ -10,16 +12,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import gamma
 
-from geoinv.clouds import WeightedRows
-from geoinv.numcore import _as_index, _pairwise
+from geoinv.clouds import WeightedRows, pdd_dist
+from geoinv.numcore import INF, _as_index, _pairwise
 from geoinv.periodic import (
     MOTIF_DUPLICATE_TOL,
     MOTIF_PAIR_BLOCK,
     NEIGHBOUR_CELL_BUDGET,
     _cell_lengths,
     _check_budget,
+    _check_ranks,
 )
 
 
@@ -175,3 +179,59 @@ def deviations(S, k):
         "pda": WeightedRows(P.weights, pda_rows),
         "pnd": WeightedRows(P.weights, pnd_rows),
     }
+
+
+def _ada_gap(dev_a, dev_b):
+    """L_inf distance between ADA vectors, a lower bound for EMD_inf(PDA)."""
+    return float(np.abs(dev_a["ada"] - dev_b["ada"]).max())
+
+
+def lnd(S, dataset, k, ids=None):
+    """Local Novelty Distance: nearest EMD(PDA) over a reference dataset.
+
+    Returns ``(value, id)`` of the reference with the smallest EMD_inf
+    between PDA matrices; among equal values the smallest index wins.
+    References are visited in order of the L_inf(ADA) gap, a lower bound
+    for that EMD, and the scan stops at the first gap larger than the best
+    value found so far, since no later reference can then reach it.
+    """
+    if not dataset:
+        raise ValueError("empty dataset")
+    _check_ranks([S, *dataset])
+    dev_s = deviations(S, k)
+    devs = [deviations(Q, k) for Q in dataset]
+    gaps = [_ada_gap(dev_s, dev) for dev in devs]
+    best, best_idx = math.inf, None
+    for gap, idx in sorted(zip(gaps, range(len(devs)))):
+        if gap > best:
+            break
+        d = pdd_dist(dev_s["pda"], devs[idx]["pda"], INF)
+        if d < best or (d == best and idx < best_idx):
+            best, best_idx = d, idx
+    return best, ids[best_idx] if ids is not None else best_idx
+
+
+def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
+    """Near-duplicate pairs: L_inf(ADA) filter then EMD(PDA) confirmation.
+
+    The filter is a true lower bound for the confirmation metric, so no
+    acceptable pair is skipped; a KD-tree finds the pairs whose ADA gap is
+    <= ada_threshold.  Pairs are reported sorted by EMD value.
+    """
+    if not dataset:
+        raise ValueError("empty dataset")
+    for name, t in (("ada_threshold", ada_threshold), ("confirm_threshold", confirm_threshold)):
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {t}")
+    _check_ranks(dataset)
+    if ids is None:
+        ids = list(range(len(dataset)))
+    devs = [deviations(S, k) for S in dataset]
+    ada = np.array([dev["ada"] for dev in devs])
+    results = []
+    for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):
+        value = pdd_dist(devs[i]["pda"], devs[j]["pda"], INF)
+        if value <= confirm_threshold:
+            results.append((ids[i], ids[j], _ada_gap(devs[i], devs[j]), value))
+    results.sort(key=lambda t: (t[3], t[0], t[1]))
+    return results

@@ -169,7 +169,8 @@ def test_neighbour_budget_checked_before_allocating(monkeypatch):
 
 def test_large_motif_neighbours(rng, monkeypatch):
     # 200 points spread over a cubic cell at k = 100: the isotropic box of
-    # radius 2 holds 5e6 distance cells, the first ball of radius r + diam more
+    # radius 2 holds 5e6 distance cells; the first ball, of radius r + diam
+    # = 20.4, holds 33 translates, so 6600 candidates and 1.3e6 cells
     S = PeriodicSet.from_fractional(10 * np.eye(3), rng.uniform(0, 1, size=(200, 3)))
     ref = _isotropic_box_neighbours(S, 100)
     assert np.array_equal(neighbours(S, 100), ref)
@@ -180,13 +181,14 @@ def test_large_motif_neighbours(rng, monkeypatch):
         return _pairwise(A, B, q)
 
     monkeypatch.setattr(periodic, "_pairwise", counted)
-    # blocks of a few motif rows give the same rows
-    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**17)
+    # blocks of a few motif rows give the same rows: 2**16 // 6600 = 9 rows
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**16)
     assert np.array_equal(neighbours(S, 100), ref)
     assert len(calls) > 20 and max(calls[1:]) < 10 and sum(calls[1:]) == 200
-    # the candidate points are checked before any distance is taken
+    # the candidate points (19 800 cells, the box 750) are checked before
+    # any distance is taken
     calls.clear()
-    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**15)
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**14)
     with pytest.raises(ValueError, match="cells of candidate points"):
         neighbours(S, 100)
     assert calls == [200]
@@ -312,9 +314,9 @@ def test_lnd_prunes_by_ada_bound(rng, monkeypatch):
 def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
     # reference 0 ties reference 1 with an EMD equal to its own ADA gap, so
     # the scan must not stop when the gap only equals the best value
-    ada = {"S": [0.0], "r0": [0.2], "r1": [0.1]}
+    ada, names = np.array([[0.0], [0.2], [0.1]]), ["S", "r0", "r1"]
     emds = {"r0": 0.2, "r1": 0.2}
-    monkeypatch.setattr(periodic, "deviations", lambda Q, k: {"ada": np.array(ada[Q]), "pda": Q})
+    monkeypatch.setattr(periodic, "_ada_pda", lambda sets, k: (ada, names.__getitem__))
     monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
     assert lnd("S", ["r0", "r1"], 1) == (0.2, 0)
 

@@ -339,16 +339,36 @@ def test_seq_metric_search_budget(monkeypatch):
     # motifs of 300 and 299 points: lcm 89 700, an 89 700^2 CDM per direction
     S = OnePeriodicSequence(1.0, np.column_stack([np.arange(300) / 300, np.zeros(300)]))
     Q = OnePeriodicSequence(1.0, np.column_stack([np.arange(299) / 299, np.zeros(299)]))
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="cell budget"):
         seq_metric(S, Q)
-    # the budget counts directions x Q.m shifts x m^2 cells, m without values
+    # the work budget counts directions x Q.m shifts x m^2 cells, m without
+    # values; the cell budget counts the m^2 cells of one array
     two = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0]])
     three = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0], [0.7, 0.0]])
-    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6**2)
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2)
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6**2)
     assert seq_metric(two, three, group="dihedral") > 0.0
-    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6**2 - 1)
-    with pytest.raises(ValueError, match="budget"):
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2 - 1)
+    with pytest.raises(ValueError, match="work budget"):
         seq_metric(two, three, group="dihedral")
-    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 2 * 3 * 6)
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2)
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6**2 - 1)
+    with pytest.raises(ValueError, match="cell budget"):
+        seq_metric(two, three, group="dihedral")
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6)
+    monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6)
     times_only = [OnePeriodicSequence(1.0, X.motif[:, :1]) for X in (two, three)]
     assert seq_metric(*times_only, group="dihedral") > 0.0
+
+
+def test_seq_metric_coprime_thirty_point_motifs(rng):
+    # 30 and 31 points: one 930^2 CDM per direction, 2.7e7 search cells per
+    # direction, under a second; the search fits both budgets
+    def motif(m):
+        t = np.sort(rng.uniform(0, 1, size=m))
+        return OnePeriodicSequence(1.0, np.column_stack([t - t[0], rng.normal(size=(m, 2))]))
+
+    S, Q = motif(30), motif(31)
+    for X, Y in ((S, Q), (Q, S)):
+        d = seq_metric(X, Y)
+        assert math.isfinite(d) and d > 0.0

@@ -9,7 +9,7 @@ import pytest
 
 import legacy_periodic as legacy
 from geoinv import periodic
-from geoinv.clouds import collapse_rows
+from geoinv.clouds import WeightedRows, _collapse_stack, collapse_rows
 from geoinv.periodic import PeriodicSet, _from_fractional_stack, dedup, deviations, lnd, neighbours
 
 
@@ -89,16 +89,98 @@ def test_symmetric_sets_equal_reference():
             _assert_same_devs(deviations(S, k), legacy.deviations(S, k))
 
 
+def _long_cell(rng, l, aspect):
+    """A rank-l basis in R^3 whose longest vector is up to ``aspect`` times
+    its shortest, sheared and rotated."""
+    lengths = np.exp(rng.uniform(0, np.log(aspect), size=l))
+    basis = np.diag(lengths / lengths.min()) @ (np.eye(l, 3) + rng.normal(scale=0.2, size=(l, 3)))
+    return basis @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+
+
+def test_neighbours_equal_reference_at_k100_on_long_cells(rng):
+    # rank 1-3 cells of aspect ratio up to 50, motifs of 1-12 points, some
+    # off the lattice span
+    for l in (1, 2, 3):
+        for aspect in (1.5, 8, 50):
+            for _ in range(4):
+                basis = _long_cell(rng, l, aspect)
+                frac = rng.uniform(0, 1, size=(int(rng.integers(1, 13)), l))
+                motif = frac @ basis + rng.normal(scale=0.3, size=(len(frac), 3)) * (l < 3)
+                S = PeriodicSet(basis, motif)
+                assert np.array_equal(neighbours(S, 100), legacy.neighbours(S, 100))
+
+
+def test_no_ball_beyond_the_packing_start(rng, monkeypatch):
+    # a search that fits the budget from r0 = ppc (k/m + 1)^(1/l) + diam
+    # fits it from the asymptotic start: the budget is set to the largest
+    # array of the search from r0.  A short dimer starts beyond r0 at k = 100.
+    dimer = PeriodicSet(np.eye(3), [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
+    sets = [dimer, *_stack(_random_fields(rng, 12, sizes=range(1, 9)))[0]]
+    for S in sets:
+        for k in (1, 30, 100):
+            cells = []
+            monkeypatch.setattr(legacy, "_check_budget", lambda n, *args: cells.append(n))
+            want = legacy.neighbours(S, k)
+            monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", int(max(cells)))
+            assert np.array_equal(neighbours(S, k), want)
+            monkeypatch.undo()
+
+
+def test_dataset_path_equals_deviations(rng):
+    # motif sizes 1-24 in one dataset, several sets per size
+    fields = _random_fields(rng, 60, sizes=[*range(1, 25), 2, 2, 3, 5, 8], ranks=[3])
+    fields.append((np.eye(3), np.array([[0, 0, 0], [0.5, 0.5, 0.5]])))  # equal PDD rows
+    sets, _ = _stack(fields)
+    for k in (1, 12, 100):
+        ada, pda = periodic._ada_pda(sets, k)
+        assert ada.shape == (len(sets), k)
+        for i, S in enumerate(sets):
+            want = deviations(S, k)
+            assert np.array_equal(ada[i], want["ada"])
+            assert pda(i) is pda(i)
+            assert np.array_equal(pda(i).weights, want["pda"].weights)
+            assert np.array_equal(pda(i).rows, want["pda"].rows)
+
+
 def test_dedup_and_lnd_equal_reference(rng, monkeypatch):
     fields = _random_fields(rng, 30, sizes=[1, 2, 3, 4, 6, 9], ranks=[3])
     fields += [(basis, frac + rng.normal(scale=2e-3, size=frac.shape)) for basis, frac in fields[:8]]
     sets, _ = _stack(fields)
-    k = 20
-    got_pairs = dedup(sets, k=k, ada_threshold=0.05, confirm_threshold=0.05)
-    got_lnd = [lnd(S, sets[:i] + sets[i + 1 :], k) for i, S in enumerate(sets[:10])]
-    monkeypatch.setattr(periodic, "deviations", legacy.deviations)
-    assert got_pairs and got_pairs == dedup(sets, k=k, ada_threshold=0.05, confirm_threshold=0.05)
-    assert got_lnd == [lnd(S, sets[:i] + sets[i + 1 :], k) for i, S in enumerate(sets[:10])]
+    built = []
+
+    def counted(w, rows):
+        built.append(1)
+        return WeightedRows(w, rows)
+
+    monkeypatch.setattr(periodic, "WeightedRows", counted)
+    for k in (20, 100):
+        built.clear()
+        got = dedup(sets, k=k, ada_threshold=0.05, confirm_threshold=0.05)
+        assert got and got == legacy.dedup(sets, k=k, ada_threshold=0.05, confirm_threshold=0.05)
+        # a PDA is built once for each set of a pair that passes the filter
+        ada = np.array([legacy.deviations(S, k)["ada"] for S in sets])
+        passing = np.nonzero(np.triu(np.abs(ada[:, None] - ada).max(axis=2) <= 0.05, 1))
+        assert len(built) == len(set(np.concatenate(passing).tolist())) < len(sets)
+        for i, S in enumerate(sets[:10]):
+            rest = sets[:i] + sets[i + 1 :]
+            assert lnd(S, rest, k) == legacy.lnd(S, rest, k)
+
+
+@pytest.mark.parametrize("k", [0, 1.5, 2**24])
+def test_dedup_and_lnd_check_k_before_any_search(k, monkeypatch):
+    sets, _ = _stack([(np.eye(3), np.zeros((1, 3))), (2 * np.eye(3), np.zeros((1, 3)))])
+    with pytest.raises(ValueError) as want:
+        legacy.deviations(sets[0], k)
+
+    def no_search(*args):
+        raise AssertionError("neighbour search started before k was checked")
+
+    monkeypatch.setattr(periodic, "neighbours", no_search)
+    monkeypatch.setattr(periodic.np, "empty", no_search)
+    for call in (lambda: dedup(sets, k=k), lambda: lnd(sets[0], sets[1:], k)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -179,3 +261,19 @@ def test_collapse_weight_sums_equal_the_row_loop(rng):
         perm = rng.permutation(len(rows))
         got = _assert_same_collapse(rows[perm], weights[perm])
         assert len(got) == len(distinct)
+
+
+def test_collapse_stack_equals_the_row_loop_set_by_set(rng):
+    # sets of 12 rows whose rows chain within tol across the set boundaries
+    tol = 1e-3
+    rows = np.sort(rng.integers(0, 3, size=(7, 12, 5)) * 0.6 * tol, axis=2)
+    rows[::2] += np.arange(12)[:, None] * 0.4 * tol
+    weights = rng.uniform(0.5, 2.0, size=(7, 12))
+    weights /= weights.sum(axis=1, keepdims=True)
+    for t in (0.0, tol):
+        owner, sums, kept = _collapse_stack(rows, weights, t)
+        assert np.array_equal(owner, np.sort(owner))
+        for g in range(len(rows)):
+            got = WeightedRows(sums[owner == g], kept[owner == g])
+            want = legacy.collapse_rows(rows[g], weights[g], t)
+            assert np.array_equal(got.weights, want.weights) and np.array_equal(got.rows, want.rows)

@@ -74,51 +74,34 @@ def collapse_rows(rows, weights, tol=0.0):
     Rows are put in stable lexicographic order and a row is merged into the
     last row kept before it when no entry differs by more than ``tol``; a
     NaN entry never merges.  A merged row's weight is summed from left to
-    right, one run position at a time.  This is ``_collapse_stack`` of one.
+    right, one run position at a time.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     weights = np.asarray(weights, dtype=float)
     if rows.size == 0:
         raise ValueError("collapse_rows needs at least one non-empty row")
-    _, sums, kept = _collapse_stack(rows[None], weights[None], tol)
-    return WeightedRows(sums, kept)
-
-
-def _collapse_stack(rows, weights, tol=0.0):
-    """``collapse_rows`` of G sets of n rows at once: rows (G, n, k), weights (G, n).
-
-    One lexsort, whose primary key is the set, orders the rows of every set,
-    so each set keeps its block of n rows, and a set's first row never
-    merges into the set before it.  Returns the set of each kept row
-    (non-decreasing), the summed weights and the kept rows; the weights are
-    not normalised.
-    """
-    G, n, k = rows.shape
-    rows = rows.reshape(G * n, k)
-    sets = np.arange(G * n) // n if G > 1 else None
+    k = rows.shape[1]
     # Rows are sorted on their leading c columns, doubling c until rows that
     # tie there are equal (a NaN step is never equal), which makes it the
     # full lexicographic order.  Mutual nearest neighbours share their first
     # distance, so the first column of a PDD nearly always ties: c starts at 2.
     c = 2
     while True:
-        keys = rows[:, min(c, k) - 1 :: -1].T
-        order = np.lexsort(keys if sets is None else (*keys, sets))
+        order = np.lexsort(rows[:, min(c, k) - 1 :: -1].T)
         ordered = rows[order]
         steps = np.abs(ordered[1:] - ordered[:-1])
-        steps[n - 1 :: n] = np.inf  # from the last row of a set to the next set
         gaps = steps.max(axis=1)
         if c >= k or ((steps[:, :c].max(axis=1) > 0) | (gaps == 0)).all():
             break
         c *= 2
-    rows, weights = ordered, weights.reshape(-1)[order]
+    rows, weights = ordered, weights[order]
     keep = np.ones(len(rows) + 1, dtype=bool)  # the last entry closes the last run
     keep[1:-1] = ~(gaps <= tol)
     if tol > 0 and (gaps[~keep[1:-1]] > 0).any():
-        # merged rows differ: compare each row with the last row kept in its set
+        # merged rows differ: compare each row with the last row kept
         last = rows[0]
         for i in range(1, len(rows)):
-            keep[i] = i % n == 0 or not np.abs(rows[i] - last).max() <= tol
+            keep[i] = not np.abs(rows[i] - last).max() <= tol
             if keep[i]:
                 last = rows[i]
     bounds = np.flatnonzero(keep)
@@ -127,7 +110,7 @@ def _collapse_stack(rows, weights, tol=0.0):
     for j in range(1, runs.max()):
         longer = runs > j
         sums[longer] += weights[starts[longer] + j]
-    return starts // n, sums, rows[starts]
+    return WeightedRows(sums, rows[starts])
 
 
 def srd(A):

@@ -8,8 +8,9 @@ preamble of their neighbour search (Gram determinant and inverse plane
 gaps) by one stacked call, and a single ``PeriodicSet`` is the stack of
 one.  The neighbour search, which starts at the AMD_k asymptotic
 ppc * k^(1/l), stays per set.  ``dedup`` and ``lnd`` work from one (N, k)
-ADA matrix of the dataset, whose neighbour rows are collapsed one motif
-size at a time, and build a PDA only for a set that reaches an EMD.
+ADA matrix of the dataset, taken from one PDD per set, and build a PDA
+only for a set that reaches an EMD; ``deviations`` is that path for one
+set.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import gamma
 
-from .clouds import WeightedRows, _collapse_stack, collapse_rows, pdd_dist
+from .clouds import WeightedRows, collapse_rows, pdd_dist
 from .numcore import INF, _as_index, _pairwise
 
 #: motif points closer than this under lattice translation are duplicates
@@ -301,59 +302,39 @@ def deviations(S, k):
     """Deviations of AMD/PDD from the PPC * k^(1/l) asymptotic.
 
     Returns a dict with 'ada' and 'and' vectors plus 'pda' and 'pnd'
-    weighted-row matrices.
+    weighted-row matrices; this is ``_ada_pda`` of one set.
     """
-    P = pdd_periodic(S, k)
-    c = ppc(S)
-    l = S.rank
-    js = np.arange(1, k + 1) ** (1.0 / l)
-    pda_rows = P.rows - c * js[None, :]
-    pnd_rows = P.rows / (c * js[None, :]) - 1.0
+    ada, parts, pda = _ada_pda([S], k)
+    ((P, asym),) = parts
     a = P.weights @ P.rows
     return {
-        "ada": a - c * js,
-        "and": a / (c * js) - 1.0,
-        "pda": WeightedRows(P.weights, pda_rows),
-        "pnd": WeightedRows(P.weights, pnd_rows),
+        "ada": ada[0],
+        "and": a / asym - 1.0,
+        "pda": pda(0),
+        "pnd": WeightedRows(P.weights, P.rows / asym - 1.0),
     }
 
 
 def _ada_pda(sets, k):
-    """The (N, k) ADA matrix of a dataset and ``pda(i)``, the PDA carrier of
-    set i, built at its first call; both equal ``deviations`` set by set.
+    """The (N, k) ADA matrix of a dataset, the parts (PDD, ppc * j^(1/l)) of
+    each set, and ``pda(i)``, the PDA carrier of set i, built at its first
+    call.
 
     k is checked before any array is built, and the sets are searched in
-    order, so a search over the budget raises for the first such set.  The
-    neighbour rows of the sets of one motif size and rank are stacked as
-    (G, m, k) and collapsed by one ``_collapse_stack``; the collapsed
-    weights are normalised once here and once more by the carrier, as
-    ``collapse_rows`` and ``deviations`` do.
+    order, so a search over the budget raises for the first such set.
     """
     k = _checked_k(k)
-    rows = [neighbours(S, k) for S in sets]
-    groups = {}
-    for i, S in enumerate(sets):
-        groups.setdefault((S.rank, len(S.motif)), []).append(i)
-    ada = np.empty((len(sets), k))
-    parts = [None] * len(sets)
-    for (l, m), idx in groups.items():
-        weights = np.full((len(idx), m), 1.0 / m)
-        owner, sums, kept = _collapse_stack(np.stack([rows[i] for i in idx]), weights)
-        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-        asym = np.array([ppc(sets[i]) for i in idx])[:, None] * np.arange(1, k + 1) ** (1.0 / l)
-        for i, w, P, a in zip(idx, np.split(sums, cuts), np.split(kept, cuts), asym):
-            w = w / w.sum()
-            ada[i] = w @ P - a
-            parts[i] = (w, P, a)
+    parts = [(pdd_periodic(S, k), ppc(S) * np.arange(1, k + 1) ** (1.0 / S.rank)) for S in sets]
+    ada = np.array([P.weights @ P.rows - asym for P, asym in parts])
     carriers = {}
 
     def pda(i):
         if i not in carriers:
-            w, P, a = parts[i]
-            carriers[i] = WeightedRows(w, P - a)
+            P, asym = parts[i]
+            carriers[i] = WeightedRows(P.weights, P.rows - asym)
         return carriers[i]
 
-    return ada, pda
+    return ada, parts, pda
 
 
 def _check_ranks(sets):
@@ -382,7 +363,7 @@ def lnd(S, dataset, k, ids=None):
     if not dataset:
         raise ValueError("empty dataset")
     _check_ranks([S, *dataset])
-    ada, pda = _ada_pda([S, *dataset], k)
+    ada, _, pda = _ada_pda([S, *dataset], k)
     gaps = np.abs(ada[0] - ada[1:]).max(axis=1).tolist()
     best, best_idx = math.inf, None
     for gap, idx in sorted(zip(gaps, range(len(dataset)))):
@@ -410,7 +391,7 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     _check_ranks(dataset)
     if ids is None:
         ids = list(range(len(dataset)))
-    ada, pda = _ada_pda(dataset, k)
+    ada, _, pda = _ada_pda(dataset, k)
     results = []
     for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):
         value = pdd_dist(pda(i), pda(j), INF)

@@ -316,7 +316,7 @@ def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
     # the scan must not stop when the gap only equals the best value
     ada, names = np.array([[0.0], [0.2], [0.1]]), ["S", "r0", "r1"]
     emds = {"r0": 0.2, "r1": 0.2}
-    monkeypatch.setattr(periodic, "_ada_pda", lambda sets, k: (ada, names.__getitem__))
+    monkeypatch.setattr(periodic, "_ada_pda", lambda sets, k: (ada, None, names.__getitem__))
     monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
     assert lnd("S", ["r0", "r1"], 1) == (0.2, 0)
 

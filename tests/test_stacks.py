@@ -9,7 +9,7 @@ import pytest
 
 import legacy_periodic as legacy
 from geoinv import periodic
-from geoinv.clouds import WeightedRows, _collapse_stack, collapse_rows
+from geoinv.clouds import WeightedRows, collapse_rows
 from geoinv.periodic import PeriodicSet, _from_fractional_stack, dedup, deviations, lnd, neighbours
 
 
@@ -132,7 +132,7 @@ def test_dataset_path_equals_deviations(rng):
     fields.append((np.eye(3), np.array([[0, 0, 0], [0.5, 0.5, 0.5]])))  # equal PDD rows
     sets, _ = _stack(fields)
     for k in (1, 12, 100):
-        ada, pda = periodic._ada_pda(sets, k)
+        ada, _, pda = periodic._ada_pda(sets, k)
         assert ada.shape == (len(sets), k)
         for i, S in enumerate(sets):
             want = deviations(S, k)
@@ -261,19 +261,3 @@ def test_collapse_weight_sums_equal_the_row_loop(rng):
         perm = rng.permutation(len(rows))
         got = _assert_same_collapse(rows[perm], weights[perm])
         assert len(got) == len(distinct)
-
-
-def test_collapse_stack_equals_the_row_loop_set_by_set(rng):
-    # sets of 12 rows whose rows chain within tol across the set boundaries
-    tol = 1e-3
-    rows = np.sort(rng.integers(0, 3, size=(7, 12, 5)) * 0.6 * tol, axis=2)
-    rows[::2] += np.arange(12)[:, None] * 0.4 * tol
-    weights = rng.uniform(0.5, 2.0, size=(7, 12))
-    weights /= weights.sum(axis=1, keepdims=True)
-    for t in (0.0, tol):
-        owner, sums, kept = _collapse_stack(rows, weights, t)
-        assert np.array_equal(owner, np.sort(owner))
-        for g in range(len(rows)):
-            got = WeightedRows(sums[owner == g], kept[owner == g])
-            want = legacy.collapse_rows(rows[g], weights[g], t)
-            assert np.array_equal(got.weights, want.weights) and np.array_equal(got.rows, want.rows)

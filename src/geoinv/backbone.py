@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .numcore import _as_index
+
 #: minimum residue-triangle height (Angstrom) before a frame is degenerate
 HEIGHT_TOL = 1e-6
 #: minimum bond length between consecutive bonded atoms
@@ -114,6 +116,8 @@ def bri_dist(S, Q):
     bq = Q if isinstance(Q, np.ndarray) else bri(Q)
     if bs.shape != bq.shape:
         raise ValueError("residue counts differ")
+    if not (np.isfinite(bs).all() and np.isfinite(bq).all()):
+        raise ValueError("non-finite BRI entries")
     return float(np.abs(bs - bq).max())
 
 
@@ -182,6 +186,7 @@ def subchain(b, i, j):
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     m = len(b)
+    i, j = _as_index(i, "i"), _as_index(j, "j")
     if not (1 <= i and j >= 1 and i + j - 1 <= m):
         raise ValueError("subchain out of range")
     out = np.zeros((j, 9))

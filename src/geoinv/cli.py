@@ -110,8 +110,6 @@ def _simplex_compare(a):
 
 
 def _reduced(vals):
-    if len(vals) != 4:
-        raise ValueError("a 2D basis needs 4 numbers: x1 y1 x2 y2")
     return lattice2d.reduce_basis(lattice2d.Basis2D(np.array(vals[:2]), np.array(vals[2:])))
 
 

@@ -34,18 +34,11 @@ class PointCloud:
             raise ValueError("labels do not match points")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
 
 def _as_points(A):
-    return A.points if isinstance(A, PointCloud) else np.atleast_2d(
-        np.asarray(A, dtype=float)
-    )
+    """The (m, n) points of a cloud; a raw array is read through
+    ``PointCloud``, so every invariant of a cloud checks it the same way."""
+    return (A if isinstance(A, PointCloud) else PointCloud(A)).points
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import _as_index
+
 #: corner points closer than this on the t-axis are merged
 CORNER_TOL = 1e-12
 
@@ -156,14 +158,21 @@ def _values(c, x, w, periods):
     return x, v + c[:, None]
 
 
+def _checked_k(k, what):
+    """``k`` as a Python integer; ValueError unless it is an integer >= 0."""
+    k = _as_index(k, what)
+    if k < 0:
+        raise ValueError(f"{what} must be >= 0")
+    return k
+
+
 def psi(S, k):
     """Exact density function psi_k as a PiecewiseLinear in the original scale.
 
     The corners are merged on the period-1 t-axis, then the t-axis is
     rescaled by the period.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _checked_k(k, "k")
     c, x, w = _hinges(S, k, k)
     x, v = _values(c, x, w[None], (1.0,))
     x, y = _merge_corners(np.concatenate([[0.0], x[0]]), np.concatenate([c, v[0]]))
@@ -176,6 +185,7 @@ def rho(S, k):
     Closed forms for zero radii: (1/4) sum d_i^2 for k = 0 and
     (1/2) sum d_(i-1) d_(i+k-1) for k > 0, with d the inter-point gaps.
     """
+    k = _checked_k(k, "k")
     if (S.radii > 0).any():
         raise ValueError("rho is defined for zero-radius sequences")
     d = _gaps(1.0, S.centres / S.period, S.radii / S.period)
@@ -191,8 +201,7 @@ def _sup_diffs(S, Q, k_max):
     form one row per k; the difference is linear between the sorted
     breakpoints and constant after the last, so its sup is at a breakpoint.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    k_max = _checked_k(k_max, "k_max")
     cs, xs, ws = _hinges(S, 0, k_max)
     cq, xq, wq = _hinges(Q, 0, k_max)
     x = np.concatenate([xs * S.period, xq * Q.period], axis=1)

@@ -232,6 +232,8 @@ def chiral(inv, group, q=2.0):
     """
     qn = norm_exponent(q)
     group = group.upper()
+    if group not in ("D2", "D4", "D6"):
+        raise ValueError(f"unknown chiral group {group}: expected D2, D4 or D6")
     if isinstance(inv, RootInvariant2D):
         r12, r01, r02 = inv.r12, inv.r01, inv.r02
         if qn == 2.0:

@@ -338,15 +338,19 @@ def _ada_pda(sets, k):
 
 
 def _check_ranks(sets):
-    """Raise if the periodic sets among ``sets`` differ in period rank."""
-    if len({S.rank for S in sets if isinstance(S, PeriodicSet)}) > 1:
+    """Raise if ``sets`` differ in period rank (read from ``S.rank``)."""
+    if len({S.rank for S in sets}) > 1:
         raise ValueError("period ranks differ")
 
 
 def pda_dist(S, Q, k, q=INF):
-    """EMD between the PDA matrices of two periodic sets (ground L_q)."""
+    """EMD between the PDA matrices of two periodic sets (ground L_q).
+
+    Both PDAs come from one ``_ada_pda`` call, which builds no AND or PND.
+    """
     _check_ranks([S, Q])
-    return pdd_dist(deviations(S, k)["pda"], deviations(Q, k)["pda"], q)
+    _, _, pda = _ada_pda([S, Q], k)
+    return pdd_dist(pda(0), pda(1), q)
 
 
 def lnd(S, dataset, k, ids=None):

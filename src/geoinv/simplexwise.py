@@ -111,19 +111,23 @@ def simplex_sign(points):
     return int(out) if out.ndim == 0 else out
 
 
-def _round_key(*arrays, decimals=9):
+def _round_key(*arrays):
     return tuple(
-        tuple(np.round(np.asarray(a, dtype=float), decimals).ravel()) for a in arrays
+        tuple(np.round(np.asarray(a, dtype=float), 9).ravel()) for a in arrays
     )
 
 
 def _bases(m, h):
     """The h-point bases of m points in lexicographic order (bases, h) and
-    the remaining points of each in increasing order (bases, m - h)."""
+    the remaining points of each in increasing order (bases, m - h).  The
+    j-th remaining point of a sorted base is j plus the number of base
+    points at or below it, so each of the h >= 1 base points in turn shifts
+    up the indices it does not exceed; no (bases, m) mask is built."""
     bases = np.array(list(itertools.combinations(range(m), h)))
-    rest = np.ones((len(bases), m), dtype=bool)
-    rest[np.arange(len(bases))[:, None], bases] = False
-    return bases, np.nonzero(rest)[1].reshape(len(bases), m - h)
+    rest = np.arange(m - h)
+    for i in range(h):
+        rest = rest + (rest >= bases[:, i, None])
+    return bases, rest
 
 
 def _least_forms(head, rows, keyed):

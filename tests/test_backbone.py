@@ -237,6 +237,26 @@ def test_subchain_matches_geometry(rng):
     assert np.array_equal(subchain(b, 1, 4), b[:4])
 
 
+@pytest.mark.parametrize("i, j, name", [(1.5, 2, "i"), (2.0, 2, "i"), (1, 2.5, "j"), (1, "2", "j")])
+def test_subchain_non_integer_bounds_rejected(rng, i, j, name):
+    # a non-integer i ended in IndexError, a non-integer j in TypeError
+    b = bri(random_chain(rng, 5))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        subchain(b, i, j)
+    assert np.array_equal(subchain(b, np.int64(2), np.int64(3)), subchain(b, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bri_dist_rejects_non_finite_arrays(rng, bad):
+    # a NaN entry made the Chebyshev distance nan
+    b = bri(random_chain(rng, 4))
+    c = b.copy()
+    c[2, 4] = bad
+    for S, Q in ((b, c), (c, b), (c, c)):
+        with pytest.raises(ValueError, match="non-finite BRI entries"):
+            bri_dist(S, Q)
+
+
 def test_brain_filter_bound(rng):
     for _ in range(50):
         m = int(rng.integers(2, 10))

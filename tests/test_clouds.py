@@ -18,6 +18,7 @@ from geoinv.clouds import (
     srd,
 )
 from geoinv.numcore import INF
+from geoinv.simplexwise import scd, sdd
 
 S2, S5, S10, S17 = (math.sqrt(v) for v in (2, 5, 10, 17))
 
@@ -121,6 +122,28 @@ def test_pdd_rejects_non_integer_k():
         with pytest.raises(ValueError, match="integer"):
             pdd(T, k)
     assert pdd(T, np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize(
+    "invariant",
+    [srd, spd, lambda A: pdd(A, 1), lambda A: sdd(A, 1), scd],
+    ids=["srd", "spd", "pdd", "sdd", "scd"],
+)
+@pytest.mark.parametrize("points, message", [
+    (np.array([[math.nan, 0.0], [1.0, 1.0]]), "non-finite coordinates"),
+    (np.array([[0.0, math.inf], [1.0, 1.0]]), "non-finite coordinates"),
+    (np.zeros((0, 2)), "at least one point"),
+    ([], "at least one point"),
+], ids=["nan", "inf", "zero-rows", "empty-list"])
+def test_raw_arrays_are_checked_as_clouds(invariant, points, message):
+    # srd of a raw array with a NaN returned [nan, nan]; of an empty one, []
+    with pytest.raises(ValueError, match=message):
+        invariant(points)
+
+
+def test_raw_arrays_give_the_cloud_invariants():
+    for invariant in (srd, spd, lambda A: pdd(A, 2).rows):
+        assert np.array_equal(invariant(T.points.tolist()), invariant(T))
 
 
 def test_collapse_rows_rejects_zero_rows():

@@ -400,3 +400,33 @@ def test_bad_tol_rejected(tol):
     T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
     with pytest.raises(ValueError, match="tol"):
         fingerprint_equal(S, T, tol=tol)
+
+
+@pytest.mark.parametrize("k", [-1, -5])
+def test_negative_k_rejected(k):
+    for f in (psi, rho):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            f(S, k)
+    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
+    for f in (fingerprint_dist, fingerprint_equal):
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            f(S, T, k)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2"])
+def test_non_integer_k_rejected(k):
+    # psi ended in IndexError and rho(S, 1.5) returned rho(S, 1)
+    for f in (psi, rho):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            f(S, k)
+    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
+    for f in (fingerprint_dist, fingerprint_equal):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            f(S, T, k)
+
+
+def test_numpy_integer_k_accepted():
+    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
+    assert np.array_equal(psi(S, np.int64(2)).corners, psi(S, 2).corners)
+    assert rho(S, np.int64(2)) == rho(S, 2)
+    assert fingerprint_dist(S, T, np.int64(3)) == fingerprint_dist(S, T, 3)

@@ -99,6 +99,56 @@ def test_cif_aniso_loop_skipped():
     assert np.array_equal(S.motif, T.motif) and np.array_equal(S.basis, T.basis)
 
 
+_CUBIC_LOOP = "loop_\n_atom_site_label\n_atom_site_fract_x\n_atom_site_fract_y\n_atom_site_fract_z\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t + "loop_\n_symmetry_equiv_pos_as_xyz\nx,y,z\n-x,-y,-z\n",
+         "only P1 CIFs are supported \\(symmetry operations found\\)"),
+        (lambda t: t + "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n"
+         "1 x,y,z\n2 -x,y,-z\n", "symmetry operations found"),
+        (lambda t: t.replace("_atom_site_fract_", "_atom_site_Cartn_"),
+         "atom_site loop lacks fractional coordinates"),
+        (lambda t: t.replace("C1 0.0 0.0 0.0", "C1 0.0 0.0"), "short atom_site row"),
+        (lambda t: t.split("loop_")[0], "no atom_site loop found"),
+        (lambda t: t.replace("C1 0.0 0.0 0.0\n", ""), "no atom_site loop found"),
+        (lambda t: t.replace(_CUBIC_LOOP, "loop_\n_atom_type_symbol\nC\n"),
+         "no atom_site loop found"),
+        (lambda t: t.replace("_cell_length_b 1.0", "_cell_length_b 0"),
+         "cell lengths must be positive"),
+        (lambda t: t.replace("_cell_length_c 1.0", "_cell_length_c -2.5"),
+         "cell lengths must be positive"),
+    ],
+)
+def test_cif_faults_rejected(tmp_path, capsys, edit, message):
+    text = edit((FIXTURES / "cubic.cif").read_text())
+    with pytest.raises(ValueError, match=message):
+        parse_cif_lite(text)
+    cif = tmp_path / "bad.cif"
+    cif.write_text(text)
+    assert main(["periodic", "amd", str(cif), "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "geoinv: " in captured.err
+
+
+def test_cif_loops_before_the_atom_loop_skipped():
+    # a non-atom loop, a symmetry loop holding the identity alone, and a
+    # loop that mixes _space_group_symop with _atom_site items are passed
+    # over on the way to the atom_site loop
+    cubic = (FIXTURES / "cubic.cif").read_text()
+    skipped = (
+        "loop_\n_atom_type_symbol\n_atom_type_oxidation_number\nC 0\n"
+        "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n1 x,y,z\n"
+        "loop_\n_space_group_symop_id\n_atom_site_symmetry_multiplicity\n1 1\n"
+    )
+    S = parse_cif_lite(cubic.replace(_CUBIC_LOOP, skipped + _CUBIC_LOOP))
+    T = parse_cif_lite(cubic)
+    assert np.array_equal(S.motif, T.motif) and np.array_equal(S.basis, T.basis)
+    assert S.labels == T.labels == ["C1"]
+
+
 def test_xyz_round_trip():
     text = (FIXTURES / "trapezium.xyz").read_text()
     C = parse_xyz(text)

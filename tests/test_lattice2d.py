@@ -358,6 +358,16 @@ def test_bad_bases_rejected(v1, v2, message):
         Basis2D(v1, v2)
 
 
+@pytest.mark.parametrize("q", [2.0, INF, 1.0])
+@pytest.mark.parametrize("group", ["D3", "C2", ""])
+def test_chiral_names_an_unknown_group(group, q):
+    # the root form reported "q in {2, inf} only" for any unknown group
+    ri = RootInvariant2D(1, 2, 3, 1)
+    for inv in (ri, projected_invariant(ri)):
+        with pytest.raises(ValueError, match=f"unknown chiral group {group}: expected D2, D4 or D6"):
+            chiral(inv, group, q)
+
+
 def test_extreme_bases_in_range_reduce():
     for scale in (1e-140, 1e150):
         ri = root_invariant(Basis2D((scale, 0.0), (0.0, scale)))

@@ -221,6 +221,10 @@ def test_bottleneck_empty_sets_rejected():
         bottleneck(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="non-empty"):
         bottleneck_from_costs(np.zeros((0, 0)))
+    # np.atleast_2d([]) is one point with no coordinates, which matched at 0.0
+    for A, B in (([], []), ([], [[0.0, 1.0]]), (np.zeros((3, 0)), np.zeros((3, 0)))):
+        with pytest.raises(ValueError, match="bottleneck requires non-empty sets"):
+            bottleneck(A, B)
 
 
 def test_bottleneck_size_mismatch_is_infinite():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -318,7 +319,8 @@ def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
     emds = {"r0": 0.2, "r1": 0.2}
     monkeypatch.setattr(periodic, "_ada_pda", lambda sets, k: (ada, None, names.__getitem__))
     monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
-    assert lnd("S", ["r0", "r1"], 1) == (0.2, 0)
+    S, r0, r1 = (types.SimpleNamespace(rank=1) for _ in names)
+    assert lnd(S, [r0, r1], 1) == (0.2, 0)
 
 
 def _exhaustive_dedup(dataset, k, ada_threshold, confirm_threshold):
@@ -402,6 +404,20 @@ def test_lnd_and_dedup_reject_mixed_period_ranks():
     ],
 )
 def test_periodic_set_rejects_non_finite_or_empty_input(basis, motif, message):
+    with pytest.raises(ValueError, match=message):
+        PeriodicSet(np.array(basis, dtype=float), np.array(motif, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "basis, motif, message",
+    [
+        ([[1, 0], [0, 1], [1, 1]], [[0, 0]], "period rank exceeds the ambient dimension"),
+        ([[1, 0, 0], [2, 0, 0]], [[0, 0, 0]], "basis vectors are linearly dependent"),
+        (np.eye(3), [[0, 0]], "motif dimension does not match the basis"),
+        (np.eye(2, 3), [[0, 0, 0, 0]], "motif dimension does not match the basis"),
+    ],
+)
+def test_periodic_set_rejects_bad_shapes_and_bases(basis, motif, message):
     with pytest.raises(ValueError, match=message):
         PeriodicSet(np.array(basis, dtype=float), np.array(motif, dtype=float))
 

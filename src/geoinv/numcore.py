@@ -123,9 +123,9 @@ def _feasible(costs, t):
     the block-diagonal bipartite graph of ``costs <= t``: row u of matrix i
     is vertex i k + u on one side, column v is vertex i k + v on the other.
     Hopcroft-Karp alone would do for one matrix too, with the same results,
-    but the assignment is faster there: on the 60 single-matrix bottlenecks
-    (k = 16..160) of a seed-0 ``cloud_match`` bench batch it takes about 6 ms
-    against 7-8 ms, which moved the batch's median op time up by a quarter.
+    but the assignment is faster there: the 60 single-matrix bottlenecks
+    (k = 16..160) of a seed-0 ``cloud_match`` bench batch take about 6 ms
+    with it and 7-8 ms without it, enough to raise the median op time.
     """
     n, k = costs.shape[:2]
     if n == 1:

@@ -402,26 +402,22 @@ def test_bad_tol_rejected(tol):
         fingerprint_equal(S, T, tol=tol)
 
 
-@pytest.mark.parametrize("k", [-1, -5])
-def test_negative_k_rejected(k):
+@pytest.mark.parametrize("k, message", [
+    (-1, "must be >= 0"),
+    (-5, "must be >= 0"),
+    (1.5, "must be an integer"),
+    (2.0, "must be an integer"),
+    ("2", "must be an integer"),
+])
+def test_bad_k_rejected(k, message):
+    # psi ended in IndexError on a non-integer k, and rho(S, -1) and
+    # rho(S, 1.5) returned numbers
     for f in (psi, rho):
-        with pytest.raises(ValueError, match="k must be >= 0"):
+        with pytest.raises(ValueError, match=f"k {message}"):
             f(S, k)
     T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
     for f in (fingerprint_dist, fingerprint_equal):
-        with pytest.raises(ValueError, match="k_max must be >= 0"):
-            f(S, T, k)
-
-
-@pytest.mark.parametrize("k", [1.5, 2.0, "2"])
-def test_non_integer_k_rejected(k):
-    # psi ended in IndexError and rho(S, 1.5) returned rho(S, 1)
-    for f in (psi, rho):
-        with pytest.raises(ValueError, match="k must be an integer"):
-            f(S, k)
-    T = PeriodicSequence1D(1.0, np.array([0.2, 0.9]))
-    for f in (fingerprint_dist, fingerprint_equal):
-        with pytest.raises(ValueError, match="k_max must be an integer"):
+        with pytest.raises(ValueError, match=f"k_max {message}"):
             f(S, T, k)
 
 

@@ -106,9 +106,9 @@ _CUBIC_LOOP = "loop_\n_atom_site_label\n_atom_site_fract_x\n_atom_site_fract_y\n
     "edit, message",
     [
         (lambda t: t + "loop_\n_symmetry_equiv_pos_as_xyz\nx,y,z\n-x,-y,-z\n",
-         "only P1 CIFs are supported \\(symmetry operations found\\)"),
+         "only P1 CIFs are supported (symmetry operations found)"),
         (lambda t: t + "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n"
-         "1 x,y,z\n2 -x,y,-z\n", "symmetry operations found"),
+         "1 x,y,z\n2 -x,y,-z\n", "only P1 CIFs are supported (symmetry operations found)"),
         (lambda t: t.replace("_atom_site_fract_", "_atom_site_Cartn_"),
          "atom_site loop lacks fractional coordinates"),
         (lambda t: t.replace("C1 0.0 0.0 0.0", "C1 0.0 0.0"), "short atom_site row"),
@@ -124,21 +124,23 @@ _CUBIC_LOOP = "loop_\n_atom_site_label\n_atom_site_fract_x\n_atom_site_fract_y\n
 )
 def test_cif_faults_rejected(tmp_path, capsys, edit, message):
     text = edit((FIXTURES / "cubic.cif").read_text())
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         parse_cif_lite(text)
+    assert message in str(err.value)
     cif = tmp_path / "bad.cif"
     cif.write_text(text)
     assert main(["periodic", "amd", str(cif), "--k", "4"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "geoinv: " in captured.err
+    assert captured.out == "" and f"geoinv: {message}" in captured.err
 
 
 def test_cif_loops_before_the_atom_loop_skipped():
-    # a non-atom loop, a symmetry loop holding the identity alone, and a
-    # loop that mixes _space_group_symop with _atom_site items are passed
-    # over on the way to the atom_site loop
+    # a comment, a non-atom loop, a symmetry loop holding the identity alone
+    # and a loop that mixes _space_group_symop with _atom_site items are
+    # passed over on the way to the atom_site loop
     cubic = (FIXTURES / "cubic.cif").read_text()
     skipped = (
+        "# comments and blank lines are dropped\n\n"
         "loop_\n_atom_type_symbol\n_atom_type_oxidation_number\nC 0\n"
         "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n1 x,y,z\n"
         "loop_\n_space_group_symop_id\n_atom_site_symmetry_multiplicity\n1 1\n"

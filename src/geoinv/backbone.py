@@ -102,9 +102,24 @@ def bri(S):
     return out
 
 
+def _bri_matrix(b):
+    """``b`` as an (m, 9) float array of finite entries, m >= 1, else ValueError."""
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 9:
+        raise ValueError(f"a BRI matrix has m >= 1 rows of 9 numbers, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("non-finite BRI entries")
+    return b
+
+
+def _bri_of(S):
+    """BRI of a Backbone, or a BRI matrix given as an array or nested list."""
+    return bri(S) if isinstance(S, Backbone) else _bri_matrix(S)
+
+
 def brain(S):
     """Nine column averages of BRI, excluding the first row."""
-    b = S if isinstance(S, np.ndarray) else bri(S)
+    b = _bri_of(S)
     if len(b) < 2:
         raise ValueError("need at least two residues for BRAIN")
     return b[1:].mean(axis=0)
@@ -112,12 +127,9 @@ def brain(S):
 
 def bri_dist(S, Q):
     """Chebyshev distance between flattened BRI matrices."""
-    bs = S if isinstance(S, np.ndarray) else bri(S)
-    bq = Q if isinstance(Q, np.ndarray) else bri(Q)
+    bs, bq = _bri_of(S), _bri_of(Q)
     if bs.shape != bq.shape:
         raise ValueError("residue counts differ")
-    if not (np.isfinite(bs).all() and np.isfinite(bq).all()):
-        raise ValueError("non-finite BRI entries")
     return float(np.abs(bs - bq).max())
 
 
@@ -134,7 +146,7 @@ def mirror_bri(b):
     Row 1 is untouched: its three entries are the first residue's planar
     TRIN values, not frame coordinates.
     """
-    out = np.atleast_2d(np.asarray(b, dtype=float)).copy()
+    out = _bri_matrix(b).copy()
     out[1:, [2, 5, 8]] *= -1.0
     return out
 
@@ -150,11 +162,7 @@ def reconstruct(b):
     in ceil(log2 m) stacked matmuls (Hillis-Steele), the bonds from one
     batched matmul and the atoms from one cumulative sum starting at C_1.
     """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 9:
-        raise ValueError(f"a BRI matrix has m >= 1 rows of 9 numbers, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("non-finite BRI entries")
+    b = _bri_matrix(b)
     if np.abs(b).max() > MAX_COORD:
         raise ValueError(f"BRI entries above {MAX_COORD:g} in absolute value")
     l, x, y = b[0, :3]

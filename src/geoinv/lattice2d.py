@@ -231,9 +231,9 @@ def chiral(inv, group, q=2.0):
     inferred from the invariant type.  Closed forms exist for q in {2, inf}.
     """
     qn = norm_exponent(q)
-    group = group.upper()
-    if group not in ("D2", "D4", "D6"):
+    if not isinstance(group, str) or group.upper() not in ("D2", "D4", "D6"):
         raise ValueError(f"unknown chiral group {group}: expected D2, D4 or D6")
+    group = group.upper()
     if isinstance(inv, RootInvariant2D):
         r12, r01, r02 = inv.r12, inv.r01, inv.r02
         if qn == 2.0:

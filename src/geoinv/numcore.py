@@ -1,15 +1,18 @@
 """Exact metric and combinatorial-optimization kernel.
 
-Minkowski/Chebyshev norms, Hausdorff distance, exact bound-first bottleneck
-matching of one cost matrix or a stack of them (one Hopcroft-Karp matching
-per search step for a stack), Linear Assignment Cost and exact Earth Mover's
-Distance on weighted distributions.  All functions are pure and safe for
-concurrent use.
+Minkowski/Chebyshev norms, Hausdorff distance, exact bottleneck matching of
+one cost matrix or a stack of them, Linear Assignment Cost and exact Earth
+Mover's Distance on weighted distributions.  The bottleneck of k x k matrices
+with k <= ENUMERATION_MAX_K (5) is the least over all k! permutations of the
+largest assigned cost, gathered in blocks; larger matrices are searched
+bound-first, with one Hopcroft-Karp matching per search step for a stack.
+All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 
 import numpy as np
@@ -33,6 +36,16 @@ WEIGHT_TOL = 1e-9
 #: transportation LP; at the budget (about 203 x 202) an LP takes about a
 #: second and 0.5 GiB at peak
 EMD_CELL_BUDGET = 2**24
+#: largest k whose k x k bottleneck is taken over all k! permutations
+ENUMERATION_MAX_K = 5
+#: the k! permutations of k columns, one row each, for k <= ENUMERATION_MAX_K
+PERMS = {
+    k: np.array(list(itertools.permutations(range(k))))
+    for k in range(1, ENUMERATION_MAX_K + 1)
+}
+#: most float cells (matrices x k!) of one enumeration block; the gathered
+#: column and the running maximum hold two such blocks, 512 KiB at most
+ENUMERATION_BLOCK = 1 << 15
 
 
 def norm_exponent(q):
@@ -143,27 +156,38 @@ def _feasible(costs, t):
     return (matched.reshape(n, k) >= 0).all(axis=1)
 
 
-def bottleneck_from_costs(costs):
-    """Minimum over perfect matchings of the maximum matched cost.
+def _enumerated(flat):
+    """Bottlenecks of a stack (n, k, k), k <= ENUMERATION_MAX_K, as the least
+    over the k! permutations p of max_j costs[p_j, j].
 
-    ``costs`` is one square matrix (k, k), which gives a float, or a stack
-    (..., k, k), which gives a float array of shape (...).  Exact and
-    bound-first.  Every matching uses an entry of each row and of each
-    column, so no matching beats the bound max(largest row minimum, largest
-    column minimum), which is itself a cost.  All matrices are tested at
-    their bound in one ``_feasible`` call; those it does not settle
-    binary-search their sorted costs above the bound together, one
-    ``_feasible`` call per step, for the smallest feasible one.
+    Only maxima and minima of the costs are taken, so each value is one of
+    its matrix's costs.  The stack is gathered ENUMERATION_BLOCK cells at a
+    time, with one running maximum over the columns j.
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim < 2 or costs.shape[-1] != costs.shape[-2]:
-        raise ValueError("bottleneck needs a square cost matrix")
-    if costs.shape[-1] == 0:
-        raise ValueError("bottleneck requires non-empty sets")
-    if np.isnan(costs).any():
-        raise ValueError("NaN in bottleneck costs")
-    k = costs.shape[-1]
-    flat = costs.reshape(-1, k, k)
+    n, k = flat.shape[:2]
+    perms = PERMS[k]
+    out = np.empty(n)
+    step = max(1, ENUMERATION_BLOCK // len(perms))
+    for lo in range(0, n, step):
+        block = flat[lo : lo + step]
+        worst = block[:, perms[:, 0], 0]
+        for j in range(1, k):
+            np.maximum(worst, block[:, perms[:, j], j], out=worst)
+        worst.min(axis=1, out=out[lo : lo + step])
+    return out
+
+
+def _searched(flat):
+    """Bottlenecks of a stack (n, k, k) by the bound-first search.
+
+    Every matching uses an entry of each row and of each column, so no
+    matching beats the bound max(largest row minimum, largest column
+    minimum), which is itself a cost.  All matrices are tested at their bound
+    in one ``_feasible`` call; those it does not settle binary-search their
+    sorted costs above the bound together, one ``_feasible`` call per step,
+    for the smallest feasible one.
+    """
+    n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
     todo = np.flatnonzero(~_feasible(flat, out))
     if len(todo):
@@ -180,6 +204,29 @@ def bottleneck_from_costs(costs):
             hi[step[ok]] = mid[ok]
             lo[step[~ok]] = mid[~ok] + 1
         out[todo] = cand[np.arange(len(todo)), lo]
+    return out
+
+
+def bottleneck_from_costs(costs):
+    """Minimum over perfect matchings of the maximum matched cost.
+
+    ``costs`` is one square matrix (k, k), which gives a float, or a stack
+    (..., k, k), which gives a float array of shape (...).  Exact: the value
+    is always one of the matrix's costs.  For k <= ENUMERATION_MAX_K (5) it
+    is the least over all k! permutations of the largest assigned cost,
+    taken in blocks of ENUMERATION_BLOCK cells; above that, the matrices are
+    searched bound-first (see ``_searched``).
+    """
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim < 2 or costs.shape[-1] != costs.shape[-2]:
+        raise ValueError("bottleneck needs a square cost matrix")
+    if costs.shape[-1] == 0:
+        raise ValueError("bottleneck requires non-empty sets")
+    if costs.size and np.isnan(costs.min()):  # min propagates NaN, with no mask
+        raise ValueError("NaN in bottleneck costs")
+    k = costs.shape[-1]
+    flat = costs.reshape(-1, k, k)
+    out = _enumerated(flat) if k <= ENUMERATION_MAX_K else _searched(flat)
     return float(out[0]) if costs.ndim == 2 else out.reshape(costs.shape[:-2])
 
 
@@ -190,6 +237,8 @@ def bottleneck(A, B, ground_q=2.0):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError(f"bottleneck needs 2-D point arrays, got shapes {A.shape} and {B.shape}")
     if A.size == 0 or B.size == 0:
         raise ValueError("bottleneck requires non-empty sets")
     if A.shape[0] != B.shape[0]:

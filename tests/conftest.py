@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 
 def random_rotation(rng, n):
@@ -79,6 +80,21 @@ def bottleneck_oracle(A, B, ground_q=math.inf):
     for perm in itertools.permutations(range(len(A))):
         best = min(best, max(costs[i, p] for i, p in enumerate(perm)))
     return best
+
+
+def _ref_bottleneck_from_costs(costs):
+    """Binary search over all distinct costs, with no bound step."""
+    costs = np.asarray(costs, dtype=float)
+    cand = np.unique(costs)
+    lo, hi = 0, len(cand) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        above = costs > cand[mid]
+        if above[linear_sum_assignment(above)].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(cand[lo])
 
 
 @pytest.fixture

@@ -293,3 +293,28 @@ def test_ppm_export(tmp_path, rng):
     vals = list(map(int, text[4:]))
     assert len(vals) == 4 * 3 * 3
     assert all(0 <= v <= 255 for v in vals)
+
+
+def test_bri_dist_and_brain_read_nested_lists(rng):
+    # a nested-list BRI was passed to bri() and ended in AttributeError
+    b = bri(random_chain(rng, 5))
+    c = bri(random_chain(rng, 5))
+    assert bri_dist(b.tolist(), c) == bri_dist(b, c.tolist()) == bri_dist(b, c)
+    assert bri_dist(b.tolist(), b.tolist()) == 0.0
+    assert np.array_equal(brain(b.tolist()), brain(b))
+
+
+@pytest.mark.parametrize("shape", ["3-D", "NaN", "empty rows", "empty list"])
+def test_mirror_bri_and_brain_reject_bad_input(rng, shape):
+    # mirror_bri ended in IndexError on a 3-D array and returned a NaN or
+    # empty BRI mirrored; brain returned a vector for a NaN BRI
+    b = bri(random_chain(rng, 4))
+    if shape == "NaN":
+        b[2, 5] = np.nan
+        match = "non-finite BRI entries"
+    else:
+        b = {"3-D": b[None], "empty rows": b[:0], "empty list": []}[shape]
+        match = "m >= 1 rows of 9 numbers"
+    for f in (mirror_bri, brain):
+        with pytest.raises(ValueError, match=match):
+            f(b)

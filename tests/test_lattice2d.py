@@ -368,6 +368,15 @@ def test_chiral_names_an_unknown_group(group, q):
             chiral(inv, group, q)
 
 
+@pytest.mark.parametrize("group", [4, None, 2.0, b"D4"])
+def test_chiral_rejects_a_group_that_is_not_a_string(group):
+    # group.upper() ended in AttributeError
+    ri = RootInvariant2D(1, 2, 3, 1)
+    for inv in (ri, projected_invariant(ri)):
+        with pytest.raises(ValueError, match=f"unknown chiral group {group}: expected D2, D4 or D6"):
+            chiral(inv, group)
+
+
 def test_extreme_bases_in_range_reduce():
     for scale in (1e-140, 1e150):
         ri = root_invariant(Basis2D((scale, 0.0), (0.0, scale)))

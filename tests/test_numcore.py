@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linprog
 
-from conftest import bottleneck_oracle, emd_oracle
+from conftest import _ref_bottleneck_from_costs, bottleneck_oracle, emd_oracle
 from geoinv import numcore
 from geoinv.numcore import (
     INF,
@@ -107,21 +108,6 @@ def test_bottleneck_large_chain_has_zero_matching():
     assert bottleneck_from_costs(costs) == 0.0
 
 
-def _ref_bottleneck_from_costs(costs):
-    """Binary search over all distinct costs, with no bound step."""
-    costs = np.asarray(costs, dtype=float)
-    cand = np.unique(costs)
-    lo, hi = 0, len(cand) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        above = costs > cand[mid]
-        if above[linear_sum_assignment(above)].any():
-            lo = mid + 1
-        else:
-            hi = mid
-    return float(cand[lo])
-
-
 def test_bound_first_bottleneck_equals_full_search(rng):
     # random, integer-tied and partly infinite matrices, 1x1 up to 160x160;
     # both the bound and the search above it are taken many times
@@ -198,7 +184,7 @@ def test_stacked_search_step_count_is_bounded_and_repeatable(rng, monkeypatch):
 
     monkeypatch.setattr(numcore, "_feasible", counted)
     searches = []
-    for k in (2, 3, 5, 8, 12):
+    for k in (6, 8, 12):  # k <= ENUMERATION_MAX_K makes no _feasible call
         limit = 1 + math.ceil(math.log2(k * k))
         costs = _mixed_stack(rng, (40,), k)
         counts = []
@@ -211,9 +197,61 @@ def test_stacked_search_step_count_is_bounded_and_repeatable(rng, monkeypatch):
     assert max(searches) > 1
 
 
+def test_small_stacks_are_enumerated_without_a_search(rng, monkeypatch):
+    # k <= ENUMERATION_MAX_K never reaches _feasible and equals the full search
+    def no_search(costs, t):
+        raise AssertionError("k <= ENUMERATION_MAX_K reached _feasible")
+
+    monkeypatch.setattr(numcore, "_feasible", no_search)
+    assert numcore.ENUMERATION_MAX_K == 5
+    stacks = []
+    for k in range(1, 6):
+        for shape in ((30,), (5, 6), (1,), (1, 1)):
+            stacks.append(_mixed_stack(rng, shape, k))
+    # a stack of 5 x 5 matrices over two blocks and a part of a third
+    per_block = numcore.ENUMERATION_BLOCK // math.factorial(5)
+    stacks.append(_mixed_stack(rng, (2 * per_block + 7,), 5))
+    for costs in stacks:
+        got = bottleneck_from_costs(costs)
+        assert isinstance(got, np.ndarray) and got.shape == costs.shape[:-2]
+        for idx in np.ndindex(got.shape):
+            assert got[idx] == _ref_bottleneck_from_costs(costs[idx])
+    single = bottleneck_from_costs(stacks[-1][3])
+    assert isinstance(single, float) and single == got[3]
+    assert bottleneck_from_costs(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def test_enumeration_memory_stays_within_its_blocks(rng):
+    # besides its output, the enumeration holds two blocks of float cells:
+    # the running maximum and one gathered column
+    costs = rng.random((100_000, 5, 5))
+    tracemalloc.start()
+    try:
+        got = bottleneck_from_costs(costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 2 * 8 * numcore.ENUMERATION_BLOCK + (64 << 10)
+
+
+def test_bottleneck_rejects_points_that_are_not_2d(rng):
+    # atleast_2d kept the leading axis of X[None], so |X| read as 1 and the
+    # distance came back inf
+    X, Y = rng.random((4, 2)), rng.random((4, 2))
+    for A, B in ((X[None], Y), (X, Y[None]), (X[None], Y[None])):
+        with pytest.raises(ValueError, match="2-D point arrays"):
+            bottleneck(A, B)
+
+
 def test_bottleneck_nan_cost_rejected():
     with pytest.raises(ValueError, match="NaN"):
         bottleneck_from_costs([[0.0, 1.0], [math.nan, 0.5]])
+    # one NaN among infinite costs, in a stack on either path
+    for k in (2, 8):
+        costs = np.full((3, k, k), np.inf)
+        costs[1, 0, k - 1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            bottleneck_from_costs(costs)
 
 
 def test_bottleneck_empty_sets_rejected():

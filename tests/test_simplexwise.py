@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_isometry, random_rotation
+from conftest import _ref_bottleneck_from_costs, random_isometry, random_rotation
 from geoinv import simplexwise
 from geoinv.clouds import PointCloud, spd
 from geoinv.numcore import INF, _pairwise, lac
@@ -31,7 +31,6 @@ from geoinv.simplexwise import (
     simplex_sign,
     strength,
 )
-from test_numcore import _ref_bottleneck_from_costs
 
 S2 = math.sqrt(2)
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numcore import _as_index
+from .numcore import _as_index, _rows
 
 #: minimum residue-triangle height (Angstrom) before a frame is degenerate
 HEIGHT_TOL = 1e-6
@@ -102,19 +102,9 @@ def bri(S):
     return out
 
 
-def _bri_matrix(b):
-    """``b`` as an (m, 9) float array of finite entries, m >= 1, else ValueError."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 9:
-        raise ValueError(f"a BRI matrix has m >= 1 rows of 9 numbers, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("non-finite BRI entries")
-    return b
-
-
 def _bri_of(S):
     """BRI of a Backbone, or a BRI matrix given as an array or nested list."""
-    return bri(S) if isinstance(S, Backbone) else _bri_matrix(S)
+    return bri(S) if isinstance(S, Backbone) else _rows(S, "BRI entries", 9)
 
 
 def brain(S):
@@ -146,7 +136,7 @@ def mirror_bri(b):
     Row 1 is untouched: its three entries are the first residue's planar
     TRIN values, not frame coordinates.
     """
-    out = _bri_matrix(b).copy()
+    out = _rows(b, "BRI entries", 9).copy()
     out[1:, [2, 5, 8]] *= -1.0
     return out
 
@@ -162,7 +152,7 @@ def reconstruct(b):
     in ceil(log2 m) stacked matmuls (Hillis-Steele), the bonds from one
     batched matmul and the atoms from one cumulative sum starting at C_1.
     """
-    b = _bri_matrix(b)
+    b = _rows(b, "BRI entries", 9)
     if np.abs(b).max() > MAX_COORD:
         raise ValueError(f"BRI entries above {MAX_COORD:g} in absolute value")
     l, x, y = b[0, :3]
@@ -192,7 +182,7 @@ def subchain(b, i, j):
     Rows i+1..i+j-1 of the parent are reused verbatim; only the first row is
     recomputed, directly from the bond coordinates stored in parent row i.
     """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    b = _rows(b, "BRI entries", 9)
     m = len(b)
     i, j = _as_index(i, "i"), _as_index(j, "j")
     if not (1 <= i and j >= 1 and i + j - 1 <= m):
@@ -246,7 +236,7 @@ def write_ppm(path, b):
     Columns are min-max scaled independently; the colour map is therefore
     non-canonical and intended only for visual diffing.
     """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    b = _rows(b, "BRI entries", 9)
     lo = b.min(axis=0)
     span = b.max(axis=0) - lo
     span[span == 0] = 1.0

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numcore import INF, _as_index, _check_weights, _pairwise, emd, norm_exponent
+from .numcore import INF, _as_index, _check_weights, _pairwise, _rows, emd, norm_exponent
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,7 @@ class PointCloud:
     labels: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("a cloud needs at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError("non-finite coordinates")
+        pts = _rows(self.points, "coordinates")
         if self.labels is not None and len(self.labels) != len(pts):
             raise ValueError("labels do not match points")
         object.__setattr__(self, "points", pts)
@@ -43,13 +39,14 @@ def _as_points(A):
 
 @dataclass(frozen=True)
 class WeightedRows:
-    """Unordered weighted rows of k sorted distances (PDD-family carrier)."""
+    """Unordered weighted rows of k sorted distances (PDD-family carrier);
+    rows may hold NaN, as the rows that ``collapse_rows`` keeps apart do."""
 
     weights: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
-        r = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        r = _rows(self.rows, "rows", finite=False)
         object.__setattr__(self, "weights", _check_weights(self.weights, len(r)))
         object.__setattr__(self, "rows", r)
 
@@ -67,12 +64,12 @@ def collapse_rows(rows, weights, tol=0.0):
     Rows are put in stable lexicographic order and a row is merged into the
     last row kept before it when no entry differs by more than ``tol``; a
     NaN entry never merges.  A merged row's weight is summed from left to
-    right, one run position at a time.
+    right, one run position at a time, from the weights as given.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = _rows(rows, "rows", finite=False)
     weights = np.asarray(weights, dtype=float)
-    if rows.size == 0:
-        raise ValueError("collapse_rows needs at least one non-empty row")
+    if weights.shape != rows.shape[:1]:
+        raise ValueError(f"weights of shape {weights.shape} do not match {len(rows)} rows")
     k = rows.shape[1]
     # Rows are sorted on their leading c columns, doubling c until rows that
     # tie there are equal (a NaN step is never equal), which makes it the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import _as_index
+from .numcore import _as_index, _rows
 
 #: corner points closer than this on the t-axis are merged
 CORNER_TOL = 1e-12
@@ -88,7 +88,7 @@ class PiecewiseLinear:
     corners: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.corners, dtype=float))
+        c = _rows(self.corners, "corners", 2)
         if (np.diff(c[:, 0]) <= 0).any():
             raise ValueError("corner abscissae must strictly increase")
         object.__setattr__(self, "corners", c)

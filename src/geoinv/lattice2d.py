@@ -108,7 +108,10 @@ def reduce_basis(basis):
     The arithmetic runs on Python floats.
     """
     if not isinstance(basis, Basis2D):
-        basis = Basis2D(*basis)
+        v = np.asarray(basis, dtype=float)
+        if v.shape != (2, 2):
+            raise ValueError("a 2D basis is two vectors of 2 numbers")
+        basis = Basis2D(*v)
     (x1, y1), (x2, y2) = basis.v1.tolist(), basis.v2.tolist()
     n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     if n1 > n2:

@@ -105,13 +105,26 @@ def minkowski(u, v, q=2.0):
     return lq_norm(u - v, q)
 
 
+def _rows(a, what, width=None, finite=True):
+    """``a`` as a float array of m >= 1 rows of n >= 1 (or ``width``) numbers,
+    a 1-D input being one row; ValueError naming ``what`` for any other shape
+    and, unless ``finite`` is false, for a non-finite entry."""
+    rows = np.asarray(a, dtype=float)
+    if rows.ndim < 2:
+        rows = rows.reshape(1, -1)  # as np.atleast_2d, at less call overhead
+    if rows.ndim != 2 or not rows.size or (width is not None and rows.shape[1] != width):
+        need = "non-empty rows" if width is None else f"rows of {width} numbers"
+        raise ValueError(f"{what} requires non-empty sets: 2-D point arrays of at least one "
+                         f"point, m >= 1 {need}, got shape {rows.shape}")
+    if finite and not np.isfinite(rows).all():
+        raise ValueError(f"non-finite {what}")
+    return rows
+
+
 def _pairwise(A, B, q=2.0):
     """Matrix of L_q distances between rows of A and rows of B."""
     q = norm_exponent(q)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("non-finite coordinates")
+    A, B = _rows(A, "coordinates"), _rows(B, "coordinates")
     if q is INF:
         return cdist(A, B, "chebyshev")
     return cdist(A, B, "minkowski", p=q)
@@ -119,10 +132,6 @@ def _pairwise(A, B, q=2.0):
 
 def hausdorff(A, B, q=2.0):
     """Hausdorff distance between two finite non-empty point sets."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.size == 0 or B.size == 0:
-        raise ValueError("hausdorff requires non-empty sets")
     d = _pairwise(A, B, q)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
@@ -207,6 +216,17 @@ def _searched(flat):
     return out
 
 
+def _square_costs(costs):
+    """``costs`` as a float array of one square matrix (k, k) or a stack
+    (..., k, k), k >= 1, with no NaN; infinite costs are allowed."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim < 2 or costs.shape[-1] != costs.shape[-2] or not costs.shape[-1]:
+        raise ValueError(f"need non-empty square cost matrices, got shape {costs.shape}")
+    if costs.size and np.isnan(costs.min()):  # min propagates NaN, with no mask
+        raise ValueError("NaN in costs")
+    return costs
+
+
 def bottleneck_from_costs(costs):
     """Minimum over perfect matchings of the maximum matched cost.
 
@@ -217,13 +237,7 @@ def bottleneck_from_costs(costs):
     taken in blocks of ENUMERATION_BLOCK cells; above that, the matrices are
     searched bound-first (see ``_searched``).
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim < 2 or costs.shape[-1] != costs.shape[-2]:
-        raise ValueError("bottleneck needs a square cost matrix")
-    if costs.shape[-1] == 0:
-        raise ValueError("bottleneck requires non-empty sets")
-    if costs.size and np.isnan(costs.min()):  # min propagates NaN, with no mask
-        raise ValueError("NaN in bottleneck costs")
+    costs = _square_costs(costs)
     k = costs.shape[-1]
     flat = costs.reshape(-1, k, k)
     out = _enumerated(flat) if k <= ENUMERATION_MAX_K else _searched(flat)
@@ -235,12 +249,7 @@ def bottleneck(A, B, ground_q=2.0):
 
     Returns float('inf') when |A| != |B| (no bijection exists).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError(f"bottleneck needs 2-D point arrays, got shapes {A.shape} and {B.shape}")
-    if A.size == 0 or B.size == 0:
-        raise ValueError("bottleneck requires non-empty sets")
+    A, B = _rows(A, "bottleneck"), _rows(B, "bottleneck")
     if A.shape[0] != B.shape[0]:
         return float("inf")
     return bottleneck_from_costs(_pairwise(A, B, ground_q))
@@ -248,20 +257,16 @@ def bottleneck(A, B, ground_q=2.0):
 
 def lac(costs):
     """Linear Assignment Cost: (1/k) * minimal total assignment cost."""
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
-        raise ValueError("lac needs a square cost matrix")
-    if costs.size == 0:
-        raise ValueError("lac requires non-empty sets")
+    costs = _square_costs(costs)
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / costs.shape[0])
 
 
 def _check_weights(w, n=None):
     w = np.asarray(w, dtype=float)
-    if n is not None and len(w) != n:
-        raise ValueError("weights do not match items")
-    if (w <= 0).any():
+    if w.ndim != 1 or n is not None and len(w) != n:
+        raise ValueError(f"weights of shape {w.shape} do not match items")
+    if not (w > 0).all():  # NaN is not positive either
         raise ValueError("weights must be positive")
     s = w.sum()
     if abs(s - 1.0) > WEIGHT_TOL:
@@ -289,11 +294,9 @@ def emd(P, Q, costs):
     """
     wp = _check_weights(P)
     wq = _check_weights(Q)
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (len(wp), len(wq)):
+    costs = _rows(costs, "costs", len(wq))
+    if len(costs) != len(wp):
         raise ValueError(f"cost matrix shape {costs.shape} != ({len(wp)}, {len(wq)})")
-    if not np.isfinite(costs).all():
-        raise ValueError("non-finite costs")
     if (costs < 0).any():
         raise ValueError("negative costs")
     m, n = costs.shape

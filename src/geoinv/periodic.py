@@ -105,9 +105,13 @@ def _checked(bases, motifs):
     and the inverse plane gaps (G, l); raises ValueError naming the first
     fault of the stack, in the order a single set is checked.
     """
+    if bases.ndim != 3 or motifs.ndim != 3:  # a leading axis is not a set
+        raise ValueError(f"a basis and a motif are 2-D arrays, got shapes {bases.shape[1:]} "
+                         f"and {motifs.shape[1:]}")
     l, n = bases.shape[1:]
-    if l > n:
-        raise ValueError("period rank exceeds the ambient dimension")
+    if not 1 <= l <= n:
+        raise ValueError("period rank exceeds the ambient dimension" if l
+                         else "period rank must be at least 1")
     if not np.isfinite(bases).all():
         raise ValueError("non-finite basis")
     if not np.isfinite(motifs).all():

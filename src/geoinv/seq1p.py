@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import INF, _pairwise, norm_exponent
+from .numcore import INF, _pairwise, _rows, norm_exponent
 from .simplexwise import LAMBDA, simplex_sign, strength
 
 #: most cells of one array of the ``seq_metric`` search, m^2 CDM cells (m
@@ -34,7 +34,7 @@ SEQ_WORK_BUDGET = 2**26
 
 def cdm(points):
     """Cyclic distance matrix: CDM_ij = |p_j - p_(i+j)| (indices mod m)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _rows(points, "coordinates")
     m = len(pts)
     if m < 2:
         raise ValueError("need at least 2 points")
@@ -44,7 +44,7 @@ def cdm(points):
 
 def _windows(points):
     """Stack (m, n+1, n) of the cyclic windows p_i .. p_(i+n) (indices mod m)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _rows(points, "coordinates")
     m, n = pts.shape
     return pts[(np.arange(m)[:, None] + np.arange(n + 1)) % m]
 
@@ -77,10 +77,10 @@ def _normalized_lq(diff, qn):
 
 def mcd(S, T, q=INF):
     """Metric based on cyclic distances: normalized L_q of CDM difference."""
-    A, B = cdm(S), cdm(T)
-    if A.shape != B.shape:
+    A, B = _rows(S, "coordinates"), _rows(T, "coordinates")
+    if A.shape != B.shape:  # CDMs of m points in R^2 and in R^3 have one shape
         raise ValueError("shape mismatch")
-    return _normalized_lq(A - B, norm_exponent(q))
+    return _normalized_lq(cdm(A) - cdm(B), norm_exponent(q))
 
 
 def _signed_strengths(points):
@@ -92,12 +92,9 @@ def mcs(S, T, q=INF):
 
     max of MCD_q and (2/lambda_n) * max_i |sign_i sigma_i(S) - sign_i sigma_i(T)|.
     """
-    pts_s = np.atleast_2d(np.asarray(S, dtype=float))
-    n = pts_s.shape[1]
-    lam = LAMBDA[n]
     base = mcd(S, T, q)
-    gap = np.abs(_signed_strengths(S) - _signed_strengths(T)).max()
-    return float(max(base, 2.0 / lam * gap))
+    gap = np.abs(_signed_strengths(S) - _signed_strengths(T)).max()  # n is 2 or 3 here
+    return float(max(base, 2.0 / LAMBDA[_rows(S, "coordinates").shape[1]] * gap))
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,9 @@ class OnePeriodicSequence:
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError("period must be positive")
-        motif = np.atleast_2d(np.asarray(self.motif, dtype=float))
-        if not (np.isfinite(self.period) and np.isfinite(motif).all()):
-            raise ValueError("non-finite period or coordinates")
+        if not np.isfinite(self.period):
+            raise ValueError("non-finite period")
+        motif = _rows(self.motif, "motif coordinates")
         times = motif[:, 0] % self.period
         motif = motif.copy()
         motif[:, 0] = times

@@ -318,3 +318,22 @@ def test_mirror_bri_and_brain_reject_bad_input(rng, shape):
     for f in (mirror_bri, brain):
         with pytest.raises(ValueError, match=match):
             f(b)
+
+
+def test_subchain_and_write_ppm_read_the_bri(rng, tmp_path):
+    # subchain returned a sub-BRI holding NaN and ended in a broadcast error
+    # on a 3-D array; write_ppm wrote a NaN BRI as garbage pixels (with a
+    # RuntimeWarning) and a 3-D one as a file
+    b = bri(random_chain(rng, 4))
+    nan = b.copy()
+    nan[2, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite BRI entries"):
+        subchain(nan, 2, 3)
+    with pytest.raises(ValueError, match="m >= 1 rows of 9 numbers"):
+        subchain(b[None], 1, 1)
+    path = tmp_path / "b.ppm"
+    with pytest.raises(ValueError, match="non-finite BRI entries"):
+        write_ppm(path, nan)
+    with pytest.raises(ValueError, match="m >= 1 rows of 9 numbers"):
+        write_ppm(path, b[None])
+    assert not path.exists()

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_isometry
 from geoinv.clouds import (
     PointCloud,
+    WeightedRows,
     collapse_rows,
     pdd,
     pdd_dist,
@@ -149,3 +150,28 @@ def test_raw_arrays_give_the_cloud_invariants():
 def test_collapse_rows_rejects_zero_rows():
     with pytest.raises(ValueError, match="non-empty row"):
         collapse_rows(np.zeros((0, 3)), [])
+
+
+def test_leading_axis_is_not_read_as_one_point(rng):
+    # srd(X[None]) returned a (1, 3) array and PointCloud kept shape (1, 5, 3)
+    X = rng.random((5, 3))
+    with pytest.raises(ValueError, match="2-D point arrays"):
+        srd(X[None])
+    with pytest.raises(ValueError, match="2-D point arrays"):
+        PointCloud(X[None])
+
+
+def test_nan_weights_are_rejected():
+    # (w <= 0).any() and abs(nan - 1) > tol are both False for a NaN weight
+    with pytest.raises(ValueError, match="weights must be positive"):
+        WeightedRows([math.nan, 1.0], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="weights must be positive"):
+        collapse_rows([[1.0], [2.0]], [math.nan, 1.0])
+
+
+def test_collapse_rows_checks_the_weight_count():
+    # fewer weights than rows ended in IndexError
+    rows = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+    for weights in ([0.5, 0.5], [[1 / 3, 1 / 3, 1 / 3]], []):
+        with pytest.raises(ValueError, match="do not match 3 rows"):
+            collapse_rows(rows, weights)

@@ -1,0 +1,190 @@
+"""One input contract for every public entry point that reads an array.
+
+Each row of ``CASES`` is one valid call.  Every array argument is mutated
+four ways: a nested list must give the result of the valid call, while one
+NaN, no rows and an extra leading axis must raise ValueError, except where
+``ALLOWED`` documents another behaviour.  ``NO_ARRAYS`` names the exported
+callables that read no array, so every export sits in one table or the
+other.  The last test keeps the array reads in ``numcore``'s readers.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import geoinv as g
+from geoinv.backbone import write_ppm
+from geoinv.numcore import bottleneck_from_costs
+from geoinv.simplexwise import simplex_sign
+
+RNG = np.random.default_rng(7)
+X, Y = RNG.random((5, 3)), RNG.random((5, 3))
+CHAIN = np.array([
+    [[0, 0, 0], [1.5, 0, 0], [2, 1, 0]],
+    [[3, 1, 0.5], [4, 0.5, 0], [5, 1.5, 0.3]],
+    [[6, 0, 1], [7.5, 0.2, 0.8], [8, 1.2, 1.1]],
+    [[9, 0.5, 0.4], [10.2, 0.1, 1.3], [11, 1.4, 0.9]],
+])
+BRI = g.bri(g.Backbone(CHAIN))
+BRI2 = g.bri(g.Backbone(CHAIN + 0.01 * (np.arange(36).reshape(4, 3, 3) % 3)))
+SEQ = np.array([[0.0, 0.0], [0.2, 1.0], [0.45, 0.5], [0.7, 2.0]])
+COSTS = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+ROWS = [[1.0, 2.0], [1.5, 2.5]]
+#: as many motif points as dimensions, so that a leading axis keeps the shapes aligned
+MOTIF = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.25, 0.5, 0.0]]
+
+
+def _ppm_text(b):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bri.ppm"
+        write_ppm(path, b)
+        return path.read_text()
+
+
+#: (name, callable, valid arguments, positions of the array arguments)
+CASES = [
+    ("bottleneck", g.bottleneck, (X, Y), (0, 1)),
+    ("bottleneck_from_costs", bottleneck_from_costs, (COSTS,), (0,)),
+    ("hausdorff", g.hausdorff, (X, Y), (0, 1)),
+    ("emd", g.emd, ([0.5, 0.5], [0.25, 0.75], [[0.0, 1.0], [2.0, 0.5]]), (0, 1, 2)),
+    ("lac", g.lac, (COSTS,), (0,)),
+    ("minkowski", g.minkowski, ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), (0, 1)),
+    ("PointCloud", g.PointCloud, (X,), (0,)),
+    ("srd", g.srd, (X,), (0,)),
+    ("spd", g.spd, (X,), (0,)),
+    ("pdd", g.pdd, (X, 2), (0,)),
+    ("sdd", g.sdd, (X, 1), (0,)),
+    ("scd", g.scd, (X,), (0,)),
+    ("WeightedRows", g.WeightedRows, ([0.5, 0.5], ROWS), (0, 1)),
+    ("collapse_rows", g.collapse_rows, (ROWS, [0.5, 0.5]), (0, 1)),
+    ("strength", g.strength, (X[:4],), (0,)),
+    ("simplex_sign", simplex_sign, (X[:4],), (0,)),
+    ("Backbone", g.Backbone, (CHAIN,), (0,)),
+    ("brain", g.brain, (BRI,), (0,)),
+    ("bri_dist", g.bri_dist, (BRI, BRI2), (0, 1)),
+    ("mirror_bri", g.mirror_bri, (BRI,), (0,)),
+    ("reconstruct", g.reconstruct, (BRI,), (0,)),
+    ("subchain", g.subchain, (BRI, 2, 3), (0,)),
+    ("write_ppm", _ppm_text, (BRI,), (0,)),
+    ("PeriodicSequence1D", g.PeriodicSequence1D, (1.0, [0.1, 0.5], [0.05, 0.1]), (1, 2)),
+    ("PiecewiseLinear", g.PiecewiseLinear, ([[0.0, 1.0], [1.0, 0.5]],), (0,)),
+    ("Basis2D", g.Basis2D, ([1.0, 0.0], [0.3, 1.1]), (0, 1)),
+    ("reduce_basis", g.reduce_basis, ([[1.0, 0.0], [0.3, 1.1]],), (0,)),
+    ("root_invariant", g.root_invariant, ([[1.0, 0.0], [0.3, 1.1]],), (0,)),
+    ("PeriodicSet", g.PeriodicSet, (np.eye(3), MOTIF), (0, 1)),
+    ("PeriodicSet.from_fractional", g.PeriodicSet.from_fractional, (np.eye(3), MOTIF), (0, 1)),
+    ("OnePeriodicSequence", g.OnePeriodicSequence, (1.0, SEQ), (1,)),
+    ("cdm", g.cdm, (SEQ,), (0,)),
+    ("cds", g.cds, (SEQ,), (0,)),
+    ("mcd", g.mcd, (SEQ, SEQ[::-1]), (0, 1)),
+    ("mcs", g.mcs, (SEQ, SEQ[::-1]), (0, 1)),
+]
+
+#: (name, argument position, mutation) -> why the call returns
+ALLOWED = {
+    ("bottleneck_from_costs", 0, "leading axis"): "a stack (..., k, k) gives one bottleneck per matrix",
+    ("strength", 0, "leading axis"): "a stack (..., n+1, n) gives one strength per simplex",
+    ("simplex_sign", 0, "leading axis"): "a stack (..., n+1, n) gives one sign per simplex",
+    ("collapse_rows", 0, "NaN"): "a NaN entry never merges, as the docstring says",
+    ("WeightedRows", 1, "NaN"): "it carries the NaN rows that collapse_rows keeps apart",
+}
+
+#: exported callables that read no array -> what they take instead
+NO_ARRAYS = {
+    **dict.fromkeys(["Exponent", "norm_exponent", "cell_to_basis", "inverse_design",
+                     "ProjectedInvariant2D", "RootInvariant2D"], "scalars"),
+    **dict.fromkeys(["amd", "neighbours", "pdd_periodic", "ppc", "deviations", "pda_dist",
+                     "dedup", "lnd"], "PeriodicSet objects"),
+    **dict.fromkeys(["bri", "trin", "mirror_backbone", "lipschitz_lambda"], "Backbone objects"),
+    "pdd_dist": "WeightedRows objects",
+    **dict.fromkeys(["sdd_dist", "scd_dist"], "Sdd or Scd objects"),
+    **dict.fromkeys(["seq_metric", "time_shift"], "OnePeriodicSequence objects"),
+    **dict.fromkeys(["psi", "rho", "fingerprint_dist", "fingerprint_equal"],
+                    "PeriodicSequence1D objects"),
+    **dict.fromkeys(["rm", "pm", "chiral", "projected_invariant", "slm"],
+                    "lattice invariant objects"),
+    **dict.fromkeys(["Rdd", "Sdd", "Ocd", "Scd", "ObtuseSuperbase2D"],
+                    "records that sdd, scd and reduce_basis fill; they check nothing"),
+}
+
+
+def _nan(a):
+    a = np.array(a, dtype=float)
+    a.flat[a.size // 2] = np.nan
+    return a
+
+
+MUTATIONS = {
+    "NaN": _nan,
+    "no rows": lambda a: np.zeros((0,) + np.shape(a)[1:]),
+    "leading axis": lambda a: np.asarray(a, dtype=float)[None],
+}
+
+
+def _same(a, b):
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if a is None or isinstance(a, str):
+        return a == b
+    return np.array_equal(a, b)
+
+
+ARRAYS = [
+    pytest.param(name, f, args, i, id=f"{name}-{i}") for name, f, args, arrays in CASES for i in arrays
+]
+
+
+@pytest.mark.parametrize("name, f, args, i", ARRAYS)
+def test_nested_lists_give_the_valid_result(name, f, args, i):
+    mutated = list(args)
+    mutated[i] = np.asarray(args[i]).tolist()
+    assert _same(f(*mutated), f(*args))
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name, f, args, i", ARRAYS)
+def test_bad_arrays_raise_value_error(name, f, args, i, mutation):
+    mutated = list(args)
+    mutated[i] = MUTATIONS[mutation](args[i])
+    if (name, i, mutation) in ALLOWED:
+        f(*mutated)
+    else:
+        with pytest.raises(ValueError):
+            f(*mutated)
+
+
+def test_every_export_is_in_one_table():
+    exported = {n for n in dir(g) if not n.startswith("_") and callable(getattr(g, n))}
+    cased = {name for name, *_ in CASES}
+    assert not cased & set(NO_ARRAYS)
+    assert exported - cased - set(NO_ARRAYS) == set()
+    assert set(NO_ARRAYS) <= exported
+    assert {name for name, _, _ in ALLOWED} <= cased
+
+
+#: modules that still read arrays themselves -> (count, why)
+OWN_READS = {
+    "periodic.py": (4, "PeriodicSet and from_fractional read a basis and a motif as the one-set "
+                       "stack of _checked, the single reader of periodic stacks"),
+    "simplexwise.py": (1, "_simplices reads one simplex (n+1, n) or a stack (..., n+1, n), "
+                          "where leading axes are a stack and not an error"),
+}
+
+
+def test_arrays_are_read_in_numcore():
+    src = Path(g.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numcore.py":
+            continue
+        count = len(re.findall(r"atleast_2d\(np\.asarray\(", path.read_text()))
+        assert count == OWN_READS.get(path.name, (0, ""))[0], path.name

@@ -412,3 +412,11 @@ def test_emd_lp_over_cell_budget_rejected_before_building(monkeypatch):
     m, n = 1000, 999
     with pytest.raises(ValueError, match="over the budget"):
         emd(np.full(m, 1 / m), np.full(n, 1 / n), np.ones((m, n)))
+
+
+def test_emd_rejects_nan_weights():
+    # a NaN weight passed the positivity and sum checks and reached linprog
+    costs = [[0.0, 1.0], [1.0, 0.0]]
+    for wp, wq in (([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, math.nan])):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            emd(wp, wq, costs)

@@ -422,6 +422,22 @@ def test_periodic_set_rejects_bad_shapes_and_bases(basis, motif, message):
         PeriodicSet(np.array(basis, dtype=float), np.array(motif, dtype=float))
 
 
+def test_periodic_set_rejects_rank_zero():
+    # a (0, 3) basis constructed and amd ended in ZeroDivisionError in ppc
+    with pytest.raises(ValueError, match="period rank must be at least 1"):
+        PeriodicSet(np.zeros((0, 3)), np.zeros((1, 3)))
+
+
 def test_neighbour_budget_rejects_nan_cells():
     with pytest.raises(ValueError, match="budget"):
         periodic._check_budget(math.nan, "coefficient box", 3, np.eye(3))
+
+
+def test_periodic_set_rejects_a_leading_axis():
+    # a (1, 3, 3) motif over a 3 x 3 basis constructed a set with that motif
+    motif = np.array([[0.0, 0, 0], [0.5, 0.5, 0.5], [0.25, 0.5, 0]])
+    for basis, frac in ((np.eye(3), motif[None]), (np.eye(3)[None], motif)):
+        with pytest.raises(ValueError, match="2-D arrays"):
+            PeriodicSet(basis, frac)
+        with pytest.raises(ValueError, match="2-D arrays"):
+            PeriodicSet.from_fractional(basis, frac)

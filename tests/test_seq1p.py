@@ -372,3 +372,38 @@ def test_seq_metric_coprime_thirty_point_motifs(rng):
     for X, Y in ((S, Q), (Q, S)):
         d = seq_metric(X, Y)
         assert math.isfinite(d) and d > 0.0
+
+
+def test_bad_motifs_and_sequences_are_rejected(rng):
+    # an empty or (1, m, 2) motif constructed and seq_metric ended in
+    # IndexError in time_shift; mcs(X[None], Y[None]) ended in KeyError
+    for motif in (np.zeros((0, 2)), T1[None]):
+        with pytest.raises(ValueError, match="non-empty"):
+            OnePeriodicSequence(1.0, motif)
+    X, Y = rng.random((5, 3)), rng.random((5, 3))
+    with pytest.raises(ValueError, match="2-D point arrays"):
+        mcs(X[None], Y[None])
+    # sequences in R^2 and R^3 have CDMs of one shape and were compared
+    for metric in (mcd, mcs):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metric(X[:, :2], Y)
+
+
+def test_cli_seq1_metric_on_an_empty_file_exits_2(tmp_path):
+    # a subprocess, as numpy warns "input contained no data" on the empty file
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "a.txt").write_text("0 0 0\n0.2 1 0.5\n0.45 0.5 -1\n")
+    (tmp_path / "empty.txt").write_text("")
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys; from geoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = ["seq1", "metric", "--period", "1", "a.txt", "empty.txt"]
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=60, env=env, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert "geoinv: motif coordinates requires non-empty sets" in done.stderr

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .io import _read_table
 from .numcore import _as_index, _rows
 
 #: minimum residue-triangle height (Angstrom) before a frame is degenerate
@@ -184,8 +185,8 @@ def subchain(b, i, j):
     """
     b = _rows(b, "BRI entries", 9)
     m = len(b)
-    i, j = _as_index(i, "i"), _as_index(j, "j")
-    if not (1 <= i and j >= 1 and i + j - 1 <= m):
+    i, j = _as_index(i, "i", 1), _as_index(j, "j", 1)
+    if i + j - 1 > m:
         raise ValueError("subchain out of range")
     out = np.zeros((j, 9))
     if i == 1:
@@ -215,9 +216,7 @@ def lipschitz_lambda(S, Q):
 
 def read_tsv(path):
     """Read a backbone from TSV rows: residue_index, Nx..Nz, Ax..Az, Cx..Cz."""
-    rows = np.loadtxt(path, delimiter="\t", ndmin=2)
-    if rows.shape[1] != 10:
-        raise ValueError("expected 10 tab-separated columns per residue")
+    rows = _read_table(path, "backbone rows", "\t", 10)
     order = np.argsort(rows[:, 0])
     atoms = rows[order, 1:].reshape(-1, 3, 3)
     return Backbone(atoms)

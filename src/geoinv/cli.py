@@ -200,12 +200,12 @@ def _density_compare(a):
 
 
 def _seq1_cdm(a):
-    M = seq1p.cdm(np.loadtxt(a.file, ndmin=2))
+    M = seq1p.cdm(io._read_table(a.file, "coordinates"))
     return _matrix_csv(M), {"cdm": M}
 
 
 def _seq1_metric(a):
-    a1, b1 = np.loadtxt(a.file, ndmin=2), np.loadtxt(a.file2, ndmin=2)
+    a1, b1 = (io._read_table(f, "motif coordinates") for f in (a.file, a.file2))
     S = seq1p.OnePeriodicSequence(a.period, a1)
     Q = seq1p.OnePeriodicSequence(a.period if a.period2 is None else a.period2, b1)
     d = seq1p.seq_metric(S, Q, a.q, group=a.group, equivalence=a.equivalence)
@@ -222,7 +222,7 @@ def _backbone_compare(a):
 
 
 def _backbone_reconstruct(a):
-    S = bb.reconstruct(np.loadtxt(a.file, delimiter=",", ndmin=2))
+    S = bb.reconstruct(io._read_table(a.file, "BRI entries", ",", 9))
     rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
     return "\n".join("\t".join(io.fmt(v) for v in row) for row in rows) + "\n", {"atoms": S.atoms}
 

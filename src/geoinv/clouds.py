@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numcore import INF, _as_index, _check_weights, _pairwise, _rows, emd, norm_exponent
+from .numcore import INF, _as_index, _check_weights, _pairwise, _real, _rows, emd, norm_exponent
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ def collapse_rows(rows, weights, tol=0.0):
     right, one run position at a time, from the weights as given.
     """
     rows = _rows(rows, "rows", finite=False)
+    tol = _real(tol, "tol")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != rows.shape[:1]:
         raise ValueError(f"weights of shape {weights.shape} do not match {len(rows)} rows")

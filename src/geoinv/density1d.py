@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import _as_index, _rows
+from .numcore import _as_index, _real, _rows
 
 #: corner points closer than this on the t-axis are merged
 CORNER_TOL = 1e-12
@@ -40,8 +40,7 @@ class PeriodicSequence1D:
     radii: np.ndarray = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError("period must be positive and finite")
+        object.__setattr__(self, "period", _real(self.period, "period", positive=True))
         centres = np.asarray(self.centres, dtype=float)
         if centres.ndim != 1 or len(centres) == 0:
             raise ValueError("centres must be a non-empty 1-D array")
@@ -158,21 +157,13 @@ def _values(c, x, w, periods):
     return x, v + c[:, None]
 
 
-def _checked_k(k, what):
-    """``k`` as a Python integer; ValueError unless it is an integer >= 0."""
-    k = _as_index(k, what)
-    if k < 0:
-        raise ValueError(f"{what} must be >= 0")
-    return k
-
-
 def psi(S, k):
     """Exact density function psi_k as a PiecewiseLinear in the original scale.
 
     The corners are merged on the period-1 t-axis, then the t-axis is
     rescaled by the period.
     """
-    k = _checked_k(k, "k")
+    k = _as_index(k, "k", 0)
     c, x, w = _hinges(S, k, k)
     x, v = _values(c, x, w[None], (1.0,))
     x, y = _merge_corners(np.concatenate([[0.0], x[0]]), np.concatenate([c, v[0]]))
@@ -185,7 +176,7 @@ def rho(S, k):
     Closed forms for zero radii: (1/4) sum d_i^2 for k = 0 and
     (1/2) sum d_(i-1) d_(i+k-1) for k > 0, with d the inter-point gaps.
     """
-    k = _checked_k(k, "k")
+    k = _as_index(k, "k", 0)
     if (S.radii > 0).any():
         raise ValueError("rho is defined for zero-radius sequences")
     d = _gaps(1.0, S.centres / S.period, S.radii / S.period)
@@ -201,7 +192,7 @@ def _sup_diffs(S, Q, k_max):
     form one row per k; the difference is linear between the sorted
     breakpoints and constant after the last, so its sup is at a breakpoint.
     """
-    k_max = _checked_k(k_max, "k_max")
+    k_max = _as_index(k_max, "k_max", 0)
     cs, xs, ws = _hinges(S, 0, k_max)
     cq, xq, wq = _hinges(Q, 0, k_max)
     x = np.concatenate([xs * S.period, xq * Q.period], axis=1)
@@ -216,8 +207,7 @@ def fingerprint_equal(S, Q, k_max=None, tol=1e-9):
     makes k = 0..max(m_S, m_Q) sufficient; with radii the comparison runs to
     ``k_max`` (default 2 * max motif size).
     """
-    if not tol >= 0:
-        raise ValueError("tol must be a non-negative number")
+    tol = _real(tol, "tol")
     zero_radii = not (S.radii > 0).any() and not (Q.radii > 0).any()
     if k_max is None:
         k_max = max(S.m, Q.m) if zero_radii else 2 * max(S.m, Q.m)

@@ -1,5 +1,6 @@
-"""File formats: CIF-lite (P1 only), XYZ point clouds, backbone TSV, and the
-CSV/JSON serializers shared by the command-line interface.
+"""File formats: CIF-lite (P1 only), XYZ point clouds, numeric text tables
+(sequences, BRIs and backbone TSV), and the CSV/JSON serializers shared by
+the command-line interface.
 
 Many CIF-lite texts (a directory) are parsed one by one and then checked as
 stacks of sets, one stack per motif size; one text is a stack of one.
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 
 from .clouds import PointCloud
+from .numcore import _rows
 from .periodic import PeriodicSet, _from_fractional_stack, cell_to_basis
 
 #: numbers are printed with this many significant digits
@@ -91,12 +94,7 @@ def _cif_fields(text):
     for tag in _CELL_TAGS:
         if tag not in values:
             raise ValueError(f"missing CIF tag {tag}")
-    a, b, c, al, be, ga = (_cif_number(values[tag]) for tag in _CELL_TAGS)
-    if min(a, b, c) <= 0:
-        raise ValueError("cell lengths must be positive")
-    for ang in (al, be, ga):
-        if not 0.0 < ang < 180.0:
-            raise ValueError(f"cell angle {ang} out of range (0, 180)")
+    basis = cell_to_basis(*(_cif_number(values[tag]) for tag in _CELL_TAGS))
 
     for tag in ("_symmetry_space_group_name_H-M", "_space_group_name_H-M_alt",
                 "_symmetry_Int_Tables_number", "_space_group_IT_number"):
@@ -151,7 +149,7 @@ def _cif_fields(text):
 
     if sym_ops > 1:
         raise ValueError("only P1 CIFs are supported (symmetry operations found)")
-    return cell_to_basis(a, b, c, al, be, ga), np.array(frac), labels
+    return basis, np.array(frac), labels
 
 
 def write_cif_lite(S, name="geoinv"):
@@ -203,6 +201,18 @@ def parse_xyz(text):
     if not coords[0]:
         raise ValueError("XYZ rows have no coordinates")
     return PointCloud(np.array(coords), [r[0] for r in rows])
+
+
+def _read_table(path, what, delimiter=None, width=None):
+    """The rows of a numeric text table, read as ``_rows(rows, what, width)``
+    would read them; a ValueError, an empty file's too, names the file."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+    try:
+        return _rows(rows, what, width)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def write_xyz(C, comment=""):

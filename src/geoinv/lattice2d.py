@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import INF, lq_norm, norm_exponent
+from .numcore import _REALS, INF, lq_norm, norm_exponent
 
 #: relative tolerance used by the sign-0 boundary test
 SIGN_TOL = 1e-9
@@ -68,7 +68,8 @@ class ObtuseSuperbase2D:
 
 def _floats(sb):
     """The superbase vectors as three (x, y) pairs of Python floats."""
-    return sb.v0.tolist(), sb.v1.tolist(), sb.v2.tolist()
+    return [v.tolist() if isinstance(v, np.ndarray) else [*map(float, v)]
+            for v in (sb.v0, sb.v1, sb.v2)]
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,16 @@ def root_invariant(sb):
 
     The superbase is labelled so that the conorms satisfy p12 <= p01 <= p02;
     the sign is that of det(v1, v2) under this labelling, set to 0 exactly
-    for mirror-symmetric lattices (boundary of the ordered cone).
+    for mirror-symmetric lattices (boundary of the ordered cone).  A superbase
+    built by hand must be three finite vectors whose sum is 0 within SIGN_TOL
+    of the sum of their lengths.
     """
     if isinstance(sb, (Basis2D, tuple, list, np.ndarray)):
         sb = reduce_basis(sb)
     (x0, y0), (x1, y1), (x2, y2) = v = _floats(sb)
+    size = math.hypot(x0, y0) + math.hypot(x1, y1) + math.hypot(x2, y2)
+    if not (size < math.inf and math.hypot(x0 + x1 + x2, y0 + y1 + y2) <= SIGN_TOL * size):
+        raise ValueError("a superbase is three finite vectors that sum to 0")
     conorms = [
         0.0 if 0.0 > p else p  # max(p, 0.0)
         for p in (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
@@ -345,7 +351,7 @@ def inverse_design(x, y, size, sign=1):
     root-invariant size ``size`` and the requested orientation sign."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and x + y <= 1.0 + 1e-12):
         raise ValueError("(x, y) must lie in the quotient triangle")
-    if not 0 < size < math.inf:
+    if not (isinstance(size, _REALS) and 0 < size < math.inf):
         raise ValueError("size must be positive and finite")
     r12 = size * y / 3.0
     r01 = size * (3.0 - 3.0 * x - y) / 6.0

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -36,6 +38,8 @@ WEIGHT_TOL = 1e-9
 #: transportation LP; at the budget (about 203 x 202) an LP takes about a
 #: second and 0.5 GiB at peak
 EMD_CELL_BUDGET = 2**24
+#: the real types, concrete ones first: a numbers.Real ABC check costs about 0.5 us
+_REALS = (float, int, numbers.Real)
 #: largest k whose k x k bottleneck is taken over all k! permutations
 ENUMERATION_MAX_K = 5
 #: the k! permutations of k columns, one row each, for k <= ENUMERATION_MAX_K
@@ -51,7 +55,8 @@ ENUMERATION_BLOCK = 1 << 15
 def norm_exponent(q):
     """Normalize an exponent to a float >= 1 or the explicit INF variant.
 
-    Accepts the INF enum, float('inf'), the string 'inf', or a real q >= 1.
+    Accepts the INF enum, float('inf'), the string 'inf', or a real q >= 1
+    (or a string of one); ValueError for anything else.
     """
     if q is INF:
         return INF
@@ -59,22 +64,42 @@ def norm_exponent(q):
         if q.strip().lower() in ("inf", "infinity", "+inf"):
             return INF
         q = float(q)
-    if isinstance(q, (int, float, np.integer, np.floating)):
+    if isinstance(q, _REALS):
         q = float(q)
         if q == np.inf:
             return INF
         if not q >= 1.0:
             raise ValueError(f"exponent q must satisfy q >= 1, got {q}")
         return q
-    raise TypeError(f"cannot interpret exponent {q!r}")
+    raise ValueError(f"cannot interpret exponent {q!r}")
 
 
-def _as_index(value, what):
-    """``value`` as a Python integer; ValueError for any non-integer."""
+def _as_index(value, what, lo=None):
+    """``value`` as a Python integer; ValueError for a non-integer or one below ``lo``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo:
+        raise ValueError(f"{what} must be >= {lo}")
+    return value
+
+
+def _real(value, what, positive=False):
+    """``value`` as a finite float >= 0 (> 0 if ``positive``); ValueError naming ``what``."""
+    if not isinstance(value, _REALS):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite")
+    if not (value > 0 if positive else value >= 0):
+        raise ValueError(f"{what} must be {'positive' if positive else 'non-negative'}")
+    return float(value)
+
+
+def _within(cells, budget, need):
+    """ValueError "{need()}, over the budget of {budget}" unless cells <= budget."""
+    if not cells <= budget:
+        raise ValueError(f"{need()}, over the budget of {budget}")
 
 
 def lq_norm(v, q=2.0):
@@ -311,11 +336,8 @@ def emd(P, Q, costs):
         return float(costs[rows, cols].sum() / m), flow
 
     cells = (m + n - 1) * m * n
-    if cells > EMD_CELL_BUDGET:
-        raise ValueError(
-            f"EMD of {m} x {n} weighted rows needs a transportation LP of {cells:.3g} "
-            f"constraint cells, over the budget of {EMD_CELL_BUDGET}"
-        )
+    _within(cells, EMD_CELL_BUDGET, lambda: f"EMD of {m} x {n} weighted rows needs a "
+            f"transportation LP of {cells:.3g} constraint cells")
     # Balanced transportation LP: row sums = wp, column sums = wq (the
     # inequality form of the definition collapses to equalities because the
     # total flow 1 equals the sum of either marginal).  One constraint is

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
-from .numcore import INF, _as_index, _pairwise
+from .numcore import _REALS, INF, _as_index, _pairwise, _real, _within
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
@@ -39,6 +39,10 @@ NEIGHBOUR_CELL_BUDGET = 2**24
 
 def cell_to_basis(a, b, c, alpha, beta, gamma_deg):
     """Standard crystallographic cell-to-Cartesian basis (angles in degrees)."""
+    a, b, c = (_real(x, "cell lengths", positive=True) for x in (a, b, c))
+    for ang in (alpha, beta, gamma_deg):
+        if not (isinstance(ang, _REALS) and 0.0 < ang < 180.0):
+            raise ValueError(f"cell angle {ang} out of range (0, 180)")
     al, be, ga = (math.radians(v) for v in (alpha, beta, gamma_deg))
     cx = c * math.cos(be)
     cy = c * (math.cos(al) - math.cos(be) * math.cos(ga)) / math.sin(ga)
@@ -211,18 +215,13 @@ def _cell_lengths(basis):
 def _check_budget(cells, what, k, basis):
     """Raise ValueError, naming the cell, if one array of a neighbour search
     passes the budget."""
-    if not cells <= NEIGHBOUR_CELL_BUDGET:  # NaN cells fail too
-        raise ValueError(
-            f"neighbour search for k={k} needs {cells:.3g} cells of {what} "
-            f"(cell lengths {_cell_lengths(basis)}), over the budget of {NEIGHBOUR_CELL_BUDGET}"
-        )
+    _within(cells, NEIGHBOUR_CELL_BUDGET, lambda: f"neighbour search for k={k} needs "
+            f"{cells:.3g} cells of {what} (cell lengths {_cell_lengths(basis)})")
 
 
 def _checked_k(k):
     """``k`` as a Python integer; ValueError unless 1 <= k < NEIGHBOUR_CELL_BUDGET."""
-    k = _as_index(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _as_index(k, "k", 1)
     if k >= NEIGHBOUR_CELL_BUDGET:
         # each row needs k + 1 candidates, more cells than the budget
         raise ValueError(f"k={k} is over the neighbour cell budget of {NEIGHBOUR_CELL_BUDGET}")
@@ -347,6 +346,15 @@ def _check_ranks(sets):
         raise ValueError("period ranks differ")
 
 
+def _ids(ids, n):
+    """The ids of a dataset of n sets, by default their indices."""
+    if ids is None:
+        return range(n)
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} ids for a dataset of {n} sets")
+    return ids
+
+
 def pda_dist(S, Q, k, q=INF):
     """EMD between the PDA matrices of two periodic sets (ground L_q).
 
@@ -371,6 +379,7 @@ def lnd(S, dataset, k, ids=None):
     if not dataset:
         raise ValueError("empty dataset")
     _check_ranks([S, *dataset])
+    ids = _ids(ids, len(dataset))
     ada, _, pda = _ada_pda([S, *dataset], k)
     gaps = np.abs(ada[0] - ada[1:]).max(axis=1).tolist()
     best, best_idx = math.inf, None
@@ -380,7 +389,7 @@ def lnd(S, dataset, k, ids=None):
         d = pdd_dist(pda(0), pda(idx + 1), INF)
         if d < best or (d == best and idx < best_idx):
             best, best_idx = d, idx
-    return best, ids[best_idx] if ids is not None else best_idx
+    return best, ids[best_idx]
 
 
 def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
@@ -393,12 +402,10 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     """
     if not dataset:
         raise ValueError("empty dataset")
-    for name, t in (("ada_threshold", ada_threshold), ("confirm_threshold", confirm_threshold)):
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {t}")
+    ada_threshold = _real(ada_threshold, "ada_threshold")
+    confirm_threshold = _real(confirm_threshold, "confirm_threshold")
     _check_ranks(dataset)
-    if ids is None:
-        ids = list(range(len(dataset)))
+    ids = _ids(ids, len(dataset))
     ada, _, pda = _ada_pda(dataset, k)
     results = []
     for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import INF, _pairwise, _rows, norm_exponent
+from .numcore import INF, _pairwise, _real, _rows, norm_exponent
 from .simplexwise import LAMBDA, simplex_sign, strength
 
 #: most cells of one array of the ``seq_metric`` search, m^2 CDM cells (m
@@ -105,18 +105,16 @@ class OnePeriodicSequence:
     motif: np.ndarray
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        if not np.isfinite(self.period):
-            raise ValueError("non-finite period")
+        period = _real(self.period, "period", positive=True)
         motif = _rows(self.motif, "motif coordinates")
-        times = motif[:, 0] % self.period
+        times = motif[:, 0] % period
         motif = motif.copy()
         motif[:, 0] = times
         order = np.argsort(times)
         motif = motif[order]
         if (np.diff(motif[:, 0]) <= 0).any():
             raise ValueError("time projections must be distinct")
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "motif", motif)
 
     @property

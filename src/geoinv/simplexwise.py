@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import _as_index, _pairwise, bottleneck_from_costs, emd
+from .numcore import _as_index, _pairwise, _within, bottleneck_from_costs, emd
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -172,11 +172,8 @@ def _canonical(m, h, width, forms_of):
     """
     total, orders = math.comb(m, h), ORDERS[h]
     cells = total * len(orders) * width
-    if cells > SIMPLEX_CELL_BUDGET:
-        raise ValueError(
-            f"the {total} {h}-point bases of {m} points need {total} x {len(orders)} orders "
-            f"x {width} = {cells:.3g} form cells, over the budget of {SIMPLEX_CELL_BUDGET}"
-        )
+    _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the {total} {h}-point bases of {m} points "
+            f"need {total} x {len(orders)} orders x {width} = {cells:.3g} form cells")
     bases, rest = _bases(m, h)
     forms = np.empty((total, width))
     step = max(1, MAX_METRIC_BLOCK // (len(orders) * width))
@@ -210,11 +207,8 @@ def _max_metric(dx, dy, cx, cy, orders):
         return np.full((len(dx), len(dy)), np.inf)
     nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
     cells = nx * ny * no * k * k
-    if cells > SIMPLEX_CELL_BUDGET:
-        raise ValueError(
-            f"the max metric of {nx} x {ny} classes needs {nx} x {ny} x {no} orders x {k} x {k}"
-            f" = {cells:.3g} cost cells, over the budget of {SIMPLEX_CELL_BUDGET}"
-        )
+    _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the max metric of {nx} x {ny} classes needs "
+            f"{nx} x {ny} x {no} orders x {k} x {k} = {cells:.3g} cost cells")
     dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")

@@ -1,16 +1,26 @@
-"""One input contract for every public entry point that reads an array.
+"""One input contract for every public entry point that reads an array or
+a scalar.
 
 Each row of ``CASES`` is one valid call.  Every array argument is mutated
 four ways: a nested list must give the result of the valid call, while one
 NaN, no rows and an extra leading axis must raise ValueError, except where
 ``ALLOWED`` documents another behaviour.  ``NO_ARRAYS`` names the exported
 callables that read no array, so every export sits in one table or the
-other.  The last test keeps the array reads in ``numcore``'s readers.
+other.  ``test_arrays_are_read_in_numcore`` keeps the array reads in
+``numcore``'s readers.
+
+Each row of ``SCALARS`` is one valid call too, with the kind of each count,
+order, tolerance, threshold, period, exponent, size and cell parameter.
+Every such argument set to NaN, inf, -1, "1" or None (and a count to 1.5)
+must raise ValueError, except where ``SCALAR_ALLOWED`` says why a kind takes
+that value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -188,3 +198,135 @@ def test_arrays_are_read_in_numcore():
             continue
         count = len(re.findall(r"atleast_2d\(np\.asarray\(", path.read_text()))
         assert count == OWN_READS.get(path.name, (0, ""))[0], path.name
+
+
+CUBIC = g.PeriodicSet(np.eye(3), [[0.0, 0.0, 0.0]])
+CUBIC2 = g.PeriodicSet(1.1 * np.eye(3), [[0.0, 0.0, 0.0]])
+DENSITY, DENSITY2 = g.PeriodicSequence1D(1.0, [0.1, 0.5]), g.PeriodicSequence1D(1.0, [0.2, 0.7])
+SEQ2 = g.OnePeriodicSequence(1.0, SEQ[::-1])
+RI, RI2 = (g.root_invariant(b) for b in ([[1.0, 0.0], [0.3, 1.1]], [[1.0, 0.1], [0.2, 1.4]]))
+PI, PI2 = g.projected_invariant(RI), g.projected_invariant(RI2)
+
+#: (name, callable, valid arguments, {position: kind of the scalar there})
+SCALARS = [
+    ("norm_exponent", g.norm_exponent, (2.0,), {0: "exponent"}),
+    ("minkowski", g.minkowski, ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 2.0), {2: "exponent"}),
+    ("hausdorff", g.hausdorff, (X, Y, 2.0), {2: "exponent"}),
+    ("bottleneck", g.bottleneck, (X, Y, 2.0), {2: "exponent"}),
+    ("pdd", g.pdd, (X, 2, 0.0), {1: "count", 2: "real"}),
+    ("collapse_rows", g.collapse_rows, (ROWS, [0.5, 0.5], 0.0), {2: "real"}),
+    ("pdd_dist", g.pdd_dist, (g.pdd(X, 2), g.pdd(Y, 2), 2.0), {2: "exponent"}),
+    ("sdd", g.sdd, (X, 1), {1: "count"}),
+    ("cell_to_basis", g.cell_to_basis, (1.0, 1.2, 1.5, 80.0, 95.0, 100.0),
+     dict.fromkeys(range(6), "real")),
+    ("neighbours", g.neighbours, (CUBIC, 4), {1: "count"}),
+    ("pdd_periodic", g.pdd_periodic, (CUBIC, 4, 0.0), {1: "count", 2: "real"}),
+    ("amd", g.amd, (CUBIC, 4), {1: "count"}),
+    ("deviations", g.deviations, (CUBIC, 4), {1: "count"}),
+    ("pda_dist", g.pda_dist, (CUBIC, CUBIC2, 4, 2.0), {2: "count", 3: "exponent"}),
+    ("lnd", g.lnd, (CUBIC, [CUBIC2], 4), {2: "count"}),
+    ("dedup", g.dedup, ([CUBIC, CUBIC2], 4, 0.01, 0.01), {1: "count", 2: "real", 3: "real"}),
+    ("PeriodicSequence1D", g.PeriodicSequence1D, (1.0, [0.1, 0.5]), {0: "real"}),
+    ("psi", g.psi, (DENSITY, 1), {1: "count"}),
+    ("rho", g.rho, (DENSITY, 1), {1: "count"}),
+    ("fingerprint_equal", g.fingerprint_equal, (DENSITY, DENSITY2, 2, 1e-9),
+     {2: "count or None", 3: "real"}),
+    ("fingerprint_dist", g.fingerprint_dist, (DENSITY, DENSITY2, 2), {2: "count or None"}),
+    ("OnePeriodicSequence", g.OnePeriodicSequence, (1.0, SEQ), {0: "real"}),
+    ("seq_metric", g.seq_metric, (g.OnePeriodicSequence(1.0, SEQ), SEQ2, 2.0),
+     {2: "exponent"}),
+    ("mcd", g.mcd, (SEQ, SEQ[::-1], 2.0), {2: "exponent"}),
+    ("mcs", g.mcs, (SEQ, SEQ[::-1], 2.0), {2: "exponent"}),
+    ("subchain", g.subchain, (BRI, 2, 3), {1: "count", 2: "count"}),
+    ("rm", g.rm, (RI, RI2, 2.0), {2: "exponent"}),
+    ("pm", g.pm, (PI, PI2, 2.0), {2: "exponent"}),
+    ("chiral", g.chiral, (PI, "D4", 2.0), {2: "exponent"}),
+    ("inverse_design", g.inverse_design, (0.2, 0.3, 2.0), {2: "real"}),
+]
+
+SCALAR_MUTATIONS = {"NaN": math.nan, "inf": math.inf, "-1": -1, "string": "1", "None": None,
+                    "1.5": 1.5}
+
+#: (kind, mutation) -> why a parameter of that kind takes the value
+SCALAR_ALLOWED = {
+    ("exponent", "inf"): "q = inf is the Chebyshev exponent, which INF also names",
+    ("exponent", "string"): "a string is read as the exponent it spells, as --q is",
+    ("count or None", "None"): "None is the default, which the motif sizes give",
+}
+
+#: parameter names of the kinds above; every export's parameter of one of
+#: these names is a row of SCALARS
+SCALAR_NAMES = {"k", "k_max", "h", "i", "j", "tol", "collapse_tol", "ada_threshold",
+                "confirm_threshold", "period", "q", "ground_q", "size", "alpha", "beta",
+                "gamma_deg"}
+
+
+def _scalar_params():
+    for name, f, args, kinds in SCALARS:
+        for i, kind in kinds.items():
+            for mutation in SCALAR_MUTATIONS:
+                if mutation != "1.5" or "count" in kind:
+                    yield pytest.param(name, f, args, i, kind, mutation,
+                                       id=f"{name}-{i}-{mutation}")
+
+
+@pytest.mark.parametrize("name, f, args, i, kind, mutation", _scalar_params())
+def test_bad_scalars_raise_value_error(name, f, args, i, kind, mutation):
+    mutated = list(args)
+    mutated[i] = SCALAR_MUTATIONS[mutation]
+    if (kind, mutation) in SCALAR_ALLOWED:
+        f(*mutated)
+    else:
+        with pytest.raises(ValueError):
+            f(*mutated)
+
+
+def test_every_scalar_parameter_is_in_the_table():
+    rows = {(f, i) for _, f, _, kinds in SCALARS for i in kinds}
+    for name in dir(g):
+        f = getattr(g, name)
+        if name.startswith("_") or not callable(f) or name == "Exponent":
+            continue
+        for i, p in enumerate(inspect.signature(f).parameters):
+            if p in SCALAR_NAMES:
+                assert (f, i) in rows, (name, p)
+    for _, f, args, _ in SCALARS:
+        f(*args)
+
+
+#: calls that returned, or ended in TypeError, ZeroDivisionError or
+#: IndexError, before the scalar readers -> what the ValueError says
+SCALAR_FAULTS = [
+    ("pdd tol NaN", lambda: g.pdd(X, 2, math.nan), "tol must be finite"),
+    ("pdd tol -1", lambda: g.pdd(X, 2, -1.0), "tol must be non-negative"),
+    ("pdd tol string", lambda: g.pdd(X, 2, "0.1"), "tol must be a number"),
+    ("dedup threshold string", lambda: g.dedup([CUBIC, CUBIC], k=3, ada_threshold="0.1"),
+     "ada_threshold must be a number"),
+    ("density period string", lambda: g.PeriodicSequence1D("1", [0.1]), "period must be a number"),
+    ("sequence period string", lambda: g.OnePeriodicSequence("1", [[0.1, 0.0]]),
+     "period must be a number"),
+    ("cell angle 0", lambda: g.cell_to_basis(1, 1, 1, 90, 90, 0), "cell angle 0 out of range"),
+    ("cell length string", lambda: g.cell_to_basis("1", 1, 1, 90, 90, 90),
+     "cell lengths must be a number"),
+    ("cell length NaN", lambda: g.cell_to_basis(math.nan, 1, 1, 90, 90, 90),
+     "cell lengths must be finite"),
+    ("cell length -1", lambda: g.cell_to_basis(-1, 1, 1, 90, 90, 90),
+     "cell lengths must be positive"),
+    ("fingerprint tol inf", lambda: g.fingerprint_equal(DENSITY, DENSITY2, tol=math.inf),
+     "tol must be finite"),
+    ("dedup ids", lambda: g.dedup([CUBIC, CUBIC], k=3, ids=["a"]), "1 ids for a dataset of 2"),
+    ("lnd ids", lambda: g.lnd(CUBIC, [CUBIC, CUBIC], 3, ids=["a"]), "1 ids for a dataset of 2"),
+    ("norm_exponent None", lambda: g.norm_exponent(None), "cannot interpret exponent None"),
+    ("pdd_dist q None", lambda: g.pdd_dist(g.pdd(X, 2), g.pdd(Y, 2), None), "cannot interpret"),
+    ("hausdorff q None", lambda: g.hausdorff(X, Y, None), "cannot interpret"),
+    ("rm q None", lambda: g.rm(RI, RI2, None), "cannot interpret"),
+    ("pm q None", lambda: g.pm(PI, PI2, None), "cannot interpret"),
+    ("chiral q None", lambda: g.chiral(RI, "D2", None), "cannot interpret"),
+    ("seq_metric q None", lambda: g.seq_metric(SEQ2, SEQ2, None), "cannot interpret"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in SCALAR_FAULTS])
+def test_former_scalar_faults_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -576,3 +576,23 @@ def test_python_m_geoinv_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "ppc"
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq1", "cdm", "{empty}"],
+    ["seq1", "metric", "--period", "1", "{a}", "{empty}"],
+    ["backbone", "reconstruct", "{empty}"],
+    ["backbone", "bri", "{comment}"],
+])
+def test_cli_text_file_without_data_gives_one_message(tmp_path, capsys, argv):
+    # numpy's "input contained no data" warning came first, an error under
+    # this suite's warning filter
+    files = {"a": "0 0 0\n0.2 1 0.5\n0.45 0.5 -1\n", "empty": "", "comment": "# no rows\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv = [arg.format(**{name: tmp_path / f"{name}.txt" for name in files}) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("geoinv: ") and lines[0].endswith(f" in {argv[-1]}")

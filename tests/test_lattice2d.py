@@ -384,6 +384,25 @@ def test_extreme_bases_in_range_reduce():
         assert ri.sign == 0
 
 
+@pytest.mark.parametrize("vectors", [([math.nan, 0], [1, 0], [0, 1]), ([-1, -1], [1, 0], [0, 5])])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_root_invariant_rejects_a_superbase_of_no_lattice(vectors, as_array):
+    # the first gave a NaN invariant, the second a finite invariant of no
+    # lattice, and as lists both ended in AttributeError
+    sb = ObtuseSuperbase2D(*(np.array(v, dtype=float) if as_array else v for v in vectors))
+    with pytest.raises(ValueError, match="three finite vectors that sum to 0"):
+        root_invariant(sb)
+
+
+def test_reduced_superbases_pass_the_superbase_check(rng):
+    for scale in (1e-140, 1e-3, 1.0, 1e3, 1e150):
+        for _ in range(50):
+            v = scale * rng.normal(size=(2, 2))
+            sb = reduce_basis(v)
+            assert root_invariant(sb) == root_invariant(v)
+            assert root_invariant(ObtuseSuperbase2D(*sb.vectors().tolist())) == root_invariant(sb)
+
+
 @pytest.mark.parametrize("size", [math.inf, math.nan, 0.0, -1.0])
 def test_inverse_design_rejects_bad_sizes(size):
     with pytest.raises(ValueError, match="size must be positive and finite"):

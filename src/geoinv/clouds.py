@@ -165,8 +165,7 @@ def spd_from_pdd(P, m=None):
     the uncollapsed PDD, so pooling all entries and keeping every other
     sorted value reproduces the sorted pairwise distances.
     """
-    if m is None:
-        m = P.k + 1
+    m = P.k + 1 if m is None else _as_index(m, "m")
     counts = np.rint(P.weights * m).astype(int)
     if counts.sum() != m or P.k != m - 1:
         raise ValueError("need a full PDD(A; m-1) with inferable row counts")

@@ -71,14 +71,16 @@ def _parse_cifs(texts, names):
 
 
 def _cif_fields(text):
-    """The basis, fractional motif and labels of a CIF-lite text."""
-    lines, values = [], {}
+    """The basis, fractional motif and labels of a CIF-lite text: one pass records
+    the tags, blocks, symmetry operations and atom_site loops, then checks them."""
+    values, loops = {}, []
     blocks = sym_ops = 0
-    for ln in text.splitlines():
+    headers = rows = None  # of the loop being read: its headers, then an atom_site loop's rows
+    # the closing loop_ ends the headers or rows of the last loop
+    for ln in text.splitlines() + ["loop_"]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        lines.append(ln)
         if ln.startswith("_"):
             parts = ln.split(None, 1)
             if len(parts) == 2:
@@ -88,6 +90,25 @@ def _cif_fields(text):
         # a symmetry operation, numbered or not, has exactly two commas
         elif ln.count(",") == 2 and (_SYMOP_NUMBERED.match(ln) or _SYMOP_XYZ.match(ln.lower())):
             sym_ops += 1
+        if headers is not None:
+            if ln.startswith("_"):
+                headers.append(ln.split()[0])
+                continue
+            # an atom_site loop, unless aniso-only or symop, reads rows from this line on
+            if (any(h.startswith("_atom_site") for h in headers)
+                    and not all(h.startswith("_atom_site_aniso") for h in headers)
+                    and not any(h.startswith(("_space_group_symop", "_symmetry_equiv"))
+                                for h in headers)):
+                rows = []
+                loops.append((headers, rows))
+            headers = None
+        if rows is not None:
+            if not ln.startswith(("_", "loop_", "data_")):
+                rows.append(ln.split())
+                continue
+            rows = None
+        if ln.lower() == "loop_":
+            headers = []
     if blocks > 1:
         raise ValueError("more than one data_ block: one crystal per file is supported")
 
@@ -101,27 +122,8 @@ def _cif_fields(text):
         if tag in values and values[tag].strip().lower() not in _P1_NAMES:
             raise ValueError(f"only P1 CIFs are supported ({values[tag]})")
 
-    # locate the atom_site loop
-    frac = []
-    labels = []
-    i = 0
-    found = False
-    while i < len(lines):
-        if lines[i].lower() != "loop_":
-            i += 1
-            continue
-        headers = []
-        i += 1
-        while i < len(lines) and lines[i].startswith("_"):
-            headers.append(lines[i].split()[0])
-            i += 1
-        if not any(h.startswith("_atom_site") for h in headers):
-            continue
-        if all(h.startswith("_atom_site_aniso") for h in headers):
-            continue
-        if any(h.startswith("_space_group_symop") or h.startswith("_symmetry_equiv")
-               for h in headers):
-            continue
+    frac, labels = [], []
+    for headers, rows in loops:
         try:
             ix = headers.index("_atom_site_fract_x")
             iy = headers.index("_atom_site_fract_y")
@@ -134,17 +136,14 @@ def _cif_fields(text):
             if "_atom_site_occupancy" in headers
             else None
         )
-        while i < len(lines) and not lines[i].startswith(("_", "loop_", "data_")):
-            row = lines[i].split()
+        for row in rows:
             if len(row) < len(headers):
                 raise ValueError("short atom_site row")
             if io_ is not None and abs(_cif_number(row[io_]) - 1.0) > 1e-9:
                 raise ValueError("occupancy != 1 is not supported")
             frac.append([_cif_number(row[ix]), _cif_number(row[iy]), _cif_number(row[iz])])
             labels.append(row[il] if il is not None else f"X{len(frac)}")
-            i += 1
-        found = True
-    if not found or not frac:
+    if not frac:
         raise ValueError("no atom_site loop found")
 
     if sym_ops > 1:

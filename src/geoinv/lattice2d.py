@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import _REALS, INF, lq_norm, norm_exponent
+from .numcore import _REALS, INF, _real, lq_norm, norm_exponent
 
 #: relative tolerance used by the sign-0 boundary test
 SIGN_TOL = 1e-9
@@ -349,9 +349,11 @@ def superbase_from_root_invariant(ri):
 def inverse_design(x, y, size, sign=1):
     """Unique lattice (up to isometry) with projected invariant (x, y),
     root-invariant size ``size`` and the requested orientation sign."""
+    x, y = _real(x, "x", signed=True), _real(y, "y", signed=True)
+    sign = _real(sign, "sign", signed=True)
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and x + y <= 1.0 + 1e-12):
         raise ValueError("(x, y) must lie in the quotient triangle")
-    if not (isinstance(size, _REALS) and 0 < size < math.inf):
+    if not (isinstance(size, _REALS) and 0 < size <= sys.float_info.max):
         raise ValueError("size must be positive and finite")
     r12 = size * y / 3.0
     r01 = size * (3.0 - 3.0 * x - y) / 6.0

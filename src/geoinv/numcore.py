@@ -16,6 +16,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -40,6 +41,8 @@ WEIGHT_TOL = 1e-9
 EMD_CELL_BUDGET = 2**24
 #: the real types, concrete ones first: a numbers.Real ABC check costs about 0.5 us
 _REALS = (float, int, numbers.Real)
+#: the largest finite float; a Python int above it has no float
+_FLOAT_MAX = sys.float_info.max
 #: largest k whose k x k bottleneck is taken over all k! permutations
 ENUMERATION_MAX_K = 5
 #: the k! permutations of k columns, one row each, for k <= ENUMERATION_MAX_K
@@ -65,7 +68,10 @@ def norm_exponent(q):
             return INF
         q = float(q)
     if isinstance(q, _REALS):
-        q = float(q)
+        try:
+            q = float(q)
+        except OverflowError:
+            raise ValueError("exponent q is beyond the float range") from None
         if q == np.inf:
             return INF
         if not q >= 1.0:
@@ -85,13 +91,14 @@ def _as_index(value, what, lo=None):
     return value
 
 
-def _real(value, what, positive=False):
-    """``value`` as a finite float >= 0 (> 0 if ``positive``); ValueError naming ``what``."""
+def _real(value, what, positive=False, signed=False):
+    """``value`` as a finite float, >= 0 unless ``signed`` (> 0 if ``positive``);
+    ValueError naming ``what``, also for an integer beyond the float range."""
     if not isinstance(value, _REALS):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{what} must be finite")
-    if not (value > 0 if positive else value >= 0):
+    if not (signed or (value > 0 if positive else value >= 0)):
         raise ValueError(f"{what} must be {'positive' if positive else 'non-negative'}")
     return float(value)
 

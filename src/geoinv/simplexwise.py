@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import _as_index, _pairwise, _within, bottleneck_from_costs, emd
+from .numcore import PERMS, _as_index, _pairwise, _within, bottleneck_from_costs, emd
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -44,7 +44,7 @@ LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
 DEGENERATE_REL_TOL = 1e-18
 
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
-ORDERS = {h: np.array(list(itertools.permutations(range(h)))) for h in (1, 2, 3)}
+ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 
 #: most cells built in one numpy step: column costs (class pairs x orders x
 #: k x k) in ``_max_metric`` and base-order forms (bases x orders x form

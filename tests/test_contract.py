@@ -30,6 +30,7 @@ import pytest
 
 import geoinv as g
 from geoinv.backbone import write_ppm
+from geoinv.clouds import spd_from_pdd
 from geoinv.numcore import bottleneck_from_costs
 from geoinv.simplexwise import simplex_sign
 
@@ -105,10 +106,12 @@ ALLOWED = {
     ("WeightedRows", 1, "NaN"): "it carries the NaN rows that collapse_rows keeps apart",
 }
 
+#: records that the invariant functions fill; their fields are not scalar parameters
+RECORDS = "records that sdd, scd, reduce_basis and the lattice invariants fill; they check nothing"
+
 #: exported callables that read no array -> what they take instead
 NO_ARRAYS = {
-    **dict.fromkeys(["Exponent", "norm_exponent", "cell_to_basis", "inverse_design",
-                     "ProjectedInvariant2D", "RootInvariant2D"], "scalars"),
+    **dict.fromkeys(["Exponent", "norm_exponent", "cell_to_basis", "inverse_design"], "scalars"),
     **dict.fromkeys(["amd", "neighbours", "pdd_periodic", "ppc", "deviations", "pda_dist",
                      "dedup", "lnd"], "PeriodicSet objects"),
     **dict.fromkeys(["bri", "trin", "mirror_backbone", "lipschitz_lambda"], "Backbone objects"),
@@ -119,8 +122,8 @@ NO_ARRAYS = {
                     "PeriodicSequence1D objects"),
     **dict.fromkeys(["rm", "pm", "chiral", "projected_invariant", "slm"],
                     "lattice invariant objects"),
-    **dict.fromkeys(["Rdd", "Sdd", "Ocd", "Scd", "ObtuseSuperbase2D"],
-                    "records that sdd, scd and reduce_basis fill; they check nothing"),
+    **dict.fromkeys(["Rdd", "Sdd", "Ocd", "Scd", "ObtuseSuperbase2D", "RootInvariant2D",
+                     "ProjectedInvariant2D"], RECORDS),
 }
 
 
@@ -241,31 +244,36 @@ SCALARS = [
     ("rm", g.rm, (RI, RI2, 2.0), {2: "exponent"}),
     ("pm", g.pm, (PI, PI2, 2.0), {2: "exponent"}),
     ("chiral", g.chiral, (PI, "D4", 2.0), {2: "exponent"}),
-    ("inverse_design", g.inverse_design, (0.2, 0.3, 2.0), {2: "real"}),
+    ("inverse_design", g.inverse_design, (0.2, 0.3, 2.0, 1),
+     {0: "real", 1: "real", 2: "real", 3: "sign"}),
 ]
 
 SCALAR_MUTATIONS = {"NaN": math.nan, "inf": math.inf, "-1": -1, "string": "1", "None": None,
-                    "1.5": 1.5}
+                    "1.5": 1.5, "10**400": 10**400}
+#: mutation -> whether it applies to counts (True) or to the other kinds (False);
+#: a count may be any large integer, as rho's periodic index is
+SCALAR_SCOPE = {"1.5": True, "10**400": False}
 
 #: (kind, mutation) -> why a parameter of that kind takes the value
 SCALAR_ALLOWED = {
     ("exponent", "inf"): "q = inf is the Chebyshev exponent, which INF also names",
     ("exponent", "string"): "a string is read as the exponent it spells, as --q is",
     ("count or None", "None"): "None is the default, which the motif sizes give",
+    ("sign", "-1"): "a negative sign asks for the mirror image",
 }
 
 #: parameter names of the kinds above; every export's parameter of one of
 #: these names is a row of SCALARS
 SCALAR_NAMES = {"k", "k_max", "h", "i", "j", "tol", "collapse_tol", "ada_threshold",
                 "confirm_threshold", "period", "q", "ground_q", "size", "alpha", "beta",
-                "gamma_deg"}
+                "gamma_deg", "x", "y", "sign"}
 
 
 def _scalar_params():
     for name, f, args, kinds in SCALARS:
         for i, kind in kinds.items():
             for mutation in SCALAR_MUTATIONS:
-                if mutation != "1.5" or "count" in kind:
+                if SCALAR_SCOPE.get(mutation, "count" in kind) == ("count" in kind):
                     yield pytest.param(name, f, args, i, kind, mutation,
                                        id=f"{name}-{i}-{mutation}")
 
@@ -285,7 +293,8 @@ def test_every_scalar_parameter_is_in_the_table():
     rows = {(f, i) for _, f, _, kinds in SCALARS for i in kinds}
     for name in dir(g):
         f = getattr(g, name)
-        if name.startswith("_") or not callable(f) or name == "Exponent":
+        if (name.startswith("_") or not callable(f) or name == "Exponent"
+                or NO_ARRAYS.get(name) == RECORDS):
             continue
         for i, p in enumerate(inspect.signature(f).parameters):
             if p in SCALAR_NAMES:
@@ -323,6 +332,16 @@ SCALAR_FAULTS = [
     ("pm q None", lambda: g.pm(PI, PI2, None), "cannot interpret"),
     ("chiral q None", lambda: g.chiral(RI, "D2", None), "cannot interpret"),
     ("seq_metric q None", lambda: g.seq_metric(SEQ2, SEQ2, None), "cannot interpret"),
+    ("design x string", lambda: g.inverse_design("0.2", 0.3, 1.0), "x must be a number"),
+    ("design sign None", lambda: g.inverse_design(0.2, 0.3, 1.0, None), "sign must be a number"),
+    ("design sign string", lambda: g.inverse_design(0.2, 0.3, 1.0, "1"), "sign must be a number"),
+    ("spd_from_pdd m NaN", lambda: spd_from_pdd(g.pdd(X, 4), math.nan), "m must be an integer"),
+    ("spd_from_pdd m string", lambda: spd_from_pdd(g.pdd(X, 4), "5"), "m must be an integer"),
+    ("cell length 10**400", lambda: g.cell_to_basis(10**400, 1, 1, 90, 90, 90),
+     "cell lengths must be finite"),
+    ("density period 10**400", lambda: g.PeriodicSequence1D(10**400, [0.1]),
+     "period must be finite"),
+    ("hausdorff q 10**400", lambda: g.hausdorff(X, Y, 10**400), "exponent q is beyond"),
 ]
 
 

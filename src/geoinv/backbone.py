@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .io import _read_table
+from .io import _read_table, fmt
 from .numcore import _as_index, _rows
 
 #: minimum residue-triangle height (Angstrom) before a frame is degenerate
@@ -222,11 +222,16 @@ def read_tsv(path):
     return Backbone(atoms)
 
 
+def _tsv(S):
+    """A backbone as TSV text: one row per residue, its index and 9 coordinates."""
+    rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
+    return "\n".join("\t".join(fmt(v) for v in row) for row in rows) + "\n"
+
+
 def write_tsv(path, S):
     """Write a backbone in the TSV format accepted by :func:`read_tsv`."""
-    m = S.m
-    data = np.column_stack([np.arange(1, m + 1), S.atoms.reshape(m, 9)])
-    np.savetxt(path, data, delimiter="\t", fmt="%.12g")
+    with open(path, "w") as fh:
+        fh.write(_tsv(S))
 
 
 def write_ppm(path, b):

@@ -223,8 +223,7 @@ def _backbone_compare(a):
 
 def _backbone_reconstruct(a):
     S = bb.reconstruct(io._read_table(a.file, "BRI entries", ",", 9))
-    rows = np.column_stack([np.arange(1, S.m + 1), S.atoms.reshape(S.m, 9)])
-    return "\n".join("\t".join(io.fmt(v) for v in row) for row in rows) + "\n", {"atoms": S.atoms}
+    return bb._tsv(S), {"atoms": S.atoms}
 
 
 def _selftest(seed):

@@ -193,14 +193,8 @@ def rm(a, b, q=2.0, oriented=False):
     if not oriented or a.sign * b.sign >= 0:
         return lq_norm(r - s, qn)
     if qn == 2.0:
-        refl = np.array(
-            [
-                [-s[0], s[1], s[2]],
-                [s[1], s[0], s[2]],
-                [s[0], s[2], s[1]],
-            ]
-        )
-        return float(np.sqrt(((refl - r) ** 2).sum(axis=1)).min())
+        mirrors = ([-s[0], s[1], s[2]], [s[1], s[0], s[2]], [s[0], s[2], s[1]])
+        return min(lq_norm(r - t, qn) for t in mirrors)
     if qn is INF:
         d0 = max(r[0] + s[0], abs(r[1] - s[1]), abs(r[2] - s[2]))
         d1 = max(_ms(r[0], r[1], s[0], s[1]), abs(r[2] - s[2]))
@@ -216,14 +210,8 @@ def pm(a, b, q=2.0, oriented=False):
     if not oriented or a.sign * b.sign >= 0:
         return lq_norm(p1 - p2, qn)
     if qn == 2.0:
-        refl = np.array(
-            [
-                [-p2[0], p2[1]],
-                [p2[0], -p2[1]],
-                [1.0 - p2[1], 1.0 - p2[0]],
-            ]
-        )
-        return float(np.sqrt(((refl - p1) ** 2).sum(axis=1)).min())
+        mirrors = ([-p2[0], p2[1]], [p2[0], -p2[1]], [1.0 - p2[1], 1.0 - p2[0]])
+        return min(lq_norm(p1 - t, qn) for t in mirrors)
     if qn is INF:
         (x1, y1), (x2, y2) = sorted([tuple(p1), tuple(p2)])
         dx = max(x2 - x1, y2 + y1)

@@ -58,15 +58,16 @@ ENUMERATION_BLOCK = 1 << 15
 def norm_exponent(q):
     """Normalize an exponent to a float >= 1 or the explicit INF variant.
 
-    Accepts the INF enum, float('inf'), the string 'inf', or a real q >= 1
-    (or a string of one); ValueError for anything else.
+    Accepts the INF enum, a real q >= 1 or float('inf'), or a string that
+    ``float`` reads as one of these; ValueError for anything else.
     """
     if q is INF:
         return INF
     if isinstance(q, str):
-        if q.strip().lower() in ("inf", "infinity", "+inf"):
-            return INF
-        q = float(q)
+        try:
+            q = float(q)
+        except ValueError:
+            raise ValueError(f"cannot interpret exponent {q!r}") from None
     if isinstance(q, _REALS):
         try:
             q = float(q)
@@ -282,6 +283,7 @@ def bottleneck(A, B, ground_q=2.0):
     Returns float('inf') when |A| != |B| (no bijection exists).
     """
     A, B = _rows(A, "bottleneck"), _rows(B, "bottleneck")
+    ground_q = norm_exponent(ground_q)
     if A.shape[0] != B.shape[0]:
         return float("inf")
     return bottleneck_from_costs(_pairwise(A, B, ground_q))

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
-from .numcore import _REALS, INF, _as_index, _pairwise, _real, _within
+from .numcore import _REALS, INF, _as_index, _pairwise, _real, _within, norm_exponent
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
@@ -360,6 +360,7 @@ def pda_dist(S, Q, k, q=INF):
 
     Both PDAs come from one ``_ada_pda`` call, which builds no AND or PND.
     """
+    q = norm_exponent(q)
     _check_ranks([S, Q])
     _, _, pda = _ada_pda([S, Q], k)
     return pdd_dist(pda(0), pda(1), q)

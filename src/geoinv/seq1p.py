@@ -146,6 +146,8 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
         raise ValueError("group must be 'cyclic' or 'dihedral'")
     if equivalence not in ("isometry", "rigid"):
         raise ValueError("equivalence must be 'isometry' or 'rigid'")
+    if S.value_dim != Q.value_dim:
+        raise ValueError(f"value dimensions {S.value_dim} and {Q.value_dim} differ")
     m = math.lcm(S.m, Q.m)
     # a one-point motif has an empty CDM, so its value term is 0
     use_values = S.value_dim >= 1 and m > 1

@@ -73,21 +73,17 @@ def _simplices(points):
 def strength(points):
     """Strength sigma(A) = V^2 / p^(2n-1) of a simplex on n+1 points in R^n.
 
-    V is the simplex volume (Cayley-Menger determinant) and p the
-    half-perimeter; degenerate simplices give 0.  For a segment in R the
-    strength is the double length.  ``points`` is one simplex of shape
-    (n+1, n), which gives a float, or a stack of shape (..., n+1, n), which
-    gives a float array of shape (...).
+    V is the simplex volume, |det| of the successive difference vectors over
+    n!, and p the half-perimeter; degenerate simplices give 0.  For a
+    segment in R the strength is the double length.  ``points`` is one
+    simplex of shape (n+1, n), which gives a float, or a stack of shape
+    (..., n+1, n), which gives a float array of shape (...).
     """
     pts, n = _simplices(points)
     i, j = np.triu_indices(n + 1, k=1)
     edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
     p = 0.5 * edges.sum(axis=-1)
-    cm = np.zeros(pts.shape[:-2] + (n + 2, n + 2))
-    cm[..., 0, 1:] = cm[..., 1:, 0] = 1.0
-    cm[..., 1 + i, 1 + j] = cm[..., 1 + j, 1 + i] = edges**2
-    coeff = (-1) ** (n + 1) / (2.0**n * float(math.factorial(n)) ** 2)
-    v2 = np.maximum(coeff * np.linalg.det(cm), 0.0)
+    v2 = (np.linalg.det(np.diff(pts, axis=-2)) / math.factorial(n)) ** 2
     zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
     out = np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
     return float(out) if out.ndim == 0 else out
@@ -303,28 +299,29 @@ def rdd_max_metric(X, Y):
     return float(_rdd_costs([X], [Y])[0, 0])
 
 
-def _distribution_dist(weights_x, weights_y, costs, mode, total_x=None, total_y=None):
+def _distribution_dist(X, Y, mode, costs_of):
     """EMD between two distributions of classes, or their LAC.
 
-    LAC needs equal totals T.  Both weight vectors are then counts over T,
-    and by Birkhoff-von Neumann the least assignment cost of the T x T
-    costs that repeat each class by its count is the EMD, so LAC is
-    computed as the EMD.
+    ``mode`` and the totals are checked before ``costs_of()`` builds the
+    cost matrix.  LAC needs equal totals T.  Both weight vectors are then
+    counts over T, and by Birkhoff-von Neumann the least assignment cost of
+    the T x T costs that repeat each class by its count is the EMD, so LAC
+    is computed as the EMD.
     """
-    if np.isinf(costs).any():
-        raise ValueError("distributions of incompatible sizes")
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "lac" and (total_x != total_y or total_x is None):
+    if mode == "lac" and (X.total != Y.total or X.total is None):
         raise ValueError("LAC mode needs equal-size distributions")
-    value, _ = emd(weights_x, weights_y, costs)
+    costs = costs_of()
+    if np.isinf(costs).any():
+        raise ValueError("distributions of incompatible sizes")
+    value, _ = emd(X.weights, Y.weights, costs)
     return value
 
 
 def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
-    costs = _rdd_costs(X.rdds, Y.rdds)
-    return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
+    return _distribution_dist(X, Y, mode, lambda: _rdd_costs(X.rdds, Y.rdds))
 
 
 @dataclass(frozen=True)
@@ -440,5 +437,4 @@ def ocd_max_metric(X, Y):
 
 def scd_dist(X, Y, mode="emd"):
     """Metric between SCDs via EMD or LAC over the OCD max metric."""
-    costs = _ocd_costs(X.ocds, Y.ocds)
-    return _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
+    return _distribution_dist(X, Y, mode, lambda: _ocd_costs(X.ocds, Y.ocds))

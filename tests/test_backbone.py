@@ -23,6 +23,8 @@ from geoinv.backbone import (
     write_ppm,
     write_tsv,
 )
+from geoinv.cli import main
+from test_cli_golden import FILES
 
 
 def random_chain(rng, m):
@@ -281,6 +283,26 @@ def test_tsv_round_trip(tmp_path, rng):
     write_tsv(path, S)
     T = read_tsv(path)
     assert np.abs(T.atoms - S.atoms).max() < 1e-9
+
+
+def test_write_tsv_writes_the_cli_reconstruct_text(tmp_path, capsys):
+    bri_csv, tsv = tmp_path / "bri.csv", tmp_path / "chain.tsv"
+    bri_csv.write_text(FILES["bri.csv"])
+    assert main(["backbone", "reconstruct", str(bri_csv)]) == 0
+    write_tsv(tsv, reconstruct(np.loadtxt(bri_csv, delimiter=",")))
+    assert tsv.read_text() == capsys.readouterr().out
+
+
+def test_write_tsv_writes_negative_zero_as_zero(tmp_path, rng):
+    # np.savetxt wrote -0.0 as "-0"; the CLI's text has always written "0"
+    atoms = random_chain(rng, 3).atoms
+    atoms = atoms - atoms[0, 0]
+    atoms[0, 0] = -0.0
+    path = tmp_path / "chain.tsv"
+    write_tsv(path, Backbone(atoms))
+    first = path.read_text().splitlines()[0].split("\t")
+    assert first[:4] == ["1", "0", "0", "0"]
+    assert "-0" not in path.read_text().replace("-0.", "")
 
 
 def test_ppm_export(tmp_path, rng):

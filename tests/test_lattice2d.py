@@ -3,11 +3,13 @@ chiral distances, spherical map and inverse design."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import legacy_kernels
 from geoinv.lattice2d import (
     Basis2D,
     ObtuseSuperbase2D,
@@ -196,6 +198,28 @@ def test_mirror_pairs_equal_twice_chiral():
         assert pm(pi_p, pi_m, q, oriented=True) == pytest.approx(
             2 * chiral(pi_p, "D2", q), abs=1e-9
         )
+
+
+def test_oriented_l2_metrics_match_the_reference(rng):
+    # rm and pm at q = 2 between invariants of opposite sign: the least
+    # lq_norm to three mirror images equals the hand-rolled array form
+    def invariants(sign):
+        x = rng.uniform(0.01, 0.49)
+        y = rng.uniform(0.01, 0.98 - x)
+        ri = root_invariant(inverse_design(x, y, rng.uniform(0.2, 5.0), sign))
+        return ri, projected_invariant(ri)
+
+    for _ in range(1000):
+        (ra, pa), (rb, pb) = invariants(1), invariants(-1)
+        assert ra.sign == pa.sign == 1 and rb.sign == pb.sign == -1
+        for a, b, metric, ref in (
+            (ra, rb, rm, legacy_kernels.rm),
+            (pb, pa, pm, legacy_kernels.pm),
+            (ra, dataclasses.replace(ra, sign=-1), rm, legacy_kernels.rm),
+            (pa, dataclasses.replace(pa, sign=-1), pm, legacy_kernels.pm),
+        ):
+            assert metric(a, b, 2, oriented=True) == ref(a, b, 2, oriented=True)
+            assert metric(b, a, 2.0, oriented=True) == ref(b, a, 2.0, oriented=True)
 
 
 def test_slm_longitudes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.optimize import linprog
 
 from conftest import _ref_bottleneck_from_costs, bottleneck_oracle, emd_oracle
 from geoinv import numcore
+from geoinv.clouds import pdd, pdd_dist
 from geoinv.numcore import (
     INF,
     _feasible,
@@ -39,6 +41,19 @@ def test_norm_exponent_accepts_inf_spellings():
     for bad in (0.5, "nan", float("-inf")):
         with pytest.raises(ValueError):
             norm_exponent(bad)
+
+
+def test_norm_exponent_parses_strings_with_float():
+    # an unparsable string ended in "could not convert string to float"
+    for text in ("inf", " Infinity ", "+inf", "+Infinity", "INF", "1e400"):
+        assert norm_exponent(text) is INF
+    assert norm_exponent(" 2.5 ") == 2.5
+    for bad in ("banana", "", "2 3", "inf inf"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot interpret exponent {bad!r}")):
+            norm_exponent(bad)
+    P = pdd(np.eye(3), 2)
+    with pytest.raises(ValueError, match="cannot interpret exponent 'banana'"):
+        pdd_dist(P, P, q="banana")
 
 
 def test_lq_norm_values():
@@ -267,6 +282,15 @@ def test_bottleneck_empty_sets_rejected():
 
 def test_bottleneck_size_mismatch_is_infinite():
     assert bottleneck(np.zeros((2, 2)), np.zeros((3, 2))) == math.inf
+
+
+def test_bottleneck_reads_the_exponent_before_the_sizes():
+    # unequal sizes returned inf before the exponent was read
+    A = np.arange(12.0).reshape(4, 3)
+    for q, message in (("banana", "interpret exponent"), (0.5, "q >= 1"), (None, "exponent")):
+        with pytest.raises(ValueError, match=message):
+            bottleneck(A, A[:3], q)
+    assert bottleneck(A, A[:3], "inf") == math.inf
 
 
 def test_lac_empty_rejected():

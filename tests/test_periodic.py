@@ -393,6 +393,18 @@ def test_lnd_and_dedup_reject_mixed_period_ranks():
     assert lnd(S2, [S2], 3)[1] == 0
 
 
+def test_pda_dist_reads_the_exponent_before_any_search(monkeypatch):
+    # q was read after two neighbour searches had run
+    calls = []
+    monkeypatch.setattr(periodic, "neighbours", lambda S, k: calls.append(1) or neighbours(S, k))
+    for q in ("banana", 0.5):
+        with pytest.raises(ValueError, match="exponent"):
+            pda_dist(Z3, Z3, 3, q=q)
+    assert not calls
+    assert pda_dist(Z3, Z3, 3, q="inf") == 0.0
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "basis, motif, message",
     [

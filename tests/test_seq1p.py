@@ -335,6 +335,17 @@ def test_seq_metric_rejects_unknown_group_and_equivalence():
         seq_metric(S, S, equivalence="isometric")
 
 
+def test_seq_metric_rejects_different_value_dimensions():
+    # S's value dimension alone decided: (S, Q) gave 0.0 and (Q, S) raised
+    # from the CDM of a (3, 0) array
+    S = OnePeriodicSequence(1.0, [[0.0], [0.3], [0.6]])
+    Q = OnePeriodicSequence(1.0, [[0.0, 0.0], [0.3, 5.0], [0.6, 1.0]])
+    for X, Y, dims in ((S, Q, "0 and 1"), (Q, S, "1 and 0")):
+        for equivalence in ("isometry", "rigid"):
+            with pytest.raises(ValueError, match=f"value dimensions {dims} differ"):
+                seq_metric(X, Y, equivalence=equivalence)
+
+
 def test_seq_metric_search_budget(monkeypatch):
     # motifs of 300 and 299 points: lcm 89 700, an 89 700^2 CDM per direction
     S = OnePeriodicSequence(1.0, np.column_stack([np.arange(300) / 300, np.zeros(300)]))

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import legacy_kernels
 from conftest import _ref_bottleneck_from_costs, random_isometry, random_rotation
 from geoinv import simplexwise
 from geoinv.clouds import PointCloud, spd
@@ -184,6 +185,33 @@ def test_strength_matches_determinant_volume(rng):
             vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
             p = sum(np.linalg.norm(a - b) for k, a in enumerate(pts) for b in pts[k + 1 :]) / 2
             assert strength(pts) == pytest.approx(vol**2 / p ** (2 * n - 1), rel=1e-9)
+
+
+def test_strength_matches_the_cayley_menger_reference(rng):
+    # the determinant of the difference vectors against the Cayley-Menger
+    # volume: random simplices at three scales, near-degenerate ones, and
+    # exactly collinear integer points, which give 0 here; Cayley-Menger
+    # gave some of them about 1e-16 from the cancellation in its determinant
+    def close(pts):
+        new, old = strength(pts), legacy_kernels.strength(pts)
+        assert (np.abs(new - old) <= 1e-12 * np.maximum(1.0, np.abs(old))).all()
+
+    for n in (1, 2, 3):
+        for scale in (1e-3, 1.0, 1e3):
+            close(rng.normal(size=(2000, n + 1, n)) * scale)
+        close(_simplex_stack(rng, n, 900))
+        near = rng.normal(size=(2000, n + 1, n))
+        u = rng.uniform(-2, 2, size=(2000, 1))
+        kick = rng.normal(size=(2000, n)) * 10 ** rng.uniform(-9, -3, size=(2000, 1))
+        near[:, -1] = near[:, 0] + (near[:, 1] - near[:, 0]) * (u if n > 1 else 0.0) + kick
+        close(near)
+    for n in (2, 3):
+        start, step = rng.integers(-5, 6, size=(2, 500, 1, n))
+        line = start + rng.integers(-4, 5, size=(500, n + 1, 1)) * step
+        close(line)
+        assert (strength(line) == 0.0).all()
+    flat = np.array([[[0, 0], [1, 0], [3, 0]], [[0, 0], [0, 2], [0, 1]]])
+    assert (strength(flat) == 0.0).all() and (legacy_kernels.strength(flat) == 0.0).all()
 
 
 @pytest.mark.parametrize("fn", [strength, simplex_sign])
@@ -369,7 +397,7 @@ def _assert_same_dists(dist, metric, ref_metric, X, Y, reps):
     assert np.array_equal(all_pairs(xs, ys), costs)
     assert np.array_equal(np.array([[metric(a, b) for b in ys] for a in xs]), costs)
     for mode in ("emd", "lac"):
-        want = _distribution_dist(X.weights, Y.weights, costs, mode, X.total, Y.total)
+        want = _distribution_dist(X, Y, mode, lambda: costs)
         assert dist(X, Y, mode) == want
 
 
@@ -509,6 +537,26 @@ def test_simplexwise_error_paths(rng):
         sdd_dist(X, sdd(pts, 3))
     with pytest.raises(ValueError, match="weights"):
         sdd_dist(dataclasses.replace(X, weights=np.array([]), rdds=()), X)
+
+
+def test_mode_and_totals_are_checked_before_the_costs(rng, monkeypatch):
+    # an unknown mode or unequal LAC totals were rejected after one
+    # _max_metric call had built the cost matrix
+    calls = []
+    max_metric = simplexwise._max_metric
+    monkeypatch.setattr(simplexwise, "_max_metric", lambda *a: calls.append(1) or max_metric(*a))
+    pts = rng.normal(size=(6, 3))
+    for X, dist in ((sdd(pts, 2), sdd_dist), (scd(pts), scd_dist)):
+        for Y, mode, message in (
+            (X, "bogus", "unknown mode"),
+            (dataclasses.replace(X, total=X.total + 1), "lac", "LAC mode needs equal-size"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dist(X, Y, mode=mode)
+        assert not calls
+        dist(X, X, mode="lac")
+        assert len(calls) == 1
+        calls.clear()
 
 
 def _expanded_lac(X, Y, costs):

@@ -319,7 +319,7 @@ _COMMANDS = {
         "amd": (lambda a: _vector("amd", periodic.amd(_read_periodic(a.file), a.k)),
                 [_K100, *_OUT, _FILE]),
         "ppc": (lambda a: _scalar("ppc", periodic.ppc(_read_periodic(a.file))), [*_OUT, _FILE]),
-        "ada": (lambda a: _vector("ada", periodic._ada_pda([_read_periodic(a.file)], a.k)[0][0]),
+        "ada": (lambda a: _vector("ada", periodic.deviations(_read_periodic(a.file), a.k)["ada"]),
                 [_K100, *_OUT, _FILE]),
         "compare": (_periodic_compare, [_K100, _Q, *_OUT, _FILE, _FILE2]),
         "dedup": (_periodic_dedup,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clouds import PointCloud
 from .numcore import _rows
-from .periodic import PeriodicSet, _from_fractional_stack, cell_to_basis
+from .periodic import PeriodicSet, _sets, cell_to_basis
 
 #: numbers are printed with this many significant digits
 SIG_DIGITS = 12
@@ -67,7 +67,7 @@ def _parse_cifs(texts, names):
             fields.append(_cif_fields(text))
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-    return _from_fractional_stack(*zip(*fields), names)
+    return _sets(*zip(*fields), names, fractional=True)
 
 
 def _cif_fields(text):

@@ -62,7 +62,7 @@ def cell_to_basis(a, b, c, alpha, beta, gamma_deg):
 class PeriodicSet:
     """An l-periodic set in R^n: basis (l x n) plus a finite Cartesian motif.
 
-    Construction is the stack of one of ``_checked``: the input is checked,
+    Construction is the stack of one of ``_sets``: the input is checked,
     the motif reduced into the cell, and the Gram determinant (for the cell
     volume) and the inverse plane gaps (for the neighbour search) are kept.
     """
@@ -74,21 +74,11 @@ class PeriodicSet:
     _inv_gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        motif = np.atleast_2d(np.asarray(self.motif, dtype=float))
-        self._keep(basis, *(a[0] for a in _checked(basis[None], motif[None])))
-
-    def _keep(self, basis, motif, det, inv_gaps):
-        for name, value in zip(("basis", "motif", "_det", "_inv_gaps"), (basis, motif, det, inv_gaps)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(vars(_sets([self.basis], [self.motif], [self.labels])[0]))
 
     @classmethod
     def from_fractional(cls, basis, frac, labels=None):
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        frac = np.atleast_2d(np.asarray(frac, dtype=float))
-        with np.errstate(all="ignore"):  # a non-finite motif is rejected on init
-            motif = frac @ basis
-        return cls(basis, motif, labels)
+        return _sets([basis], [frac], [labels], fractional=True)[0]
 
     @property
     def rank(self):
@@ -148,34 +138,40 @@ def _checked(bases, motifs):
     return motifs, dets, inv_gaps
 
 
-def _from_fractional_stack(bases, fracs, labels, names):
-    """``PeriodicSet.from_fractional`` of many sets, one ``_checked`` call per
-    group of equal basis and motif shapes; the sets are returned in order.
+def _sets(bases, motifs, labels, names=None, fractional=False):
+    """The ``PeriodicSet`` of each basis, motif and labels, in order; the
+    motifs are Cartesian, or fractional if ``fractional``.
 
-    If a group fails its check, its sets are built one by one, and the error
+    Each basis and motif is read once, and the sets of equal basis and motif
+    shapes are checked by one ``_checked`` call.  If a group fails its check
+    and ``names`` are given, its sets are checked one by one, and the error
     of the first faulty one is raised prefixed with its name.
     """
+    pairs = [[np.atleast_2d(np.asarray(a, dtype=float)) for a in pair] for pair in zip(bases, motifs)]
     groups = {}
-    for i, (basis, frac) in enumerate(zip(bases, fracs)):
-        groups.setdefault((basis.shape, frac.shape), []).append(i)
-    sets = [None] * len(bases)
+    for i, (basis, motif) in enumerate(pairs):
+        groups.setdefault((basis.shape, motif.shape), []).append(i)
+    sets = [None] * len(pairs)
     for idx in groups.values():
-        group_bases = np.stack([bases[i] for i in idx])
-        with np.errstate(all="ignore"):  # a non-finite motif is rejected below
-            motifs = np.stack([fracs[i] for i in idx]) @ group_bases
+        B, M = (np.stack(stack) for stack in zip(*(pairs[i] for i in idx)))
+        if fractional:
+            with np.errstate(all="ignore"):  # a non-finite motif is rejected below
+                M = M @ B
         try:
-            checked = _checked(group_bases, motifs)
+            checked = _checked(B, M)
         except ValueError:
-            for i in idx:
+            if names is None:
+                raise
+            for j, i in enumerate(idx):
                 try:
-                    PeriodicSet.from_fractional(bases[i], fracs[i])
+                    _checked(B[j : j + 1], M[j : j + 1])
                 except ValueError as exc:
                     raise ValueError(f"{names[i]}: {exc}") from None
             raise
-        for i, basis, *kept in zip(idx, group_bases, *checked):
+        for i, basis, motif, det, inv_gaps in zip(idx, B, *checked):
             S = sets[i] = object.__new__(PeriodicSet)
-            object.__setattr__(S, "labels", labels[i])
-            S._keep(basis, *kept)
+            S.__dict__.update(labels=labels[i], basis=basis, motif=motif, _det=det,
+                              _inv_gaps=inv_gaps)
     return sets
 
 
@@ -245,14 +241,15 @@ def neighbours(S, k):
     further than r0 = ppc * (k/m + 1)^(1/l) + diam until a round at r0 has
     run, so no ball is larger than those of a search started at r0, and a
     set whose search from r0 fits the budget fits it from here too.
-    Distances are taken a block of motif rows at a time; a coefficient box
-    or candidate set over NEIGHBOUR_CELL_BUDGET cells raises ValueError
-    before it is allocated.
+    Distances, the motif diameter's too, are taken a block of motif rows at
+    a time; a coefficient box or candidate set over NEIGHBOUR_CELL_BUDGET
+    cells raises ValueError before it is allocated.
     """
     k = _checked_k(k)
     basis, motif = S.basis, S.motif
     m = len(motif)
-    diam = float(_pairwise(motif, motif).max())
+    step = max(1, NEIGHBOUR_CELL_BUDGET // m)
+    diam = max(float(_pairwise(motif[i : i + step], motif).max()) for i in range(0, m, step))
     c = ppc(S)
     r0 = c * (k / m + 1) ** (1.0 / S.rank) + diam
     r = min(c * (k ** (1.0 / S.rank) + 0.5), r0)

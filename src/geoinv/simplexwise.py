@@ -154,28 +154,31 @@ def _least_forms(head, rows, keyed):
     return forms[at, best]
 
 
-def _canonical(m, h, width, forms_of):
-    """Classes of the least forms of all h-point bases of m points.
+def _canonical(points, m, h, width, forms_of):
+    """Classes of the least forms of all h-point bases of the first m points.
 
-    ``forms_of(ordered, rest)`` gives ``(head, rows, keyed)`` for
-    ``_least_forms`` from the ordered bases (bases, orders, h) and the
-    remaining points (bases, m - h) of a block; a form has ``width`` cells.
+    ``forms_of(d, ordered, rest)`` gives ``(head, rows, keyed)`` for
+    ``_least_forms`` from the distance matrix ``d`` of all ``points``, the
+    ordered bases (bases, orders, h) and the remaining points (bases, m - h)
+    of a block; a form has ``width`` cells.
     Classes are the rounded least forms, in first-seen order (one lexsort of
     the rounded forms, then ``!=`` between neighbours).  Returns ``(weights,
     representatives, total)``: the share of bases in each class, a copy of
     the form of its first base, and the number of bases.  Over
-    SIMPLEX_CELL_BUDGET form cells raises ValueError before any is built.
+    SIMPLEX_CELL_BUDGET form cells raises ValueError before any is built and
+    before the distance matrix, which has no more cells than the forms.
     """
     total, orders = math.comb(m, h), ORDERS[h]
     cells = total * len(orders) * width
     _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the {total} {h}-point bases of {m} points "
             f"need {total} x {len(orders)} orders x {width} = {cells:.3g} form cells")
+    d = _pairwise(points, points)
     bases, rest = _bases(m, h)
     forms = np.empty((total, width))
     step = max(1, MAX_METRIC_BLOCK // (len(orders) * width))
     for lo in range(0, total, step):
         block = slice(lo, lo + step)
-        forms[block] = _least_forms(*forms_of(bases[block][:, orders], rest[block]))
+        forms[block] = _least_forms(*forms_of(d, bases[block][:, orders], rest[block]))
     keys = np.round(forms, 9)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
@@ -264,15 +267,14 @@ def sdd(C, h):
         raise ValueError("supported orders are h in {1, 2, 3}")
     if h >= m:
         raise ValueError("h must be smaller than the cloud size")
-    d = _pairwise(pts, pts)
     k = m - h
 
-    def forms_of(ordered, rest):
+    def forms_of(d, ordered, rest):
         # D[p][:, p] and R[p] of every base and order p, all rows keyed
         D = d[ordered[..., :, None], ordered[..., None, :]]
         return D, d[ordered[..., None], rest[:, None, None]], h
 
-    weights, forms, total = _canonical(m, h, h * h + h * k, forms_of)
+    weights, forms, total = _canonical(pts, m, h, h * h + h * k, forms_of)
     rdds = tuple(Rdd(f[: h * h].reshape(h, h), f[h * h :].reshape(h, k)) for f in forms)
     return Sdd(weights, rdds, total)
 
@@ -381,12 +383,10 @@ def scd(C, center=True):
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
     h, k = n - 1, m - n + 1
-    with_origin = np.vstack([pts, np.zeros((1, n))])  # the origin is point m
-    d = _pairwise(with_origin, with_origin)
     i, j = np.triu_indices(h, k=1)
     a = len(i) + h
 
-    def forms_of(ordered, rest):
+    def forms_of(d, ordered, rest):
         # dvec: distances inside the ordered base, then from it to the origin
         dvec = np.concatenate([d[ordered[..., i], ordered[..., j]], d[ordered, m]], axis=-1)
         anchors = np.concatenate([ordered, np.full(ordered.shape[:2] + (1,), m)], axis=-1)
@@ -401,7 +401,8 @@ def scd(C, center=True):
         ], axis=2)
         return dvec, rows, n + 1  # columns keyed by distances, then signs
 
-    weights, forms, total = _canonical(m, h, a + (n + 2) * k, forms_of)
+    with_origin = np.vstack([pts, np.zeros((1, n))])  # the origin is point m
+    weights, forms, total = _canonical(with_origin, m, h, a + (n + 2) * k, forms_of)
     ocds = tuple(
         Ocd(f[:a], f[a : a + n * k].reshape(n, k), f[a + n * k : a + (n + 1) * k],
             f[a + (n + 1) * k :])

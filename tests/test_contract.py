@@ -187,8 +187,8 @@ def test_every_export_is_in_one_table():
 
 #: modules that still read arrays themselves -> (count, why)
 OWN_READS = {
-    "periodic.py": (4, "PeriodicSet and from_fractional read a basis and a motif as the one-set "
-                       "stack of _checked, the single reader of periodic stacks"),
+    "periodic.py": (1, "_sets reads every basis and motif, Cartesian or fractional, before "
+                       "_checked checks them as stacks"),
     "simplexwise.py": (1, "_simplices reads one simplex (n+1, n) or a stack (..., n+1, n), "
                           "where leading axes are a stack and not an error"),
 }

@@ -192,7 +192,25 @@ def test_large_motif_neighbours(rng, monkeypatch):
     monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 2**14)
     with pytest.raises(ValueError, match="cells of candidate points"):
         neighbours(S, 100)
-    assert calls == [200]
+    assert sum(calls) == 200 and max(calls) * 200 <= 2**14
+
+
+def test_motif_diameter_within_the_neighbour_budget(rng, monkeypatch):
+    # a 20-point cluster in a wide cubic cell: the diameter is taken in
+    # blocks of 100 // 20 = 5 motif rows, not as one 20 x 20 matrix
+    S = PeriodicSet(1000 * np.eye(3), rng.uniform(0, 1, size=(20, 3)))
+    want = neighbours(S, 1)
+    cells = []
+
+    def counted(A, B, q=2.0):
+        d = _pairwise(A, B, q)
+        cells.append(d.size)
+        return d
+
+    monkeypatch.setattr(periodic, "_pairwise", counted)
+    monkeypatch.setattr(periodic, "NEIGHBOUR_CELL_BUDGET", 100)
+    assert np.array_equal(neighbours(S, 1), want)
+    assert cells and max(cells) <= 100
 
 
 def test_neighbours_lower_rank():

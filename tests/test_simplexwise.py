@@ -623,3 +623,28 @@ def test_simplex_cell_budget_raises_before_building(rng, monkeypatch):
                 scd_dist(Y, Y, mode=mode)
     monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 56448)
     assert sdd_dist(X, X) == 0.0 and scd_dist(Y, Y) == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(lambda X: sdd(X, 1), 3), (lambda X: sdd(X, 2), 3), (lambda X: sdd(X, 3), 3), (scd, 2),
+     (scd, 3)],
+    ids=["sdd-h1", "sdd-h2", "sdd-h3", "scd-R2", "scd-R3"],
+)
+def test_simplex_cell_budget_checked_before_the_distance_matrix(build, n, rng, monkeypatch):
+    pts = rng.normal(size=(12, n))
+    calls = []
+
+    def counted(A, B, q=2.0):
+        calls.append(len(A))
+        return _pairwise(A, B, q)
+
+    monkeypatch.setattr(simplexwise, "_pairwise", counted)
+    build(pts)
+    assert len(calls) == 1
+    calls.clear()
+    # sdd at h = 1 has 12 x 12 = 144 form cells, as many as the distances
+    monkeypatch.setattr(simplexwise, "SIMPLEX_CELL_BUDGET", 143)
+    with pytest.raises(ValueError, match="form cells, over the budget of 143"):
+        build(pts)
+    assert calls == []

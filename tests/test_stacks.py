@@ -10,7 +10,7 @@ import pytest
 import legacy_periodic as legacy
 from geoinv import periodic
 from geoinv.clouds import WeightedRows, collapse_rows
-from geoinv.periodic import PeriodicSet, _from_fractional_stack, dedup, deviations, lnd, neighbours
+from geoinv.periodic import PeriodicSet, _sets, dedup, deviations, lnd, neighbours
 
 
 def _skewed_basis(rng, l):
@@ -35,7 +35,7 @@ def _stack(fields):
     bases, fracs = zip(*fields)
     labels = [[f"X{i}"] * len(frac) for i, frac in enumerate(fracs)]
     names = [f"set{i}" for i in range(len(fields))]
-    return _from_fractional_stack(bases, fracs, labels, names), labels
+    return _sets(bases, fracs, labels, names, fractional=True), labels
 
 
 def _assert_same_devs(got, want):
@@ -197,15 +197,15 @@ def test_failed_group_names_its_first_faulty_set(rng, fault, message):
     bases, fracs = zip(*fields)
     names = [f"f{i}.cif" for i in range(len(fields))]
     with pytest.raises(ValueError, match=f"^f6.cif: {message}"):
-        _from_fractional_stack(bases, fracs, [None] * len(fields), names)
-    sets = _from_fractional_stack(bases[:6], fracs[:6], [None] * 6, names[:6])
+        _sets(bases, fracs, [None] * len(fields), names, fractional=True)
+    sets = _sets(bases[:6], fracs[:6], [None] * 6, names[:6], fractional=True)
     assert [len(S.motif) for S in sets] == [3] * 6
 
 
 def test_cell_volume_overflow_names_its_cell():
     bases = [np.eye(3), 1e120 * np.eye(3)]
     with pytest.raises(ValueError, match="^b: cell volume overflows for cell lengths 1e\\+120"):
-        _from_fractional_stack(bases, [np.zeros((1, 3))] * 2, [None, None], ["a", "b"])
+        _sets(bases, [np.zeros((1, 3))] * 2, [None, None], ["a", "b"], fractional=True)
 
 
 # ---------------------------------------------------------------- collapse_rows

@@ -118,8 +118,6 @@ def lq_norm(v, q=2.0):
     """
     q = norm_exponent(q)
     v = np.abs(np.asarray(v, dtype=float))
-    if v.size == 0:
-        return 0.0
     if q is INF:
         return float(v.max())
     if q == 2.0:
@@ -128,14 +126,12 @@ def lq_norm(v, q=2.0):
 
 
 def minkowski(u, v, q=2.0):
-    """Minkowski distance L_q(u, v); q = INF gives max |u_i - v_i|."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("non-finite coordinates")
-    return lq_norm(u - v, q)
+    """Minkowski distance L_q(u, v) of two vectors of one length; q = INF
+    gives max |u_i - v_i|."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}, need two vectors of one length")
+    return lq_norm(_rows(u, "coordinates") - _rows(v, "coordinates"), q)
 
 
 def _rows(a, what, width=None, finite=True):
@@ -290,8 +286,13 @@ def bottleneck(A, B, ground_q=2.0):
 
 
 def lac(costs):
-    """Linear Assignment Cost: (1/k) * minimal total assignment cost."""
+    """Linear Assignment Cost: (1/k) * minimal total assignment cost, solved
+    on ``costs`` or its transpose, whichever has the lesser bytes, so that
+    ``lac(C) == lac(C.T)`` exactly."""
     costs = _square_costs(costs)
+    flipped = np.swapaxes(costs, -1, -2)  # a stack stays one, and raises below
+    if flipped.tobytes() < costs.tobytes():
+        costs = flipped
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / costs.shape[0])
 
@@ -306,6 +307,18 @@ def _check_weights(w, n=None):
     if abs(s - 1.0) > WEIGHT_TOL:
         raise ValueError(f"weights sum to {s}, not 1 within {WEIGHT_TOL}")
     return w / s
+
+
+def _swapped(wp, wq, costs):
+    """Whether (wq, wp, costs.T) has a lesser key than (wp, wq, costs): the
+    size of the first side, then the bytes of its weights, then those of the
+    costs, which are copied only when sizes and weights tie."""
+    if len(wp) != len(wq):
+        return len(wq) < len(wp)
+    p, q = wp.tobytes(), wq.tobytes()
+    if p != q:
+        return q < p
+    return costs.T.tobytes() < costs.tobytes()
 
 
 def emd(P, Q, costs):
@@ -325,6 +338,9 @@ def emd(P, Q, costs):
     ``outer(wp, wq)``.  Every other input is solved as the transportation LP
     by the HiGHS dual simplex, whose (m + n - 1) x mn constraint matrix over
     EMD_CELL_BUDGET cells raises ValueError before it is built.
+
+    Each pair is solved in one orientation (see ``_swapped``), so the value
+    is symmetric and the flow transposes exactly when P and Q swap.
     """
     wp = _check_weights(P)
     wq = _check_weights(Q)
@@ -334,15 +350,16 @@ def emd(P, Q, costs):
     if (costs < 0).any():
         raise ValueError("negative costs")
     m, n = costs.shape
-
+    if swap := _swapped(wp, wq, costs):
+        wp, wq, costs = wq, wp, costs.T
     if m == 1 or n == 1:
         flow = np.outer(wp, wq)
-        return float((flow * costs).sum()), flow
+        return float((flow * costs).sum()), flow.T if swap else flow
     if m == n and (wp == wp[0]).all() and (wq == wq[0]).all():
         rows, cols = linear_sum_assignment(costs)
         flow = np.zeros((m, n))
         flow[rows, cols] = 1.0 / m
-        return float(costs[rows, cols].sum() / m), flow
+        return float(costs[rows, cols].sum() / m), flow.T if swap else flow
 
     cells = (m + n - 1) * m * n
     _within(cells, EMD_CELL_BUDGET, lambda: f"EMD of {m} x {n} weighted rows needs a "
@@ -351,8 +368,9 @@ def emd(P, Q, costs):
     # inequality form of the definition collapses to equalities because the
     # total flow 1 equals the sum of either marginal).  One constraint is
     # redundant; drop the last column constraint for a full-rank system.
+    a, b = costs.shape  # (m, n) in the solved orientation
     A_eq = np.vstack(
-        [np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))[:-1]]
+        [np.kron(np.eye(a), np.ones(b)), np.kron(np.ones(a), np.eye(b))[:-1]]
     )
     b_eq = np.concatenate([wp, wq[:-1]])
     res = linprog(
@@ -364,5 +382,5 @@ def emd(P, Q, costs):
     )
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"transportation LP failed: {res.message}")
-    flow = res.x.reshape(m, n)
-    return float((flow * costs).sum()), flow
+    flow = res.x.reshape(a, b)
+    return float((flow * costs).sum()), flow.T if swap else flow

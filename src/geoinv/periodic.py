@@ -15,6 +15,7 @@ set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -317,22 +318,20 @@ def deviations(S, k):
 
 def _ada_pda(sets, k):
     """The (N, k) ADA matrix of a dataset, the parts (PDD, ppc * j^(1/l)) of
-    each set, and ``pda(i)``, the PDA carrier of set i, built at its first
-    call.
+    each set, and the cached ``pda(i)``, the PDA carrier of set i.
 
-    k is checked before any array is built, and the sets are searched in
-    order, so a search over the budget raises for the first such set.
+    Ranks, then k, are checked before any array is built, and the sets are
+    searched in order, so a search over the budget raises for the first.
     """
+    _check_ranks(sets)
     k = _checked_k(k)
     parts = [(pdd_periodic(S, k), ppc(S) * np.arange(1, k + 1) ** (1.0 / S.rank)) for S in sets]
     ada = np.array([P.weights @ P.rows - asym for P, asym in parts])
-    carriers = {}
 
+    @functools.cache
     def pda(i):
-        if i not in carriers:
-            P, asym = parts[i]
-            carriers[i] = WeightedRows(P.weights, P.rows - asym)
-        return carriers[i]
+        P, asym = parts[i]
+        return WeightedRows(P.weights, P.rows - asym)
 
     return ada, parts, pda
 
@@ -343,12 +342,14 @@ def _check_ranks(sets):
         raise ValueError("period ranks differ")
 
 
-def _ids(ids, n):
-    """The ids of a dataset of n sets, by default their indices."""
+def _ids(ids, dataset):
+    """The ids of a non-empty dataset, by default the indices of its sets."""
+    if not dataset:
+        raise ValueError("empty dataset")
     if ids is None:
-        return range(n)
-    if len(ids) != n:
-        raise ValueError(f"{len(ids)} ids for a dataset of {n} sets")
+        return range(len(dataset))
+    if len(ids) != len(dataset):
+        raise ValueError(f"{len(ids)} ids for a dataset of {len(dataset)} sets")
     return ids
 
 
@@ -358,7 +359,6 @@ def pda_dist(S, Q, k, q=INF):
     Both PDAs come from one ``_ada_pda`` call, which builds no AND or PND.
     """
     q = norm_exponent(q)
-    _check_ranks([S, Q])
     _, _, pda = _ada_pda([S, Q], k)
     return pdd_dist(pda(0), pda(1), q)
 
@@ -374,10 +374,7 @@ def lnd(S, dataset, k, ids=None):
     than the best value found so far, since no later reference can then
     reach it; only the PDAs of visited references are built.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    _check_ranks([S, *dataset])
-    ids = _ids(ids, len(dataset))
+    ids = _ids(ids, dataset)
     ada, _, pda = _ada_pda([S, *dataset], k)
     gaps = np.abs(ada[0] - ada[1:]).max(axis=1).tolist()
     best, best_idx = math.inf, None
@@ -398,12 +395,9 @@ def dedup(dataset, k=100, ada_threshold=0.01, confirm_threshold=0.01, ids=None):
     matrix finds the pairs whose ADA gap is <= ada_threshold, and only the
     PDAs of their sets are built.  Pairs are reported sorted by EMD value.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
     ada_threshold = _real(ada_threshold, "ada_threshold")
     confirm_threshold = _real(confirm_threshold, "confirm_threshold")
-    _check_ranks(dataset)
-    ids = _ids(ids, len(dataset))
+    ids = _ids(ids, dataset)
     ada, _, pda = _ada_pda(dataset, k)
     results = []
     for i, j in sorted(cKDTree(ada).query_pairs(ada_threshold, p=np.inf)):

@@ -176,6 +176,23 @@ def test_bad_arrays_raise_value_error(name, f, args, i, mutation):
             f(*mutated)
 
 
+MULTI_ARRAYS = [
+    pytest.param(name, f, args, arrays, id=name) for name, f, args, arrays in CASES if len(arrays) > 1
+]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name, f, args, arrays", MULTI_ARRAYS)
+def test_all_arrays_bad_at_once_raise_value_error(name, f, args, arrays, mutation):
+    # arrays bad in the same way agree in shape, so a check of one against
+    # the other passes them; each must still be read as bad on its own
+    mutated = list(args)
+    for i in arrays:
+        mutated[i] = MUTATIONS[mutation](args[i])
+    with pytest.raises(ValueError):
+        f(*mutated)
+
+
 def test_every_export_is_in_one_table():
     exported = {n for n in dir(g) if not n.startswith("_") and callable(getattr(g, n))}
     cased = {name for name, *_ in CASES}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from geoinv import periodic
-from geoinv.clouds import pdd_dist
+from geoinv.clouds import WeightedRows, pdd_dist
 from geoinv.numcore import INF, _pairwise
 from geoinv.periodic import (
     PeriodicSet,
@@ -408,7 +408,23 @@ def test_lnd_and_dedup_reject_mixed_period_ranks():
         lnd(Z3, [Z3, S2], 3)
     with pytest.raises(ValueError, match="period ranks differ"):
         dedup([Z3, S2], 3)
+    with pytest.raises(ValueError, match="period ranks differ"):
+        pda_dist(Z3, S2, 3)
     assert lnd(S2, [S2], 3)[1] == 0
+
+
+def test_dedup_builds_each_pda_once(monkeypatch):
+    # three near-identical sets: every pair passes, so each set is in two pairs
+    sets = [PeriodicSet(np.eye(3), [[0, 0, 0], [0.5, 0.5, 0.5 + e]]) for e in (0, 1e-3, 2e-3)]
+    built = []
+
+    def counted(w, rows):
+        built.append(1)
+        return WeightedRows(w, rows)
+
+    monkeypatch.setattr(periodic, "WeightedRows", counted)
+    assert len(dedup(sets, 4)) == 3
+    assert len(built) == 3
 
 
 def test_pda_dist_reads_the_exponent_before_any_search(monkeypatch):

@@ -6,6 +6,8 @@ Mover's Distance on weighted distributions.  The bottleneck of k x k matrices
 with k <= ENUMERATION_MAX_K (5) is the least over all k! permutations of the
 largest assigned cost, gathered in blocks; larger matrices are searched
 bound-first, with one Hopcroft-Karp matching per search step for a stack.
+A near copy, whose row-argmin map is a permutation, needs no solver for its
+EMD or its single-matrix bottleneck.
 All functions are pure and safe for concurrent use.
 """
 
@@ -39,6 +41,8 @@ WEIGHT_TOL = 1e-9
 #: transportation LP; at the budget (about 203 x 202) an LP takes about a
 #: second and 0.5 GiB at peak
 EMD_CELL_BUDGET = 2**24
+#: most cells of one point distance matrix (``_pairwise``), 128 MiB of floats
+PAIRWISE_CELL_BUDGET = 2**24
 #: the real types, concrete ones first: a numbers.Real ABC check costs about 0.5 us
 _REALS = (float, int, numbers.Real)
 #: the largest finite float; a Python int above it has no float
@@ -151,9 +155,13 @@ def _rows(a, what, width=None, finite=True):
 
 
 def _pairwise(A, B, q=2.0):
-    """Matrix of L_q distances between rows of A and rows of B."""
+    """Matrix of L_q distances between rows of A and rows of B; over
+    PAIRWISE_CELL_BUDGET cells raises ValueError before it is allocated."""
     q = norm_exponent(q)
     A, B = _rows(A, "coordinates"), _rows(B, "coordinates")
+    cells = len(A) * len(B)
+    _within(cells, PAIRWISE_CELL_BUDGET,
+            lambda: f"distances of {len(A)} x {len(B)} points need {cells:.3g} matrix cells")
     if q is INF:
         return cdist(A, B, "chebyshev")
     return cdist(A, B, "minkowski", p=q)
@@ -194,6 +202,17 @@ def _feasible(costs, t):
     return (matched.reshape(n, k) >= 0).all(axis=1)
 
 
+def _argmin_map(costs):
+    """The row-argmin map σ of one matrix (m, n), σ(i) the first column of a
+    least cost of row i, and whether σ is a permutation (m = n, no column
+    twice).  If it is, no assignment beats it at any row, so it is optimal
+    for every objective that grows with each assigned cost."""
+    sigma = costs.argmin(axis=1)
+    hit = np.zeros(costs.shape[1], dtype=bool)
+    hit[sigma] = True
+    return sigma, len(sigma) == len(hit) and bool(hit.all())
+
+
 def _enumerated(flat):
     """Bottlenecks of a stack (n, k, k), k <= ENUMERATION_MAX_K, as the least
     over the k! permutations p of max_j costs[p_j, j].
@@ -224,9 +243,17 @@ def _searched(flat):
     in one ``_feasible`` call; those it does not settle binary-search their
     sorted costs above the bound together, one ``_feasible`` call per step,
     for the smallest feasible one.
+
+    A single matrix whose row-argmin or column-argmin map is a permutation
+    (see ``_argmin_map``) needs no matching: that permutation's largest cost
+    is the largest row (or column) minimum, at most the bound, so the bound
+    is its exact bottleneck.  A stack is always tested, as the maps settled
+    too few of its matrices to pay for the check.
     """
     n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
+    if n == 1 and (_argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]):
+        return out
     todo = np.flatnonzero(~_feasible(flat, out))
     if len(todo):
         sub = flat[todo]
@@ -339,6 +366,16 @@ def emd(P, Q, costs):
     by the HiGHS dual simplex, whose (m + n - 1) x mn constraint matrix over
     EMD_CELL_BUDGET cells raises ValueError before it is built.
 
+    Before the assignment or the LP runs, a certificate may settle the pair
+    (m = n): every flow pays at least sum_i wp_i min_j costs_ij, as row i
+    ships its weight wp_i at no less than its least cost.  If the row-argmin
+    map σ is a permutation (see ``_argmin_map``), the flow wp_i on (i, σ(i))
+    pays exactly that bound, so it is optimal wherever it is feasible:
+    always with constant weights, where the value keeps the assignment's
+    formula, and with other weights when wq[σ] == wp exactly, where it keeps
+    the LP's.  This is the near-copy case, each row's nearest partner being
+    its own copy.  The LP certificate runs after the budget check.
+
     Each pair is solved in one orientation (see ``_swapped``), so the value
     is symmetric and the flow transposes exactly when P and Q swap.
     """
@@ -356,7 +393,8 @@ def emd(P, Q, costs):
         flow = np.outer(wp, wq)
         return float((flow * costs).sum()), flow.T if swap else flow
     if m == n and (wp == wp[0]).all() and (wq == wq[0]).all():
-        rows, cols = linear_sum_assignment(costs)
+        sigma, certified = _argmin_map(costs)
+        rows, cols = (np.arange(m), sigma) if certified else linear_sum_assignment(costs)
         flow = np.zeros((m, n))
         flow[rows, cols] = 1.0 / m
         return float(costs[rows, cols].sum() / m), flow.T if swap else flow
@@ -364,11 +402,16 @@ def emd(P, Q, costs):
     cells = (m + n - 1) * m * n
     _within(cells, EMD_CELL_BUDGET, lambda: f"EMD of {m} x {n} weighted rows needs a "
             f"transportation LP of {cells:.3g} constraint cells")
+    a, b = costs.shape  # (m, n) in the solved orientation
+    sigma, certified = _argmin_map(costs)
+    if certified and (wq[sigma] == wp).all():
+        flow = np.zeros((a, b))
+        flow[np.arange(a), sigma] = wp
+        return float((flow * costs).sum()), flow.T if swap else flow
     # Balanced transportation LP: row sums = wp, column sums = wq (the
     # inequality form of the definition collapses to equalities because the
     # total flow 1 equals the sum of either marginal).  One constraint is
     # redundant; drop the last column constraint for a full-rank system.
-    a, b = costs.shape  # (m, n) in the solved orientation
     A_eq = np.vstack(
         [np.kron(np.eye(a), np.ones(b)), np.kron(np.ones(a), np.eye(b))[:-1]]
     )

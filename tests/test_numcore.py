@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from conftest import _ref_bottleneck_from_costs, bottleneck_oracle, emd_oracle
+from conftest import _ref_bottleneck_from_costs, bottleneck_oracle, emd_oracle, random_isometry
 from geoinv import numcore
-from geoinv.clouds import pdd, pdd_dist
+from geoinv.clouds import pdd, pdd_dist, spd
 from geoinv.numcore import (
     INF,
     _feasible,
@@ -444,3 +444,159 @@ def test_emd_rejects_nan_weights():
     for wp, wq in (([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, math.nan])):
         with pytest.raises(ValueError, match="weights must be positive"):
             emd(wp, wq, costs)
+
+
+def _near_copy_costs(rng, k, delta=1e-6):
+    """Distances from k random points to a copy moved by noise of size delta."""
+    A = rng.normal(size=(k, 3))
+    return numcore._pairwise(A, A + rng.normal(scale=delta, size=A.shape))
+
+
+def test_argmin_certificate_keeps_bottlenecks_exact(rng):
+    # near copies settle by the certificate, unrelated points mostly do not;
+    # both agree with the search over every distinct cost
+    certified = 0
+    for trial in range(120):
+        k = (6, 7, 9, 16, 40)[trial % 5]
+        costs = _near_copy_costs(rng, k) if trial % 2 else rng.random((k, k))
+        certified += numcore._argmin_map(costs)[1]
+        assert bottleneck_from_costs(costs) == _ref_bottleneck_from_costs(costs)
+    assert certified >= 60
+    for trial in range(60):
+        m = (6, 7, 8)[trial % 3]
+        A = rng.normal(size=(m, 2))
+        B = A + rng.normal(scale=1e-3, size=A.shape) if trial % 2 else rng.normal(size=(m, 2))
+        assert bottleneck(A, B, INF) == bottleneck_oracle(A, B, math.inf)
+
+
+def test_argmin_certificate_edge_cases(monkeypatch):
+    def no_search(costs, t):
+        raise AssertionError("a certified matrix reached _feasible")
+
+    # only the column-argmin map is a permutation: rows 0 and 1 both take column 1
+    costs = np.full((6, 6), 10.0)
+    np.fill_diagonal(costs, 1.0)
+    costs[0, 0], costs[0, 1] = 3.0, 2.0
+    assert not numcore._argmin_map(costs)[1] and numcore._argmin_map(costs.T)[1]
+    want = _ref_bottleneck_from_costs(costs)
+    # infinite costs off the permutation, and an infinite row minimum
+    far = np.where(np.eye(7) > 0, 0.5, np.inf)
+    endless = far.copy()
+    endless[0] = np.inf  # its argmin is column 0, which no other row takes
+    monkeypatch.setattr(numcore, "_feasible", no_search)
+    assert want == 3.0 and numcore._searched(costs[None])[0] == want
+    assert numcore._searched(np.array([[[2.5]]]))[0] == 2.5
+    assert numcore._searched(far[None])[0] == 0.5
+    assert numcore._searched(endless[None])[0] == np.inf
+    assert numcore._argmin_map(np.array([[4.0]])) == (np.array([0]), True)
+    # a wide matrix is never a permutation
+    assert not numcore._argmin_map(np.eye(3, 4))[1]
+
+
+def test_uniform_emd_certificate_equals_the_assignment(rng, monkeypatch):
+    certified, cases = 0, []
+    for trial in range(60):
+        k = (2, 3, 6, 17, 60)[trial % 5]
+        costs = _near_copy_costs(rng, k) if trial % 3 else rng.random((k, k))
+        cases.append(costs)
+        certified += numcore._argmin_map(costs)[1]
+    got = [emd(np.full(len(c), 1 / len(c)), np.full(len(c), 1 / len(c)), c) for c in cases]
+    monkeypatch.setattr(numcore, "_argmin_map", lambda costs: (costs.argmin(axis=1), False))
+    for costs, (value, flow) in zip(cases, got):
+        w = np.full(len(costs), 1 / len(costs))
+        want, want_flow = emd(w, w, costs)
+        # every row minimum is strict in these seeded costs, so the optimum is unique
+        assert (np.sort(costs, axis=1)[:, 0] < np.sort(costs, axis=1)[:, 1]).all()
+        assert value == want and np.array_equal(flow, want_flow)
+    assert certified >= 30
+
+
+def test_uniform_emd_certificate_with_ties_is_optimal(rng):
+    # integer costs whose row-argmin map is a permutation, the first least
+    # cost of each row, with later ties in most rows
+    tied = 0
+    for trial in range(60):
+        m = (2, 3, 4)[trial % 3]
+        perm = rng.permutation(m)
+        low = rng.integers(0, 2, size=(m, 1)).astype(float)
+        costs = low + rng.integers(0, 3, size=(m, m))
+        before = np.arange(m) < perm[:, None]
+        costs[before] = np.maximum(costs[before], (low + 1).repeat(m, axis=1)[before])
+        costs[np.arange(m), perm] = low[:, 0]
+        assert numcore._argmin_map(costs)[1]
+        tied += (np.sort(costs, axis=1)[:, 1] == low[:, 0]).any()
+        w = np.full(m, 1 / m)
+        value, flow = emd(w, w, costs)
+        assert abs(value - emd_oracle(w, w, costs)) <= 1e-12
+        assert (flow.sum(axis=1) == w).all() and (flow.sum(axis=0) == w).all()
+    assert tied >= 20
+
+
+def _symmetric_cloud(r, s):
+    """A centre, the square (±r, 0), (0, ±r) and the square (±s, ±s): 9
+    points whose PDD collapses exactly to 3 rows of weights 1/9, 4/9, 4/9."""
+    inner = [(r, 0), (0, r), (-r, 0), (0, -r)]
+    outer = [(s, s), (-s, s), (-s, -s), (s, -s)]
+    return np.array([(0.0, 0.0)] + inner + outer)
+
+
+def test_weighted_emd_certificate_matches_the_oracle(rng, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a certified pair reached linprog")
+
+    monkeypatch.setattr(numcore, "linprog", no_lp)
+    for _ in range(20):
+        r, s = rng.uniform(1.0, 1.5), rng.uniform(2.0, 3.0)
+        dr, ds = rng.normal(scale=1e-3, size=2)
+        X, Y = _symmetric_cloud(r, s), _symmetric_cloud(r + dr, s + ds)
+        P, Q = pdd(X, 4), pdd(Y, 4)
+        assert len(P) == len(Q) == 3 and len(set(P.weights)) == 2
+        costs = numcore._pairwise(P.rows, Q.rows, INF)
+        value, flow = emd(P.weights, Q.weights, costs)
+        assert abs(value - emd_oracle(P.weights, Q.weights, costs)) <= 1e-12
+        assert (flow.sum(axis=1) == P.weights).all() and (flow.sum(axis=0) == Q.weights).all()
+
+
+def test_near_copies_need_no_solver(rng, monkeypatch):
+    # without the argmin certificate each of these calls runs an
+    # assignment, a matching or an LP
+    A = rng.normal(size=(40, 3))
+    B = A + rng.normal(scale=1e-6, size=A.shape)
+    rot, shift = random_isometry(rng, 3)
+    w = rng.random(12)
+    w /= w.sum()
+    pts = rng.normal(size=(12, 2))
+    costs = numcore._pairwise(pts, pts + rng.normal(scale=1e-6, size=pts.shape))
+    want = bottleneck(A, B), pdd_dist(pdd(A, 10), pdd(A @ rot.T + shift, 10)), emd(w, w, costs)[0]
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a near copy reached a solver")
+
+    for name in ("linear_sum_assignment", "linprog", "_feasible"):
+        monkeypatch.setattr(numcore, name, no_solver)
+    got = bottleneck(A, B), pdd_dist(pdd(A, 10), pdd(A @ rot.T + shift, 10)), emd(w, w, costs)[0]
+    assert got == want
+    assert want[0] == numcore._pairwise(A, B).diagonal().max()  # the largest displacement
+
+
+def test_point_distance_matrices_are_bounded_by_their_budget(rng, monkeypatch):
+    # at the budget each call returns; one cell over it raises before cdist runs
+    X, Y = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
+    calls = (
+        (lambda: pdd(X, 3), 36),
+        (lambda: spd(X), 36),
+        (lambda: bottleneck(X, X + 0.1), 36),
+        (lambda: hausdorff(X, Y), 24),
+    )
+
+    def no_cdist(*args, **kwargs):
+        raise AssertionError("distance matrix built over the budget")
+
+    for call, cells in calls:
+        monkeypatch.setattr(numcore, "PAIRWISE_CELL_BUDGET", cells)
+        call()
+        monkeypatch.setattr(numcore, "PAIRWISE_CELL_BUDGET", cells - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(numcore, "cdist", no_cdist)
+            with pytest.raises(ValueError, match=f"need {cells} matrix cells, over the budget"):
+                call()

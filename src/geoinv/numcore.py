@@ -57,6 +57,9 @@ PERMS = {
 #: most float cells (matrices x k!) of one enumeration block; the gathered
 #: column and the running maximum hold two such blocks, 512 KiB at most
 ENUMERATION_BLOCK = 1 << 15
+#: relative slack of the candidate test of ``emd_from_bounds``, far above
+#: the rounding of its sums of m bounds
+PRUNE_SLACK = 1e-9
 
 
 def norm_exponent(q):
@@ -203,14 +206,18 @@ def _feasible(costs, t):
 
 
 def _argmin_map(costs):
-    """The row-argmin map σ of one matrix (m, n), σ(i) the first column of a
-    least cost of row i, and whether σ is a permutation (m = n, no column
-    twice).  If it is, no assignment beats it at any row, so it is optimal
-    for every objective that grows with each assigned cost."""
-    sigma = costs.argmin(axis=1)
-    hit = np.zeros(costs.shape[1], dtype=bool)
-    hit[sigma] = True
-    return sigma, len(sigma) == len(hit) and bool(hit.all())
+    """The row-argmin map σ of one matrix (m, n) or of each matrix of a stack
+    (..., m, n), σ(i) the first column of a least cost of row i, and whether
+    σ is a permutation (m = n, no column twice).  If it is, no assignment
+    beats it at any row, so it is optimal for every objective that grows
+    with each assigned cost."""
+    sigma = costs.argmin(axis=-1)
+    hit = np.zeros(costs.shape[:-2] + costs.shape[-1:], dtype=bool)
+    if sigma.ndim == 1:
+        hit[sigma] = True
+    else:  # a stack (s, m, n)
+        hit[np.arange(len(sigma))[:, None], sigma] = True
+    return sigma, costs.shape[-2] == costs.shape[-1] and hit.all(axis=-1)
 
 
 def _enumerated(flat):
@@ -239,21 +246,32 @@ def _searched(flat):
 
     Every matching uses an entry of each row and of each column, so no
     matching beats the bound max(largest row minimum, largest column
-    minimum), which is itself a cost.  All matrices are tested at their bound
-    in one ``_feasible`` call; those it does not settle binary-search their
-    sorted costs above the bound together, one ``_feasible`` call per step,
-    for the smallest feasible one.
+    minimum), which is itself a cost.  A matrix whose row-argmin or
+    column-argmin map is a permutation (see ``_argmin_map``) is certified:
+    that permutation's largest cost is the largest row (or column) minimum,
+    at most the bound, so the bound is its exact bottleneck.  A stack whose
+    matrices are all certified needs no matching.  The maps of the whole
+    stack are taken only when its first matrix is certified (on an
+    unrelated stack of small matrices they cost about a tenth of the
+    search), and the column maps only where the row maps fail.  Otherwise
+    all matrices are tested at their bound in one ``_feasible`` call; those
+    it does not settle binary-search their sorted costs above the bound
+    together, one ``_feasible`` call per step, for the smallest feasible
+    one.
 
-    A single matrix whose row-argmin or column-argmin map is a permutation
-    (see ``_argmin_map``) needs no matching: that permutation's largest cost
-    is the largest row (or column) minimum, at most the bound, so the bound
-    is its exact bottleneck.  A stack is always tested, as the maps settled
-    too few of its matrices to pay for the check.
+    The certificate pays where near copies dominate: the single matrix of a
+    ``bottleneck`` or ``cloud_match`` near copy, and the stacks of the
+    SDD/SCD class pairs that an optimal assignment can use (see
+    ``simplexwise._distribution_dist``).
     """
     n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
-    if n == 1 and (_argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]):
-        return out
+    if _argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]:  # else not all are
+        left = ~_argmin_map(flat)[1]
+        if left.any():
+            left[left] = ~_argmin_map((flat if left.all() else flat[left]).swapaxes(1, 2))[1]
+        if not left.any():
+            return out
     todo = np.flatnonzero(~_feasible(flat, out))
     if len(todo):
         sub = flat[todo]
@@ -393,8 +411,7 @@ def emd(P, Q, costs):
         flow = np.outer(wp, wq)
         return float((flow * costs).sum()), flow.T if swap else flow
     if m == n and (wp == wp[0]).all() and (wq == wq[0]).all():
-        sigma, certified = _argmin_map(costs)
-        rows, cols = (np.arange(m), sigma) if certified else linear_sum_assignment(costs)
+        rows, cols = np.arange(m), _assignment(costs)
         flow = np.zeros((m, n))
         flow[rows, cols] = 1.0 / m
         return float(costs[rows, cols].sum() / m), flow.T if swap else flow
@@ -427,3 +444,130 @@ def emd(P, Q, costs):
         raise RuntimeError(f"transportation LP failed: {res.message}")
     flow = res.x.reshape(a, b)
     return float((flow * costs).sum()), flow.T if swap else flow
+
+
+def _assignment(costs):
+    """The columns σ of an optimal assignment of one square matrix, row i to
+    column σ(i): the row-argmin map when it is a permutation (see
+    ``_argmin_map``), else ``linear_sum_assignment``."""
+    sigma, certified = _argmin_map(costs)
+    return sigma if certified else linear_sum_assignment(costs)[1]
+
+
+def emd_from_bounds(P, Q, costs):
+    """``emd(P, Q, C)[0]`` of a cost matrix C known by bounds and on demand.
+
+    ``costs`` has the ``shape`` (m, n) of C and four methods: ``lower()``,
+    an (m, n) matrix of lower bounds on C, ``upper(rows, cols)`` and
+    ``exact(rows, cols)``, upper bounds on and the values of the entries
+    C[rows, cols] of two index arrays, and ``full()``, C itself.  Unless P
+    and Q are one vector of m = n > 1 equal weights (equal bytes), C goes
+    to ``emd``.
+    Otherwise the optimal assignment is found with as few exact entries as
+    the bounds allow:
+
+    1. σ is an optimal assignment of the lower bounds, solved in the
+       orientation whose bounds have the lesser bytes, so that swapping P
+       and Q (which transposes C and its bounds) solves the same problem.
+    2. U = Σ_i upper(i, σ(i)) is at least the cost of an assignment, so no
+       optimum costs more.  Every other row i' (column j') pays at least its
+       least lower bound, so an assignment through (i, j) costs at least
+       lower_ij + Σ_{i' != i} rowmin_i' and lower_ij + Σ_{j' != j} colmin_j'.
+       An entry for which either sum is over U (1 + PRUNE_SLACK) is in no
+       optimum; σ and the others are the candidates.  If they are more than
+       half of the m² entries, the bounds prune too little: C is built
+       whole and solved as ``emd`` solves it (its uniform branch, in the
+       orientation of ``_swapped``), at about the cost of ``emd`` on C, as
+       no exact entry has been taken yet.  The entries whose sums are at
+       most Σ_i lower[i, σ(i)] <= U are candidates whatever U is, so when
+       they alone are more than half, U is not taken.
+    3. The candidates are taken exactly in one ``exact`` call.  Then the
+       assignment is solved on M, which is C where known and the lower
+       bounds elsewhere, again while it uses an entry not yet known (which
+       is then taken); this guards step 2 against rounding.  M <= C
+       entrywise, and the final σ costs the same under M and C, so no
+       assignment beats it under C: σ is optimal.
+    4. The value Σ_i C[i, σ(i)] / m is summed in the orientation in which
+       ``emd`` solves C, so it is ``emd``'s float.  The weights tie, so
+       ``_swapped`` compares the bytes of C.T and C: the first upper pair
+       i < j, row-major, whose entries C[i, j] and C[j, i] differ decides,
+       and it is found by taking entries as they are needed.  An identity σ
+       needs no orientation: its diagonal sum is the same either way.
+
+    Where several assignments are optimal, this may sum another one than
+    ``emd`` picks; the two values agree within 1e-12 relative.
+    """
+    m, n = costs.shape
+    p, q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if m == n > 1 and p.shape == (m,) and p.tobytes() == q.tobytes() and (p == p[0]).all():
+        known = np.full((m, m), np.nan)  # C where it is known
+
+        def take(rows, cols):
+            """C[rows, cols], taking the entries not yet known by one ``exact`` call."""
+            todo = np.isnan(known[rows, cols])
+            if todo.any():
+                known[rows[todo], cols[todo]] = costs.exact(rows[todo], cols[todo])
+            return known[rows, cols]
+
+        pairs = _assigned_from_bounds(costs, known, take)
+        if pairs is None:  # the uniform branch of emd on the whole matrix
+            known = costs.full()
+            if known.T.tobytes() < known.tobytes():
+                known = known.T
+            pairs = np.arange(m), _assignment(known)
+        _check_weights(P)  # as emd would; Q has the same bytes
+        return float(known[pairs].sum() / m)
+    return emd(P, Q, costs.full())[0]
+
+
+def _assigned_from_bounds(costs, known, take):
+    """Steps 1-4 of ``emd_from_bounds``: the (rows, cols) of an optimal
+    assignment of the m x m matrix C, in the order in which ``emd`` sums
+    them, or None when the bounds leave more than half of C as candidates.
+    ``known`` is C where known (NaN elsewhere) and ``take(rows, cols)``
+    reads entries of C, taking the unknown ones."""
+    low = costs.lower()
+    m = len(low)
+    at = np.arange(m)
+    flip = low.T.tobytes() < low.tobytes()
+    # the problem in its solved orientation: bounds, known entries, readers
+    if flip:
+        low, known = low.T, known.T
+        read, upper = (lambda i, j: take(j, i)), (lambda i, j: costs.upper(j, i))
+    else:
+        read, upper = take, costs.upper
+    sigma = _assignment(low)
+    row_least, col_least = low.min(axis=1), low.min(axis=0)
+    # fl(low + t) grows with t, so this is the larger of the two sums
+    need = low + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
+    if 2 * np.count_nonzero(need <= low[at, sigma].sum()) > m * m:
+        return None
+    keep = need <= upper(at, sigma).sum() * (1.0 + PRUNE_SLACK)
+    keep[at, sigma] = True
+    if 2 * np.count_nonzero(keep) > m * m:
+        return None
+    read(*np.nonzero(keep))
+    while True:
+        sigma = _assignment(np.where(np.isnan(known), low, known))
+        missing = np.isnan(known[at, sigma])
+        if not missing.any():
+            break
+        read(at[missing], sigma[missing])
+    rows, cols = (sigma, at) if flip else (at, sigma)
+    order = np.argsort(cols if _transposed_first(m, take, rows, cols) else rows)
+    return rows[order], cols[order]
+
+
+def _transposed_first(m, take, rows, cols):
+    """Whether ``emd`` solves C.T rather than C (C.T has the lesser bytes)
+    for the assignment (rows, cols); False for the identity, whose sum is
+    the same in either orientation."""
+    if (rows == cols).all():
+        return False
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            pair = take(np.array([i, j]), np.array([j, i]))  # C[i, j], C[j, i]
+            ij, ji = pair[:1].tobytes(), pair[1:].tobytes()
+            if ij != ji:
+                return ji < ij
+    return False

@@ -202,7 +202,7 @@ def _lattice_ball(basis, radii, rho):
     """Lattice vectors of norm <= rho inside the coefficient box |z_i| <= radii[i]."""
     coeffs = np.indices(2 * radii + 1).reshape(len(radii), -1).T - radii
     translates = coeffs @ basis
-    return translates[np.linalg.norm(translates, axis=1) <= rho]
+    return translates[np.einsum("ij,ij->i", translates, translates) <= rho * rho]
 
 
 def _cell_lengths(basis):
@@ -258,7 +258,8 @@ def neighbours(S, k):
         # the relative margin keeps boundary translates, far above rounding
         rho = (r + diam) * (1.0 + 1e-9)
         radii = np.floor(rho * S._inv_gaps)
-        _check_budget(float(np.prod(2 * radii + 1)) * (S.rank + S.dim), "coefficient box", k, basis)
+        box = math.prod([2.0 * x + 1.0 for x in radii.tolist()])  # as np.prod, at less overhead
+        _check_budget(box * (S.rank + S.dim), "coefficient box", k, basis)
         translates = _lattice_ball(basis, radii.astype(int), rho)
         _check_budget(m * len(translates) * S.dim, "candidate points", k, basis)
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
@@ -270,9 +271,10 @@ def neighbours(S, k):
             for i in range(0, m, step):
                 d = _pairwise(motif[i : i + step], points)
                 d.partition(k, axis=1)
-                # drop the zero self-distance in each row
-                rows[i : i + step] = np.sort(d[:, : k + 1], axis=1)[:, 1:]
-                del d
+                near = d[:, : k + 1]
+                near.sort(axis=1)
+                rows[i : i + step] = near[:, 1:]  # drop the zero self-distance
+                del d, near
             grown = float(rows[:, -1].max())
             if grown <= r:
                 return rows

@@ -35,7 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import _as_points
-from .numcore import PERMS, _as_index, _pairwise, _within, bottleneck_from_costs, emd
+from .numcore import (
+    ENUMERATION_MAX_K, PERMS, _argmin_map, _as_index, _pairwise, _within, bottleneck_from_costs,
+    emd, emd_from_bounds,
+)
 
 #: upper bounds for the strength of a simplex in R^n (degeneracy scale)
 LAMBDA = {1: 2.0, 2: 2.0 * np.sqrt(3.0), 3: 0.43}
@@ -50,6 +53,15 @@ ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 #: k x k) in ``_max_metric`` and base-order forms (bases x orders x form
 #: length) in ``_canonical``; a block holds at least one pair or base
 MAX_METRIC_BLOCK = 1 << 16
+
+#: least cells of a whole max-metric matrix (class pairs x orders x k x k) of
+#: enumerated bottlenecks (k <= ENUMERATION_MAX_K) for which
+#: ``_distribution_dist`` goes bound-first: below it the bounds and the
+#: assignment on them cost more than the cost matrices they spare (unrelated
+#: SDD pairs at h = 2 on 6 points, 7 200 cells, took about 20% longer).
+#: Searched bottlenecks always go bound-first, as each search step is a
+#: matching that the certificate of a near-copy stack spares.
+BOUND_FIRST_CELLS = 2**13
 
 #: most cells of one SDD/SCD build (bases x orders x form length) and of one
 #: max-metric matrix (class pairs x orders x k x k), checked before either
@@ -114,16 +126,20 @@ def _round_key(*arrays):
 
 
 def _bases(m, h):
-    """The h-point bases of m points in lexicographic order (bases, h) and
-    the remaining points of each in increasing order (bases, m - h).  The
-    j-th remaining point of a sorted base is j plus the number of base
-    points at or below it, so each of the h >= 1 base points in turn shifts
-    up the indices it does not exceed; no (bases, m) mask is built."""
-    bases = np.array(list(itertools.combinations(range(m), h)))
-    rest = np.arange(m - h)
-    for i in range(h):
+    """The h-point bases of m points in lexicographic order (bases, h)."""
+    return np.array(list(itertools.combinations(range(m), h)))
+
+
+def _rest(bases, m):
+    """The remaining points of each of a block of sorted bases (bases, h) of
+    m points, in increasing order (bases, m - h).  The j-th remaining point
+    is j plus the number of base points at or below it, so each of the
+    h >= 1 base points in turn shifts up the indices it does not exceed; no
+    (bases, m) mask is built."""
+    rest = np.arange(m - bases.shape[1])
+    for i in range(bases.shape[1]):
         rest = rest + (rest >= bases[:, i, None])
-    return bases, rest
+    return rest
 
 
 def _least_forms(head, rows, keyed):
@@ -173,16 +189,24 @@ def _canonical(points, m, h, width, forms_of):
     _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the {total} {h}-point bases of {m} points "
             f"need {total} x {len(orders)} orders x {width} = {cells:.3g} form cells")
     d = _pairwise(points, points)
-    bases, rest = _bases(m, h)
+    bases = _bases(m, h)
     forms = np.empty((total, width))
     step = max(1, MAX_METRIC_BLOCK // (len(orders) * width))
     for lo in range(0, total, step):
-        block = slice(lo, lo + step)
-        forms[block] = _least_forms(*forms_of(d, bases[block][:, orders], rest[block]))
+        block = bases[lo : lo + step]
+        forms[lo : lo + step] = _least_forms(*forms_of(d, block[:, orders], _rest(block, m)))
+    del d  # as large as the forms at h = 1
     keys = np.round(forms, 9)
     order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    # a class starts where a sorted key differs from its predecessor,
+    # compared a block of rows at a time
+    differs = np.ones(total, dtype=bool)
+    step = max(1, MAX_METRIC_BLOCK // width)
+    for lo in range(1, total, step):
+        rows, before = order[lo : lo + step], order[lo - 1 : lo + step - 1]
+        differs[lo : lo + len(rows)] = (keys[rows] != keys[before[: len(rows)]]).any(axis=1)
+    del keys
+    starts = np.flatnonzero(differs)
     first = order[starts]  # the lexsort is stable: the first base of each class
     seen = np.argsort(first)
     counts = np.diff(np.r_[starts, total])[seen]
@@ -190,18 +214,21 @@ def _canonical(points, m, h, width, forms_of):
 
 
 def _max_metric(dx, dy, cx, cy, orders):
-    """Matrix of the max metric between the classes of X and of Y.
+    """Max metric between the classes of X and of Y, on demand.
 
     ``dx``/``cx`` list the base vectors and column matrices of the classes
     of X, ``dy``/``cy`` those of Y, and ``orders`` is a pair of arrays: one
     index map of the base vector and one row map of the columns per order.
     Entry (a, b) is the least over the orders (i, r) of the larger of
     |dx[a][i] - dy[b]|_inf and the bottleneck distance between the columns
-    of cx[a][r] and cy[b] under the Chebyshev norm.  Classes of different
-    shapes are infinitely far apart.  Over SIMPLEX_CELL_BUDGET cost cells
-    (class pairs x orders x k x k) raises ValueError before any is built.
+    of cx[a][r] and cy[b] under the Chebyshev norm.  Returns a ``_Costs``
+    that gives lower bounds, exact entries and the whole matrix.  Classes
+    of different shapes are infinitely far apart: then the matrix itself,
+    all infinite, is returned.  Over SIMPLEX_CELL_BUDGET cost cells (class
+    pairs x orders x k x k, the whole matrix) raises ValueError before any
+    is built.
     """
-    shapes = {np.shape(d) for d in (*dx, *dy)}, {np.shape(c) for c in (*cx, *cy)}
+    shapes = {d.shape for d in (*dx, *dy)}, {c.shape for c in (*cx, *cy)}
     if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
         return np.full((len(dx), len(dy)), np.inf)
     nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
@@ -211,19 +238,105 @@ def _max_metric(dx, dy, cx, cy, orders):
     dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")
-    index, rows = orders
-    dx, cx = dx[:, index], cx[:, rows]  # one base vector and column matrix per order
-    out = np.empty(nx * ny)
-    step = max(1, MAX_METRIC_BLOCK // max(1, no * k * k))
-    for start in range(0, nx * ny, step):
-        a, b = np.divmod(np.arange(start, min(start + step, nx * ny)), ny)
-        cheb = np.abs(dx[a] - dy[b, None]).max(axis=-1)
+    return _Costs(dx, dy, cx, cy, orders)
+
+
+class _Costs:
+    """The max-metric matrix C of ``_max_metric``, by bounds and entry by entry.
+
+    Built from the checked arrays ``dx`` (nx, a), ``dy`` (ny, a), ``cx``
+    (nx, r, k), ``cy`` (ny, r, k) and the orders.  An entry is the least
+    over the orders of the larger of the Chebyshev term |dx[index] - dy|_inf
+    and the bottleneck of the columns, the least over matchings of the
+    largest Chebyshev cost.  Two bounds on that bottleneck need no k x k
+    cost matrix:
+
+    - from below, the largest gap between the sorted rows: matching the
+      sorted values of one row in order is a least bottleneck matching of
+      that row, whose costs are at most the Chebyshev costs (rounding keeps
+      this, as fl(|x - y|) grows with |x - y|);
+    - from above, the cost of matching the columns in their canonical
+      (lexicographic) order.
+
+    ``bound_first`` tells whether the bounds pay (see BOUND_FIRST_CELLS).
+    Every step works in blocks of at most MAX_METRIC_BLOCK cells.
+    """
+
+    def __init__(self, dx, dy, cx, cy, orders):
+        index, rows = orders
+        self.shape = len(dx), len(dy)
+        # one base vector and column matrix per order of X: (nx, orders, ...)
+        self.dx, self.dy, self.cx, self.cy = dx[:, index], dy, cx[:, rows], cy
+        k = cy.shape[-1]
+        cells = len(dx) * len(dy) * len(rows) * k * k
+        self.bound_first = cells >= BOUND_FIRST_CELLS or k > ENUMERATION_MAX_K
+
+    def lower(self):
+        """Lower bounds L <= C: the least over the orders of the larger of
+        the Chebyshev term and the largest sorted-row gap.  The orders are
+        closed under inverses, so L of (Y, X) is exactly L of (X, Y)
+        transposed."""
+        (nx, no), ny = self.dx.shape[:2], len(self.dy)
+        # the cells (sorted rows, then the base vector) first and the
+        # classes of Y last, so that every numpy step runs along ny:
+        # (cells, orders, nx) against (cells, ny)
+        x = np.concatenate([np.sort(self.cx, axis=-1).reshape(nx, no, -1).T, self.dx.T])
+        y = np.concatenate([np.sort(self.cy, axis=-1).reshape(ny, -1).T, self.dy.T])
+        out = np.empty(self.shape)
+        step = max(1, MAX_METRIC_BLOCK // (no * ny * len(y)))
+        for lo in range(0, nx, step):
+            block = slice(lo, lo + step)
+            terms = np.abs(x[:, :, block, None] - y[:, None, None, :])
+            terms.max(axis=0).min(axis=0, out=out[block])
+        return out
+
+    def upper(self, a, b):
+        """Upper bounds on the entries C[a, b], with no search: the least
+        over the orders of the larger of the Chebyshev term and a bound on
+        the bottleneck of the columns, which is exact where the row- or
+        column-argmin map of the cost matrix certifies it (see
+        ``numcore._argmin_map``) and otherwise the cost of matching the
+        columns in their canonical order."""
+        cheb, costs = self._terms(a, b)
+        flat = costs.reshape(-1, *costs.shape[-2:])
+        bound = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
+        certified = _argmin_map(flat)[1] | _argmin_map(flat.swapaxes(1, 2))[1]
+        diagonal = flat.diagonal(axis1=1, axis2=2).max(axis=1)
+        bottleneck = np.where(certified, bound, diagonal).reshape(cheb.shape)
+        return np.maximum(cheb, bottleneck).min(axis=1)
+
+    def exact(self, a, b):
+        """The entries C[a, b] of two index arrays: the least over the orders
+        of the larger of the Chebyshev term and the bottleneck of the
+        columns, by one stacked ``bottleneck_from_costs`` call per block."""
+        no, k = self.cx.shape[1], self.cx.shape[-1]
+        out = np.empty(len(a))
+        step = max(1, MAX_METRIC_BLOCK // (no * k * k))
+        for lo in range(0, len(a), step):
+            cheb, costs = self._terms(a[lo : lo + step], b[lo : lo + step])
+            out[lo : lo + len(cheb)] = np.maximum(cheb, bottleneck_from_costs(costs)).min(axis=1)
+        return out
+
+    def _terms(self, i, j):
+        """The Chebyshev terms (pairs, orders) of the class pairs (i, j) and
+        the Chebyshev cost matrices of their columns (pairs, orders, k, k)."""
+        cheb = np.abs(self.dx[i] - self.dy[j, None]).max(axis=-1)
+        x, y = self.cx[i], self.cy[j]
         # costs[pair, order, u, v] = max over rows of |x_r[u] - y_r[v]|
-        costs = np.abs(cx[a, :, 0, :, None] - cy[b, None, 0, None, :])
-        for r in range(1, cy.shape[1]):
-            np.maximum(costs, np.abs(cx[a, :, r, :, None] - cy[b, None, r, None, :]), out=costs)
-        out[start : start + len(a)] = np.maximum(cheb, bottleneck_from_costs(costs)).min(axis=1)
-    return out.reshape(nx, ny)
+        costs = np.abs(x[:, :, 0, :, None] - y[:, None, 0, None, :])
+        for row in range(1, x.shape[2]):
+            np.maximum(costs, np.abs(x[:, :, row, :, None] - y[:, None, row, None, :]), out=costs)
+        return cheb, costs
+
+    def full(self):
+        """The whole matrix C (nx, ny)."""
+        nx, ny = self.shape
+        return self.exact(*np.divmod(np.arange(nx * ny), ny)).reshape(nx, ny)
+
+
+def _full(costs):
+    """The matrix of a ``_max_metric`` result."""
+    return costs if isinstance(costs, np.ndarray) else costs.full()
 
 
 @dataclass(frozen=True)
@@ -279,9 +392,9 @@ def sdd(C, h):
     return Sdd(weights, rdds, total)
 
 
-def _rdd_costs(xs, ys):
-    """Max-metric matrix between two sequences of RDDs of one order h: an
-    order p maps D to D[p][:, p] and R to R[p]."""
+def _rdd_metric(xs, ys):
+    """Max metric between two sequences of RDDs of one order h, as
+    ``_max_metric`` gives it: an order p maps D to D[p][:, p] and R to R[p]."""
     hs = {r.h for r in (*xs, *ys)}
     if len(hs) > 1:
         raise ValueError("incompatible orders h")
@@ -294,6 +407,11 @@ def _rdd_costs(xs, ys):
     )
 
 
+def _rdd_costs(xs, ys):
+    """Max-metric matrix between two sequences of RDDs of one order h."""
+    return _full(_rdd_metric(xs, ys))
+
+
 def rdd_max_metric(X, Y):
     """Max metric on RDDs: min over base orders of the larger of the
     Chebyshev distance between D matrices and the bottleneck distance
@@ -304,17 +422,37 @@ def rdd_max_metric(X, Y):
 def _distribution_dist(X, Y, mode, costs_of):
     """EMD between two distributions of classes, or their LAC.
 
-    ``mode`` and the totals are checked before ``costs_of()`` builds the
-    cost matrix.  LAC needs equal totals T.  Both weight vectors are then
-    counts over T, and by Birkhoff-von Neumann the least assignment cost of
-    the T x T costs that repeat each class by its count is the EMD, so LAC
-    is computed as the EMD.
+    ``mode`` and the totals are checked before ``costs_of()`` gives the
+    costs: a whole matrix, which goes to ``emd``, or a lazy ``_Costs``,
+    which goes to ``emd_from_bounds``.  LAC needs equal totals T.  Both
+    weight vectors are then counts over T, and by Birkhoff-von Neumann the
+    least assignment cost of the T x T costs that repeat each class by its
+    count is the EMD, so LAC is computed as the EMD.
+
+    Bound-first rule.  When both distributions have m > 1 classes of one
+    weight 1/m, the EMD is an optimal assignment of the classes, and
+    ``emd_from_bounds`` takes it from the bounds of ``_Costs.lower`` (each
+    at most its max metric, with no k x k cost matrix): it solves the
+    assignment on the bounds, takes exactly the class pairs that an optimal
+    assignment can still use, and solves again until the assignment uses
+    exact entries only; an assignment that is optimal on a matrix below C
+    that equals C on its own entries is optimal for C.  Near copies then
+    take about m exact max metrics instead of m².  If more than half of the
+    pairs stay candidates (unrelated clouds), C is filled in and goes to
+    ``emd``, as do merged classes (unequal weights: the LP path), unequal
+    class counts and one-class distributions.  The value is ``emd``'s float
+    on C, summed in ``emd``'s orientation, so it is exactly symmetric; only
+    where several assignments are optimal may it sum another one, within
+    1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "lac" and (X.total != Y.total or X.total is None):
         raise ValueError("LAC mode needs equal-size distributions")
     costs = costs_of()
+    if isinstance(costs, _Costs) and costs.bound_first:
+        return emd_from_bounds(X.weights, Y.weights, costs)
+    costs = _full(costs)
     if np.isinf(costs).any():
         raise ValueError("distributions of incompatible sizes")
     value, _ = emd(X.weights, Y.weights, costs)
@@ -323,7 +461,7 @@ def _distribution_dist(X, Y, mode, costs_of):
 
 def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
-    return _distribution_dist(X, Y, mode, lambda: _rdd_costs(X.rdds, Y.rdds))
+    return _distribution_dist(X, Y, mode, lambda: _rdd_metric(X.rdds, Y.rdds))
 
 
 @dataclass(frozen=True)
@@ -411,8 +549,8 @@ def scd(C, center=True):
     return Scd(weights, ocds, total)
 
 
-def _ocd_costs(xs, ys):
-    """Max-metric matrix between two sequences of OCDs.
+def _ocd_metric(xs, ys):
+    """Max metric between two sequences of OCDs, as ``_max_metric`` gives it.
 
     Columns are compared as points (distances, sign * strength / lambda_n).
     An order permutes the distances from the base to the origin (``dvec``
@@ -425,8 +563,14 @@ def _ocd_costs(xs, ys):
     p = ORDERS[h]
     index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
     rows = np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
-    cx, cy = ([np.vstack([o.cols, o.signs * o.strengths / lam]) for o in side] for side in (xs, ys))
+    cx, cy = ([np.concatenate([o.cols, (o.signs * o.strengths / lam)[None]]) for o in side]
+              for side in (xs, ys))
     return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], cx, cy, (index, rows))
+
+
+def _ocd_costs(xs, ys):
+    """Max-metric matrix between two sequences of OCDs."""
+    return _full(_ocd_metric(xs, ys))
 
 
 def ocd_max_metric(X, Y):
@@ -438,4 +582,4 @@ def ocd_max_metric(X, Y):
 
 def scd_dist(X, Y, mode="emd"):
     """Metric between SCDs via EMD or LAC over the OCD max metric."""
-    return _distribution_dist(X, Y, mode, lambda: _ocd_costs(X.ocds, Y.ocds))
+    return _distribution_dist(X, Y, mode, lambda: _ocd_metric(X.ocds, Y.ocds))

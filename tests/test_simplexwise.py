@@ -11,9 +11,9 @@ import pytest
 
 import legacy_kernels
 from conftest import _ref_bottleneck_from_costs, random_isometry, random_rotation
-from geoinv import simplexwise
+from geoinv import numcore, simplexwise
 from geoinv.clouds import PointCloud, spd
-from geoinv.numcore import INF, _pairwise, lac
+from geoinv.numcore import INF, _pairwise, bottleneck_from_costs, lac
 from geoinv.simplexwise import (
     LAMBDA,
     ORDERS,
@@ -648,3 +648,137 @@ def test_simplex_cell_budget_checked_before_the_distance_matrix(build, n, rng, m
     with pytest.raises(ValueError, match="form cells, over the budget of 143"):
         build(pts)
     assert calls == []
+
+
+# Bound-first distances: with m > 1 classes of weight 1/m on both sides,
+# sdd_dist/scd_dist take the class assignment from lower bounds and compute
+# exactly only the class pairs an optimal assignment can use.
+
+
+def _bound_first_pairs(rng):
+    """Seeded (label, X points, Y points): near copies, shuffled near copies
+    (the assignment is not the identity), unrelated clouds, grid points plus
+    1e-12 noise and regular polygons (merged classes: the LP path)."""
+    for n, m in ((2, 8), (3, 7)):
+        pts = rng.normal(size=(m, n))
+        yield "near", pts, pts + 1e-3 * rng.normal(size=pts.shape)
+        yield "shuffled", pts, (pts + 1e-3 * rng.normal(size=pts.shape))[rng.permutation(m)]
+        yield "unrelated", pts, rng.normal(size=(m, n))
+        grid = np.array(list(itertools.product(range(3), repeat=n)), dtype=float)
+        tied = grid[rng.choice(len(grid), m, replace=False)] + 1e-12 * rng.normal(size=(m, n))
+        yield "grid", tied, tied[rng.permutation(m)] + 1e-12 * rng.normal(size=(m, n))
+    angles = 2 * np.pi * np.arange(8) / 8
+    polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+    yield "polygon", polygon, 1.05 * polygon[::-1] + 1e-3 * rng.normal(size=polygon.shape)
+
+
+def _distributions(pts, qts):
+    """(dist, X, Y, full costs) for SDD at h = 1, 2, 3 and SCD centred and
+    not, with the mirror image of Y for SCD."""
+    for h in (1, 2, 3):
+        X, Y = sdd(pts, h), sdd(qts, h)
+        yield sdd_dist, X, Y, _rdd_costs(X.rdds, Y.rdds)
+    for center in (True, False):
+        X, Y = scd(pts, center), scd(qts, center)
+        image = scd(qts * np.r_[np.ones(qts.shape[1] - 1), -1.0], center)
+        for other in (Y, image):
+            yield scd_dist, X, other, _ocd_costs(X.ocds, other.ocds)
+
+
+def test_bound_first_distances_equal_the_full_matrix(rng, monkeypatch):
+    solved = []
+    assigned = numcore._assigned_from_bounds
+    monkeypatch.setattr(numcore, "_assigned_from_bounds",
+                        lambda *a: solved.append(1) or assigned(*a))
+    labels = set()
+    for label, pts, qts in _bound_first_pairs(rng):
+        for dist, X, Y, costs in _distributions(pts, qts):
+            for mode in ("emd", "lac"):
+                before = len(solved)
+                value = dist(X, Y, mode)
+                assert value == _distribution_dist(X, Y, mode, lambda: costs)
+                assert dist(Y, X, mode) == value
+                if len(solved) > before:
+                    labels.add(label)
+    # every kind of pair except the merged classes went bound-first
+    assert labels == {"near", "shuffled", "unrelated", "grid"} and len(solved) > 100
+
+
+def test_near_copy_scd_searches_few_class_pairs(rng, monkeypatch):
+    # 12 classes of 11 columns: the full matrix has 144 searched matrices
+    seen = []
+    real = simplexwise.bottleneck_from_costs
+
+    def counted(costs):
+        seen.append(np.shape(costs)[0] * np.shape(costs)[1])
+        return real(costs)
+
+    pts = rng.normal(size=(12, 2))
+    X, Y = scd(pts), scd(pts + 1e-3 * rng.normal(size=pts.shape))
+    assert len(X) == len(Y) == 12 and X.ocds[0].cols.shape[1] == 11
+    want = _distribution_dist(X, Y, "emd", lambda: _ocd_costs(X.ocds, Y.ocds))
+    monkeypatch.setattr(simplexwise, "bottleneck_from_costs", counted)
+    assert scd_dist(X, Y) == want
+    assert 12 <= sum(seen) <= 3 * 12
+
+
+def test_unrelated_pairs_fall_back_to_the_full_matrix(rng, monkeypatch):
+    seen = []
+    real = simplexwise.bottleneck_from_costs
+
+    def counted(costs):
+        seen.append(np.shape(costs)[0] * np.shape(costs)[1])
+        return real(costs)
+
+    X, Y = scd(rng.normal(size=(12, 2))), scd(rng.normal(size=(12, 2)))
+    want = _distribution_dist(X, Y, "emd", lambda: _ocd_costs(X.ocds, Y.ocds))
+    monkeypatch.setattr(simplexwise, "bottleneck_from_costs", counted)
+    assert scd_dist(X, Y) == want
+    assert sum(seen) == len(X) * len(Y)
+
+
+def test_bound_first_refines_past_a_missing_candidate(rng, monkeypatch):
+    # a negative slack keeps only the assignment of the bounds as candidates,
+    # so the assignment is solved again until it uses exact entries only
+    monkeypatch.setattr(numcore, "PRUNE_SLACK", -1.0)
+    for label, pts, qts in _bound_first_pairs(rng):
+        for dist, X, Y, costs in _distributions(pts, qts):
+            value = dist(X, Y)
+            assert value == _distribution_dist(X, Y, "emd", lambda: costs)
+            assert dist(Y, X) == value
+
+
+def test_small_enumerated_distances_stay_on_the_full_matrix(rng, monkeypatch):
+    # SDD at h = 2 on 5 points: 10 x 10 classes x 2 orders x 3 x 3 cost cells
+    def refuse(*args):
+        raise AssertionError("went bound-first below BOUND_FIRST_CELLS")
+
+    monkeypatch.setattr(numcore, "_assigned_from_bounds", refuse)
+    pts = rng.normal(size=(5, 2))
+    X, Y = sdd(pts, 2), sdd(pts + 1e-3 * rng.normal(size=pts.shape), 2)
+    assert len(X) * len(Y) * 2 * 3 * 3 < simplexwise.BOUND_FIRST_CELLS
+    assert sdd_dist(X, Y) == _distribution_dist(X, Y, "emd", lambda: _rdd_costs(X.rdds, Y.rdds))
+
+
+def test_stacked_argmin_certificate_skips_the_search(rng, monkeypatch):
+    # near-copy stacks are certified matrix by matrix and return their bounds
+    # with no matching; a stack with one uncertified matrix is searched
+    stacks = [np.stack([numcore._pairwise(A, A + 1e-6 * rng.normal(size=A.shape))
+                        for A in rng.normal(size=(20, k, 3))]) for k in (6, 9, 16)]
+    want = [[_ref_bottleneck_from_costs(c) for c in stack] for stack in stacks]
+
+    def no_search(costs, t):
+        raise AssertionError("a certified stack reached _feasible")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numcore, "_feasible", no_search)
+        for stack, values in zip(stacks, want):
+            assert numcore._argmin_map(stack)[1].all()
+            bound = np.maximum(stack.min(axis=2).max(axis=1), stack.min(axis=1).max(axis=1))
+            assert np.array_equal(bottleneck_from_costs(stack), bound)
+            assert bottleneck_from_costs(stack).tolist() == values
+    for stack, values in zip(stacks, want):
+        mixed = stack.copy()
+        mixed[1:4] = rng.random(mixed[1:4].shape)
+        assert bottleneck_from_costs(mixed).tolist() == [
+            _ref_bottleneck_from_costs(c) for c in mixed]

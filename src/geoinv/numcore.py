@@ -7,7 +7,11 @@ with k <= ENUMERATION_MAX_K (5) is the least over all k! permutations of the
 largest assigned cost, gathered in blocks; larger matrices are searched
 bound-first, with one Hopcroft-Karp matching per search step for a stack.
 A near copy, whose row-argmin map is a permutation, needs no solver for its
-EMD or its single-matrix bottleneck.
+EMD, and a matrix or stack whose row- or column-argmin maps are all
+permutations needs no matching for its bottleneck.  ``emd_from_bounds``
+gives the EMD of two uniform distributions of m items from lower bounds
+and exact entries taken on demand, with as few exact entries as the bounds
+allow.
 All functions are pure and safe for concurrent use.
 """
 
@@ -458,116 +462,124 @@ def emd_from_bounds(P, Q, costs):
     """``emd(P, Q, C)[0]`` of a cost matrix C known by bounds and on demand.
 
     ``costs`` has the ``shape`` (m, n) of C and four methods: ``lower()``,
-    an (m, n) matrix of lower bounds on C, ``upper(rows, cols)`` and
-    ``exact(rows, cols)``, upper bounds on and the values of the entries
-    C[rows, cols] of two index arrays, and ``full()``, C itself.  Unless P
-    and Q are one vector of m = n > 1 equal weights (equal bytes), C goes
-    to ``emd``.
-    Otherwise the optimal assignment is found with as few exact entries as
-    the bounds allow:
-
-    1. σ is an optimal assignment of the lower bounds, solved in the
-       orientation whose bounds have the lesser bytes, so that swapping P
-       and Q (which transposes C and its bounds) solves the same problem.
-    2. U = Σ_i upper(i, σ(i)) is at least the cost of an assignment, so no
-       optimum costs more.  Every other row i' (column j') pays at least its
-       least lower bound, so an assignment through (i, j) costs at least
-       lower_ij + Σ_{i' != i} rowmin_i' and lower_ij + Σ_{j' != j} colmin_j'.
-       An entry for which either sum is over U (1 + PRUNE_SLACK) is in no
-       optimum; σ and the others are the candidates.  If they are more than
-       half of the m² entries, the bounds prune too little: C is built
-       whole and solved as ``emd`` solves it (its uniform branch, in the
-       orientation of ``_swapped``), at about the cost of ``emd`` on C, as
-       no exact entry has been taken yet.  The entries whose sums are at
-       most Σ_i lower[i, σ(i)] <= U are candidates whatever U is, so when
-       they alone are more than half, U is not taken.
-    3. The candidates are taken exactly in one ``exact`` call.  Then the
-       assignment is solved on M, which is C where known and the lower
-       bounds elsewhere, again while it uses an entry not yet known (which
-       is then taken); this guards step 2 against rounding.  M <= C
-       entrywise, and the final σ costs the same under M and C, so no
-       assignment beats it under C: σ is optimal.
-    4. The value Σ_i C[i, σ(i)] / m is summed in the orientation in which
-       ``emd`` solves C, so it is ``emd``'s float.  The weights tie, so
-       ``_swapped`` compares the bytes of C.T and C: the first upper pair
-       i < j, row-major, whose entries C[i, j] and C[j, i] differ decides,
-       and it is found by taking entries as they are needed.  An identity σ
-       needs no orientation: its diagonal sum is the same either way.
+    an (m, n) matrix of lower bounds on C; ``bounds(rows, cols)``, a lower
+    and an upper bound on each entry C[rows, cols] of two index arrays,
+    which is exact where they are equal; ``exact(rows, cols)``, those
+    entries; and ``full()``, C itself.  Unless P and Q are one vector of
+    m = n > 1 equal weights (equal bytes), C goes to ``emd``.  Otherwise
+    the optimal assignment is found with as few exact entries as the bounds
+    allow (``_assigned_from_bounds``), and C goes to ``emd`` only when the
+    bounds leave more than half of it as candidates.
 
     Where several assignments are optimal, this may sum another one than
     ``emd`` picks; the two values agree within 1e-12 relative.
     """
+    wp, wq = _check_weights(P), _check_weights(Q)
     m, n = costs.shape
-    p, q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    if m == n > 1 and p.shape == (m,) and p.tobytes() == q.tobytes() and (p == p[0]).all():
-        known = np.full((m, m), np.nan)  # C where it is known
-
-        def take(rows, cols):
-            """C[rows, cols], taking the entries not yet known by one ``exact`` call."""
-            todo = np.isnan(known[rows, cols])
-            if todo.any():
-                known[rows[todo], cols[todo]] = costs.exact(rows[todo], cols[todo])
-            return known[rows, cols]
-
-        pairs = _assigned_from_bounds(costs, known, take)
-        if pairs is None:  # the uniform branch of emd on the whole matrix
-            known = costs.full()
-            if known.T.tobytes() < known.tobytes():
-                known = known.T
-            pairs = np.arange(m), _assignment(known)
-        _check_weights(P)  # as emd would; Q has the same bytes
-        return float(known[pairs].sum() / m)
-    return emd(P, Q, costs.full())[0]
+    if not (m == n == len(wp) > 1 and wp.tobytes() == wq.tobytes() and (wp == wp[0]).all()):
+        return emd(P, Q, costs.full())[0]
+    value = _assigned_from_bounds(costs)
+    if value is None:  # the uniform branch of emd, whose weights tie
+        full = costs.full()
+        if full.T.tobytes() < full.tobytes():
+            full = full.T
+        value = float(full[np.arange(m), _assignment(full)].sum() / m)
+    return value
 
 
-def _assigned_from_bounds(costs, known, take):
-    """Steps 1-4 of ``emd_from_bounds``: the (rows, cols) of an optimal
-    assignment of the m x m matrix C, in the order in which ``emd`` sums
-    them, or None when the bounds leave more than half of C as candidates.
-    ``known`` is C where known (NaN elsewhere) and ``take(rows, cols)``
-    reads entries of C, taking the unknown ones."""
+def _assigned_from_bounds(costs):
+    """``emd``'s value of the m x m matrix C of ``emd_from_bounds`` with
+    constant weights, or None when the bounds prune too little.
+
+    1. σ is an optimal assignment of the lower bounds L, solved in the
+       orientation S whose bounds have the lesser bytes (None when L and
+       L.T have the same bytes), so that swapping P and Q, which transposes
+       C and L, solves the same problem.
+    2. U = Σ_i hi(i, σ(i)) over upper bounds hi is at least the cost of an
+       assignment, so no optimum costs more.  Every other row i' (column
+       j') pays at least its least lower bound, so an assignment through
+       (i, j) costs at least L_ij + Σ_{i' != i} rowmin_i' and
+       L_ij + Σ_{j' != j} colmin_j'.  An entry for which either sum is over
+       U (1 + PRUNE_SLACK) is in no optimum; σ and the others are the
+       candidates.  If they are more than half of the m² entries, the
+       bounds prune too little: None, at about no more cost than C itself,
+       as no exact entry has been taken.  The entries whose sums are at most
+       Σ_i L(i, σ(i)) <= U are candidates whatever U is, so when they alone
+       are more than half, U is not taken.
+    3. The candidates whose bounds differ are taken exactly in one
+       ``exact`` call.  Then the assignment is solved on M, which is C where
+       known and L elsewhere, again while it uses an entry not yet known
+       (which is then taken); this guards step 2 against rounding.  M <= C
+       entrywise, and the final σ costs the same under M and C, so no
+       assignment beats it under C: σ is optimal.
+    4. The value Σ_i C(i, σ(i)) / m is summed in the orientation in which
+       ``emd`` solves C, so it is ``emd``'s float.  The two orientations sum
+       the same entries in two orders (one order if σ is the identity), and
+       only if the two sums differ is the orientation needed: the weights
+       tie, so ``_swapped`` compares the bytes of C.T and C, and the first
+       upper pair i < j, row-major, whose entries C[i, j] and C[j, i] differ
+       decides.  Entries are taken for it a row of C at a time.
+    """
     low = costs.lower()
     m = len(low)
     at = np.arange(m)
-    flip = low.T.tobytes() < low.tobytes()
-    # the problem in its solved orientation: bounds, known entries, readers
-    if flip:
-        low, known = low.T, known.T
-        read, upper = (lambda i, j: take(j, i)), (lambda i, j: costs.upper(j, i))
-    else:
-        read, upper = take, costs.upper
-    sigma = _assignment(low)
-    row_least, col_least = low.min(axis=1), low.min(axis=0)
-    # fl(low + t) grows with t, so this is the larger of the two sums
-    need = low + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
-    if 2 * np.count_nonzero(need <= low[at, sigma].sum()) > m * m:
+    lb, lt = low.tobytes(), low.T.tobytes()
+    if lb == lt:
         return None
-    keep = need <= upper(at, sigma).sum() * (1.0 + PRUNE_SLACK)
+    flip = lt < lb
+    est, known = low.copy(), np.zeros((m, m), dtype=bool)  # M and its known entries, as C
+    s, k = (est.T, known.T) if flip else (est, known)  # the same in the solved orientation S
+
+    def take(i, j):
+        """Take the entries (i, j) of S exactly."""
+        s[i, j] = costs.exact(*((j, i) if flip else (i, j)))
+        k[i, j] = True
+
+    sigma = _assignment(s)
+    row_least, col_least = s.min(axis=1), s.min(axis=0)
+    # fl(low + t) grows with t, so this is the larger of the two sums
+    need = s + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
+    if 2 * np.count_nonzero(need <= s[at, sigma].sum()) > m * m:
+        return None
+    lo, hi = costs.bounds(*((sigma, at) if flip else (at, sigma)))
+    keep = need <= hi.sum() * (1.0 + PRUNE_SLACK)
     keep[at, sigma] = True
     if 2 * np.count_nonzero(keep) > m * m:
         return None
-    read(*np.nonzero(keep))
+    exact = lo == hi
+    s[at[exact], sigma[exact]] = hi[exact]
+    k[at[exact], sigma[exact]] = True
+    keep &= ~k
+    if keep.any():
+        take(*np.nonzero(keep))
     while True:
-        sigma = _assignment(np.where(np.isnan(known), low, known))
-        missing = np.isnan(known[at, sigma])
+        sigma = _assignment(s)
+        missing = ~k[at, sigma]
         if not missing.any():
             break
-        read(at[missing], sigma[missing])
-    rows, cols = (sigma, at) if flip else (at, sigma)
-    order = np.argsort(cols if _transposed_first(m, take, rows, cols) else rows)
-    return rows[order], cols[order]
+        take(at[missing], sigma[missing])
+    # the assigned entries summed in the row order of S and of S.T
+    values = s[at, sigma]
+    total, other = values.sum(), values[np.argsort(sigma)].sum()
+    if other != total and _transposed_first(costs, est, known) != flip:
+        total = other
+    return float(total / m)
 
 
-def _transposed_first(m, take, rows, cols):
-    """Whether ``emd`` solves C.T rather than C (C.T has the lesser bytes)
-    for the assignment (rows, cols); False for the identity, whose sum is
-    the same in either orientation."""
-    if (rows == cols).all():
-        return False
+def _transposed_first(costs, est, known):
+    """Whether ``emd`` solves C.T rather than C: C.T has the lesser bytes.
+    ``est`` is C where ``known``; the entries of each row of C right of the
+    diagonal and of the column below it are taken, where not known, a row
+    at a time, until a pair differs."""
+    m = len(est)
     for i in range(m - 1):
-        for j in range(i + 1, m):
-            pair = take(np.array([i, j]), np.array([j, i]))  # C[i, j], C[j, i]
-            ij, ji = pair[:1].tobytes(), pair[1:].tobytes()
-            if ij != ji:
-                return ji < ij
+        j = np.arange(i + 1, m)
+        rows, cols = np.r_[np.full(len(j), i), j], np.r_[j, np.full(len(j), i)]
+        todo = ~known[rows, cols]
+        if todo.any():
+            est[rows[todo], cols[todo]] = costs.exact(rows[todo], cols[todo])
+            known[rows[todo], cols[todo]] = True
+        for ij, ji in zip(est[i, i + 1 :], est[i + 1 :, i]):
+            if ij.tobytes() != ji.tobytes():
+                return ji.tobytes() < ij.tobytes()
     return False

@@ -19,11 +19,25 @@ the base vectors and the bottleneck distance between the columns.
 Both directions are array-shaped.  ``_canonical`` builds the forms of all
 bases and orders of a cloud in one stack, sorts their columns with one
 lexsort, picks the least order of each base and groups the bases into
-classes by one lexsort of the least keys.  ``_max_metric`` computes the max
-metric for all class pairs of two distributions in one cost tensor: for
-every pair and order, the Chebyshev term and the Chebyshev cost matrix of
-the columns, whose bottlenecks one stacked ``bottleneck_from_costs`` call
-gives.  The max metrics of two classes are the 1 x 1 case.
+classes by one lexsort of the least keys.  ``_max_metric`` gives the max
+metric of the class pairs of two distributions on demand (``_Costs``):
+lower bounds for all pairs with no k x k cost matrix (the largest gap
+between the sorted rows of the columns), and exact entries for chosen
+pairs, for every pair and order the Chebyshev term and the Chebyshev cost
+matrix of the columns, whose bottlenecks one stacked
+``bottleneck_from_costs`` call gives.  The max metrics of two classes are
+the 1 x 1 case.
+
+A distance between two distributions of m > 1 classes of one weight 1/m is
+an optimal assignment of the classes, taken bound-first
+(``numcore.emd_from_bounds``): the assignment is solved on the lower
+bounds, only the class pairs that an optimal assignment can still use are
+taken exactly, and it is solved again until it uses exact entries only.
+An assignment optimal for a matrix below C that equals C on its own entries
+is optimal for C, so the value is the EMD of the whole matrix.  Near copies
+take about m exact max metrics instead of m^2; unrelated clouds, merged
+classes (unequal weights) and small enumerated matrices (below
+BOUND_FIRST_CELLS) take the whole matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ import numpy as np
 
 from .clouds import _as_points
 from .numcore import (
-    ENUMERATION_MAX_K, PERMS, _argmin_map, _as_index, _pairwise, _within, bottleneck_from_costs,
+    PERMS, _argmin_map, _as_index, _pairwise, _within, bottleneck_from_costs,
     emd, emd_from_bounds,
 )
 
@@ -54,18 +68,13 @@ ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 #: length) in ``_canonical``; a block holds at least one pair or base
 MAX_METRIC_BLOCK = 1 << 16
 
-#: least cells of a whole max-metric matrix (class pairs x orders x k x k) of
-#: enumerated bottlenecks (k <= ENUMERATION_MAX_K) for which
-#: ``_distribution_dist`` goes bound-first: below it the bounds and the
-#: assignment on them cost more than the cost matrices they spare (unrelated
-#: SDD pairs at h = 2 on 6 points, 7 200 cells, took about 20% longer).
-#: Searched bottlenecks always go bound-first, as each search step is a
-#: matching that the certificate of a near-copy stack spares.
-BOUND_FIRST_CELLS = 2**13
-
 #: most cells of one SDD/SCD build (bases x orders x form length) and of one
 #: max-metric matrix (class pairs x orders x k x k), checked before either
-#: is allocated
+#: is allocated; a build at the budget holds about 16 bytes per form cell,
+#: the forms with the distance matrix and then with their rounded keys
+#: (135 MiB above the import for an h = 1 build of 2 896 points, 8.4e6
+#: cells; 215 MiB at peak in all), and a distance one block of
+#: MAX_METRIC_BLOCK cost cells at a time
 SIMPLEX_CELL_BUDGET = 2**23
 
 
@@ -178,7 +187,10 @@ def _canonical(points, m, h, width, forms_of):
     ordered bases (bases, orders, h) and the remaining points (bases, m - h)
     of a block; a form has ``width`` cells.
     Classes are the rounded least forms, in first-seen order (one lexsort of
-    the rounded forms, then ``!=`` between neighbours).  Returns ``(weights,
+    the rounded forms, then ``!=`` between sorted neighbours, a block of rows
+    at a time, so that no sorted copy of the keys is built).  The remaining
+    points of the bases are taken block by block (``_rest``), and the
+    distance matrix is dropped before the keys are rounded.  Returns ``(weights,
     representatives, total)``: the share of bases in each class, a copy of
     the form of its first base, and the number of bases.  Over
     SIMPLEX_CELL_BUDGET form cells raises ValueError before any is built and
@@ -216,29 +228,36 @@ def _canonical(points, m, h, width, forms_of):
 def _max_metric(dx, dy, cx, cy, orders):
     """Max metric between the classes of X and of Y, on demand.
 
-    ``dx``/``cx`` list the base vectors and column matrices of the classes
-    of X, ``dy``/``cy`` those of Y, and ``orders`` is a pair of arrays: one
-    index map of the base vector and one row map of the columns per order.
-    Entry (a, b) is the least over the orders (i, r) of the larger of
-    |dx[a][i] - dy[b]|_inf and the bottleneck distance between the columns
-    of cx[a][r] and cy[b] under the Chebyshev norm.  Returns a ``_Costs``
-    that gives lower bounds, exact entries and the whole matrix.  Classes
-    of different shapes are infinitely far apart: then the matrix itself,
-    all infinite, is returned.  Over SIMPLEX_CELL_BUDGET cost cells (class
-    pairs x orders x k x k, the whole matrix) raises ValueError before any
-    is built.
+    ``dx``/``cx`` list (or stack) the base vectors and column matrices of
+    the classes of X, ``dy``/``cy`` those of Y, and ``orders`` is a pair of
+    arrays: one index map of the base vector and one row map of the columns
+    per order.  Entry (a, b) is the least over the orders (i, r) of the
+    larger of |dx[a][i] - dy[b]|_inf and the bottleneck distance between the
+    columns of cx[a][r] and cy[b] under the Chebyshev norm.  Returns a
+    ``_Costs`` that gives lower bounds, bounds on chosen entries, exact
+    entries and the whole matrix.  Classes of different shapes are
+    infinitely far apart: then the matrix itself, all infinite, is
+    returned.  Over SIMPLEX_CELL_BUDGET cost cells (class pairs x orders x
+    k x k, the whole matrix) raises ValueError before any is built.
     """
-    shapes = {d.shape for d in (*dx, *dy)}, {c.shape for c in (*cx, *cy)}
-    if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
+    if not (len(dx) and len(dy)) or len(_shapes(dx) | _shapes(dy)) > 1 or len(
+            _shapes(cx) | _shapes(cy)) > 1:
         return np.full((len(dx), len(dy)), np.inf)
     nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
     cells = nx * ny * no * k * k
     _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the max metric of {nx} x {ny} classes needs "
             f"{nx} x {ny} x {no} orders x {k} x {k} = {cells:.3g} cost cells")
-    dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
+    dx, dy, cx, cy = (np.asarray(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")
     return _Costs(dx, dy, cx, cy, orders)
+
+
+def _shapes(arrays):
+    """The shapes of a list of arrays, or of the rows of one stacked array."""
+    if isinstance(arrays, np.ndarray):
+        return {arrays.shape[1:]}
+    return {a.shape for a in arrays}
 
 
 class _Costs:
@@ -248,18 +267,19 @@ class _Costs:
     (nx, r, k), ``cy`` (ny, r, k) and the orders.  An entry is the least
     over the orders of the larger of the Chebyshev term |dx[index] - dy|_inf
     and the bottleneck of the columns, the least over matchings of the
-    largest Chebyshev cost.  Two bounds on that bottleneck need no k x k
-    cost matrix:
+    largest Chebyshev cost.  Bounds on that bottleneck:
 
-    - from below, the largest gap between the sorted rows: matching the
-      sorted values of one row in order is a least bottleneck matching of
-      that row, whose costs are at most the Chebyshev costs (rounding keeps
-      this, as fl(|x - y|) grows with |x - y|);
-    - from above, the cost of matching the columns in their canonical
-      (lexicographic) order.
+    - with no k x k cost matrix, from below, the largest gap between the
+      sorted rows: matching the sorted values of one row in order is a
+      least bottleneck matching of that row, whose costs are at most the
+      Chebyshev costs (rounding keeps this, as fl(|x - y|) grows with
+      |x - y|);
+    - from a cost matrix, from below, the largest row or column minimum,
+      which is exact where the row- or column-argmin map certifies it (see
+      ``numcore._argmin_map``), and from above, the cost of matching the
+      columns in their canonical (lexicographic) order.
 
-    ``bound_first`` tells whether the bounds pay (see BOUND_FIRST_CELLS).
-    Every step works in blocks of at most MAX_METRIC_BLOCK cells.
+    Every step works in blocks of at most MAX_METRIC_BLOCK cost cells.
     """
 
     def __init__(self, dx, dy, cx, cy, orders):
@@ -267,9 +287,7 @@ class _Costs:
         self.shape = len(dx), len(dy)
         # one base vector and column matrix per order of X: (nx, orders, ...)
         self.dx, self.dy, self.cx, self.cy = dx[:, index], dy, cx[:, rows], cy
-        k = cy.shape[-1]
-        cells = len(dx) * len(dy) * len(rows) * k * k
-        self.bound_first = cells >= BOUND_FIRST_CELLS or k > ENUMERATION_MAX_K
+        self._per_order = None  # the lower bounds of each order (orders, nx, ny)
 
     def lower(self):
         """Lower bounds L <= C: the least over the orders of the larger of
@@ -282,51 +300,70 @@ class _Costs:
         # (cells, orders, nx) against (cells, ny)
         x = np.concatenate([np.sort(self.cx, axis=-1).reshape(nx, no, -1).T, self.dx.T])
         y = np.concatenate([np.sort(self.cy, axis=-1).reshape(ny, -1).T, self.dy.T])
-        out = np.empty(self.shape)
+        self._per_order = np.empty((no, nx, ny))
         step = max(1, MAX_METRIC_BLOCK // (no * ny * len(y)))
         for lo in range(0, nx, step):
             block = slice(lo, lo + step)
             terms = np.abs(x[:, :, block, None] - y[:, None, None, :])
-            terms.max(axis=0).min(axis=0, out=out[block])
-        return out
+            terms.max(axis=0, out=self._per_order[:, block])
+        return self._per_order.min(axis=0)
 
-    def upper(self, a, b):
-        """Upper bounds on the entries C[a, b], with no search: the least
-        over the orders of the larger of the Chebyshev term and a bound on
-        the bottleneck of the columns, which is exact where the row- or
-        column-argmin map of the cost matrix certifies it (see
-        ``numcore._argmin_map``) and otherwise the cost of matching the
-        columns in their canonical order."""
-        cheb, costs = self._terms(a, b)
-        flat = costs.reshape(-1, *costs.shape[-2:])
-        bound = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
-        certified = _argmin_map(flat)[1] | _argmin_map(flat.swapaxes(1, 2))[1]
-        diagonal = flat.diagonal(axis1=1, axis2=2).max(axis=1)
-        bottleneck = np.where(certified, bound, diagonal).reshape(cheb.shape)
-        return np.maximum(cheb, bottleneck).min(axis=1)
+    def bounds(self, a, b):
+        """Bounds lo <= C[a, b] <= hi on the entries of two index arrays,
+        with no search: the least over the orders of the larger of the
+        Chebyshev term and a bound on the bottleneck of the columns, from
+        below the largest row or column minimum and from above the same
+        where an argmin map certifies it, else the cost of matching the
+        columns in their canonical order.  Where lo == hi, it is C[a, b]."""
+        no = self.cx.shape[1]
+        lo, hi = np.empty((len(a), no)), np.empty((len(a), no))
+        pairs = np.repeat(np.arange(len(a)), no)
+        for block, cheb, costs in self._terms(a[pairs], b[pairs], np.tile(np.arange(no), len(a))):
+            least = np.maximum(costs.min(axis=2).max(axis=1), costs.min(axis=1).max(axis=1))
+            above = costs.diagonal(axis1=1, axis2=2).max(axis=1)
+            open_ = np.flatnonzero(above > least)  # the canonical matching may not be least
+            if len(open_):
+                sub = costs[open_]
+                certified = _argmin_map(sub)[1] | _argmin_map(sub.swapaxes(1, 2))[1]
+                above[open_[certified]] = least[open_[certified]]
+            lo.ravel()[block] = np.maximum(cheb, least)
+            hi.ravel()[block] = np.maximum(cheb, above)
+        return lo.min(axis=1), hi.min(axis=1)
 
     def exact(self, a, b):
         """The entries C[a, b] of two index arrays: the least over the orders
         of the larger of the Chebyshev term and the bottleneck of the
-        columns, by one stacked ``bottleneck_from_costs`` call per block."""
-        no, k = self.cx.shape[1], self.cx.shape[-1]
-        out = np.empty(len(a))
-        step = max(1, MAX_METRIC_BLOCK // (no * k * k))
-        for lo in range(0, len(a), step):
-            cheb, costs = self._terms(a[lo : lo + step], b[lo : lo + step])
-            out[lo : lo + len(cheb)] = np.maximum(cheb, bottleneck_from_costs(costs)).min(axis=1)
+        columns.  The orders of each pair are taken best first, by their
+        lower bounds (see ``lower``), and an order is searched only where
+        its bound is below the least term found so far; each round is one
+        stacked ``bottleneck_from_costs`` call per block."""
+        if self._per_order is None:
+            self.lower()
+        bound = self._per_order[:, a, b].T  # (pairs, orders)
+        ranked = np.argsort(bound, axis=1, kind="stable")
+        out = np.full(len(a), np.inf)
+        for o in ranked.T:
+            todo = np.flatnonzero(bound[np.arange(len(a)), o] < out)
+            for block, cheb, costs in self._terms(a[todo], b[todo], o[todo]):
+                at = todo[block]
+                out[at] = np.minimum(out[at], np.maximum(cheb, bottleneck_from_costs(costs)))
         return out
 
-    def _terms(self, i, j):
-        """The Chebyshev terms (pairs, orders) of the class pairs (i, j) and
-        the Chebyshev cost matrices of their columns (pairs, orders, k, k)."""
-        cheb = np.abs(self.dx[i] - self.dy[j, None]).max(axis=-1)
-        x, y = self.cx[i], self.cy[j]
-        # costs[pair, order, u, v] = max over rows of |x_r[u] - y_r[v]|
-        costs = np.abs(x[:, :, 0, :, None] - y[:, None, 0, None, :])
-        for row in range(1, x.shape[2]):
-            np.maximum(costs, np.abs(x[:, :, row, :, None] - y[:, None, row, None, :]), out=costs)
-        return cheb, costs
+    def _terms(self, i, j, o):
+        """For each block of at most MAX_METRIC_BLOCK cost cells of the class
+        pairs (i, j) under the orders o of X: its slice, the Chebyshev terms
+        and the Chebyshev cost matrices of the columns (k, k)."""
+        k = self.cx.shape[-1]
+        step = max(1, MAX_METRIC_BLOCK // (k * k))
+        for lo in range(0, len(i), step):
+            block = slice(lo, lo + step)
+            x, y = self.cx[i[block], o[block]], self.cy[j[block]]
+            cheb = np.abs(self.dx[i[block], o[block]] - self.dy[j[block]]).max(axis=-1)
+            # costs[t, u, v] = max over rows r of |x_r[u] - y_r[v]|
+            costs = np.abs(x[:, 0, :, None] - y[:, 0, None, :])
+            for row in range(1, x.shape[1]):
+                np.maximum(costs, np.abs(x[:, row, :, None] - y[:, row, None, :]), out=costs)
+            yield slice(lo, lo + len(x)), cheb, costs
 
     def full(self):
         """The whole matrix C (nx, ny)."""
@@ -392,18 +429,22 @@ def sdd(C, h):
     return Sdd(weights, rdds, total)
 
 
+#: the orders of ``_rdd_metric`` for h = 1, 2, 3: the index map of D.ravel()
+#: (D[p][:, p]) and the row map of R (R[p]) of each order p
+_RDD_ORDERS = {
+    h: ((p[:, :, None] * h + p[:, None, :]).reshape(len(p), -1), p) for h, p in ORDERS.items()
+}
+
+
 def _rdd_metric(xs, ys):
     """Max metric between two sequences of RDDs of one order h, as
     ``_max_metric`` gives it: an order p maps D to D[p][:, p] and R to R[p]."""
     hs = {r.h for r in (*xs, *ys)}
     if len(hs) > 1:
         raise ValueError("incompatible orders h")
-    h = max(hs, default=1)
-    p = ORDERS[h]
-    index = (p[:, :, None] * h + p[:, None, :]).reshape(len(p), -1)
     return _max_metric(
         [r.D.ravel() for r in xs], [r.D.ravel() for r in ys],
-        [r.R for r in xs], [r.R for r in ys], (index, p),
+        [r.R for r in xs], [r.R for r in ys], _RDD_ORDERS[max(hs, default=1)],
     )
 
 
@@ -430,29 +471,35 @@ def _distribution_dist(X, Y, mode, costs_of):
     count is the EMD, so LAC is computed as the EMD.
 
     Bound-first rule.  When both distributions have m > 1 classes of one
-    weight 1/m, the EMD is an optimal assignment of the classes, and
-    ``emd_from_bounds`` takes it from the bounds of ``_Costs.lower`` (each
-    at most its max metric, with no k x k cost matrix): it solves the
-    assignment on the bounds, takes exactly the class pairs that an optimal
-    assignment can still use, and solves again until the assignment uses
-    exact entries only; an assignment that is optimal on a matrix below C
-    that equals C on its own entries is optimal for C.  Near copies then
-    take about m exact max metrics instead of m².  If more than half of the
-    pairs stay candidates (unrelated clouds), C is filled in and goes to
-    ``emd``, as do merged classes (unequal weights: the LP path), unequal
-    class counts and one-class distributions.  The value is ``emd``'s float
-    on C, summed in ``emd``'s orientation, so it is exactly symmetric; only
-    where several assignments are optimal may it sum another one, within
-    1e-12 relative.
+    weight 1/m (equal weight vectors), the EMD is an optimal assignment of
+    the classes (Birkhoff-von Neumann), and ``emd_from_bounds`` takes it
+    from the bounds of ``_Costs`` with no cost matrix for most class pairs:
+
+    - it solves the assignment σ on the lower bounds L <= C;
+    - the cost U of σ under upper bounds, with no search, is at least the
+      optimum, and a pair (i, j) whose L_ij plus the least bounds of the
+      other rows (or columns) is over U is in no optimal assignment;
+    - the other pairs are taken exactly in one stacked call, and the
+      assignment is solved again on C where known and L elsewhere until it
+      uses exact entries only.  That matrix is at most C entrywise and
+      equals C on the final σ, so no assignment beats σ under C.
+
+    Near copies then take about m exact max metrics instead of m².  The
+    whole matrix is built and solved as ``emd`` solves it when more than
+    half of the pairs stay candidates (unrelated clouds), and it goes to
+    ``emd`` for merged classes (unequal weights: the LP path), unequal
+    class counts, one-class distributions and enumerated matrices below
+    BOUND_FIRST_CELLS.  The value is summed in ``emd``'s orientation, so it
+    is ``emd``'s float on C and exactly symmetric; only where several
+    assignments are optimal may it sum another one, within 1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "lac" and (X.total != Y.total or X.total is None):
         raise ValueError("LAC mode needs equal-size distributions")
     costs = costs_of()
-    if isinstance(costs, _Costs) and costs.bound_first:
+    if isinstance(costs, _Costs):
         return emd_from_bounds(X.weights, Y.weights, costs)
-    costs = _full(costs)
     if np.isinf(costs).any():
         raise ValueError("distributions of incompatible sizes")
     value, _ = emd(X.weights, Y.weights, costs)
@@ -549,6 +596,20 @@ def scd(C, center=True):
     return Scd(weights, ocds, total)
 
 
+def _ocd_orders(n):
+    """The orders of ``_ocd_metric`` in R^n: an index map of ``dvec``, which
+    keeps the h(h-1)/2 base distances and permutes the h distances to the
+    origin, and a row map of the points, which permutes the h base rows and
+    keeps the origin and signed-strength rows."""
+    h = n - 1
+    pair, p = h * (h - 1) // 2, ORDERS[h]
+    index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
+    return index, np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
+
+
+_OCD_ORDERS = {n: _ocd_orders(n) for n in (2, 3)}
+
+
 def _ocd_metric(xs, ys):
     """Max metric between two sequences of OCDs, as ``_max_metric`` gives it.
 
@@ -558,14 +619,19 @@ def _ocd_metric(xs, ys):
     rows of the columns of X; the signs of X are not changed.
     """
     n = max((o.n for o in xs), default=2)
-    h, lam = n - 1, LAMBDA[n]
-    pair = h * (h - 1) // 2
-    p = ORDERS[h]
-    index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
-    rows = np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
-    cx, cy = ([np.concatenate([o.cols, (o.signs * o.strengths / lam)[None]]) for o in side]
-              for side in (xs, ys))
-    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], cx, cy, (index, rows))
+    lam = LAMBDA[n]
+    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], _points(xs, lam),
+                       _points(ys, lam), _OCD_ORDERS[n])
+
+
+def _points(ocds, lam):
+    """The columns of OCDs as points, one stack (classes, n + 1, k) when
+    all have one shape: the distances, then sign * strength / lam."""
+    cols = [o.cols for o in ocds]
+    if len(_shapes(cols)) != 1:
+        return cols  # none, or of several shapes: infinitely far apart
+    signed = np.array([o.signs for o in ocds]) * np.array([o.strengths for o in ocds]) / lam
+    return np.concatenate([np.array(cols), signed[:, None]], axis=1)
 
 
 def _ocd_costs(xs, ys):

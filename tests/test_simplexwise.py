@@ -710,7 +710,7 @@ def test_near_copy_scd_searches_few_class_pairs(rng, monkeypatch):
     real = simplexwise.bottleneck_from_costs
 
     def counted(costs):
-        seen.append(np.shape(costs)[0] * np.shape(costs)[1])
+        seen.append(int(np.prod(np.shape(costs)[:-2])))
         return real(costs)
 
     pts = rng.normal(size=(12, 2))
@@ -719,7 +719,7 @@ def test_near_copy_scd_searches_few_class_pairs(rng, monkeypatch):
     want = _distribution_dist(X, Y, "emd", lambda: _ocd_costs(X.ocds, Y.ocds))
     monkeypatch.setattr(simplexwise, "bottleneck_from_costs", counted)
     assert scd_dist(X, Y) == want
-    assert 12 <= sum(seen) <= 3 * 12
+    assert sum(seen) <= 3 * 12
 
 
 def test_unrelated_pairs_fall_back_to_the_full_matrix(rng, monkeypatch):
@@ -727,7 +727,7 @@ def test_unrelated_pairs_fall_back_to_the_full_matrix(rng, monkeypatch):
     real = simplexwise.bottleneck_from_costs
 
     def counted(costs):
-        seen.append(np.shape(costs)[0] * np.shape(costs)[1])
+        seen.append(int(np.prod(np.shape(costs)[:-2])))
         return real(costs)
 
     X, Y = scd(rng.normal(size=(12, 2))), scd(rng.normal(size=(12, 2)))
@@ -748,16 +748,18 @@ def test_bound_first_refines_past_a_missing_candidate(rng, monkeypatch):
             assert dist(Y, X) == value
 
 
-def test_small_enumerated_distances_stay_on_the_full_matrix(rng, monkeypatch):
-    # SDD at h = 2 on 5 points: 10 x 10 classes x 2 orders x 3 x 3 cost cells
-    def refuse(*args):
-        raise AssertionError("went bound-first below BOUND_FIRST_CELLS")
+def test_small_enumerated_near_copies_go_bound_first(rng, monkeypatch):
+    # SDD at h = 2 on 5 points: 10 x 10 classes x 2 orders x 3 x 3 cost
+    # cells, the smallest bench size; the full matrix is never built
+    def refuse(self):
+        raise AssertionError("built the whole matrix")
 
-    monkeypatch.setattr(numcore, "_assigned_from_bounds", refuse)
     pts = rng.normal(size=(5, 2))
     X, Y = sdd(pts, 2), sdd(pts + 1e-3 * rng.normal(size=pts.shape), 2)
-    assert len(X) * len(Y) * 2 * 3 * 3 < simplexwise.BOUND_FIRST_CELLS
-    assert sdd_dist(X, Y) == _distribution_dist(X, Y, "emd", lambda: _rdd_costs(X.rdds, Y.rdds))
+    want = _distribution_dist(X, Y, "emd", lambda: _rdd_costs(X.rdds, Y.rdds))
+    monkeypatch.setattr(simplexwise._Costs, "full", refuse)
+    assert len(X) == len(Y) == 10
+    assert sdd_dist(X, Y) == sdd_dist(Y, X) == want
 
 
 def test_stacked_argmin_certificate_skips_the_search(rng, monkeypatch):

@@ -253,15 +253,15 @@ def _searched(flat):
     minimum), which is itself a cost.  A matrix whose row-argmin or
     column-argmin map is a permutation (see ``_argmin_map``) is certified:
     that permutation's largest cost is the largest row (or column) minimum,
-    at most the bound, so the bound is its exact bottleneck.  A stack whose
-    matrices are all certified needs no matching.  The maps of the whole
+    at most the bound, so the bound is its exact bottleneck, with no
+    matching, for a single matrix as for each matrix of a stack.  The maps of the whole
     stack are taken only when its first matrix is certified (on an
     unrelated stack of small matrices they cost about a tenth of the
-    search), and the column maps only where the row maps fail.  Otherwise
-    all matrices are tested at their bound in one ``_feasible`` call; those
-    it does not settle binary-search their sorted costs above the bound
-    together, one ``_feasible`` call per step, for the smallest feasible
-    one.
+    search), and the column maps only where the row maps fail.  The
+    matrices left are tested at their bound in one ``_feasible`` call;
+    those it does not settle binary-search their sorted costs above the
+    bound together, one ``_feasible`` call per step, for the smallest
+    feasible one.
 
     The certificate pays where near copies dominate: the single matrix of a
     ``bottleneck`` or ``cloud_match`` near copy, and the stacks of the
@@ -270,13 +270,14 @@ def _searched(flat):
     """
     n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
-    if _argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]:  # else not all are
+    todo = np.arange(n)  # the matrices not certified
+    if _argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]:
         left = ~_argmin_map(flat)[1]
         if left.any():
             left[left] = ~_argmin_map((flat if left.all() else flat[left]).swapaxes(1, 2))[1]
-        if not left.any():
-            return out
-    todo = np.flatnonzero(~_feasible(flat, out))
+        todo = np.flatnonzero(left)
+    if len(todo):
+        todo = todo[~_feasible(flat if len(todo) == n else flat[todo], out[todo])]
     if len(todo):
         sub = flat[todo]
         cand = np.sort(sub.reshape(len(todo), k * k), axis=1)
@@ -468,8 +469,10 @@ def emd_from_bounds(P, Q, costs):
     entries; and ``full()``, C itself.  Unless P and Q are one vector of
     m = n > 1 equal weights (equal bytes), C goes to ``emd``.  Otherwise
     the optimal assignment is found with as few exact entries as the bounds
-    allow (``_assigned_from_bounds``), and C goes to ``emd`` only when the
-    bounds leave more than half of it as candidates.
+    allow (``_assigned_from_bounds``); when the bounds leave more than half
+    of C as candidates, C is built and solved as the uniform branch of
+    ``emd`` solves it, in the orientation of ``_swapped`` (the weights tie,
+    so the lesser of the bytes of C and C.T).
 
     Where several assignments are optimal, this may sum another one than
     ``emd`` picks; the two values agree within 1e-12 relative.

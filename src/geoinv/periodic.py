@@ -199,8 +199,9 @@ def _reject_duplicates(motifs, bases, pinvs):
 
 
 def _lattice_ball(basis, radii, rho):
-    """Lattice vectors of norm <= rho inside the coefficient box |z_i| <= radii[i]."""
-    coeffs = np.indices(2 * radii + 1).reshape(len(radii), -1).T - radii
+    """Lattice vectors of norm <= rho inside the coefficient box |z_i| <= radii[i]
+    (a list of Python ints); the norms are compared by their squares."""
+    coeffs = np.indices([2 * x + 1 for x in radii]).reshape(len(radii), -1).T - np.array(radii)
     translates = coeffs @ basis
     return translates[np.einsum("ij,ij->i", translates, translates) <= rho * rho]
 
@@ -251,16 +252,17 @@ def neighbours(S, k):
     m = len(motif)
     step = max(1, NEIGHBOUR_CELL_BUDGET // m)
     diam = max(float(_pairwise(motif[i : i + step], motif).max()) for i in range(0, m, step))
+    inv_gaps = S._inv_gaps.tolist()
     c = ppc(S)
     r0 = c * (k / m + 1) ** (1.0 / S.rank) + diam
     r = min(c * (k ** (1.0 / S.rank) + 0.5), r0)
     while True:
         # the relative margin keeps boundary translates, far above rounding
         rho = (r + diam) * (1.0 + 1e-9)
-        radii = np.floor(rho * S._inv_gaps)
-        box = math.prod([2.0 * x + 1.0 for x in radii.tolist()])  # as np.prod, at less overhead
+        radii = [math.floor(rho * g) for g in inv_gaps]
+        box = math.prod([2.0 * x + 1.0 for x in radii])
         _check_budget(box * (S.rank + S.dim), "coefficient box", k, basis)
-        translates = _lattice_ball(basis, radii.astype(int), rho)
+        translates = _lattice_ball(basis, radii, rho)
         _check_budget(m * len(translates) * S.dim, "candidate points", k, basis)
         points = (motif[None, :, :] + translates[:, None, :]).reshape(-1, S.dim)
         if len(points) <= k:

@@ -22,10 +22,10 @@ lexsort, picks the least order of each base and groups the bases into
 classes by one lexsort of the least keys.  ``_max_metric`` gives the max
 metric of the class pairs of two distributions on demand (``_Costs``):
 lower bounds for all pairs with no k x k cost matrix (the largest gap
-between the sorted rows of the columns), and exact entries for chosen
-pairs, for every pair and order the Chebyshev term and the Chebyshev cost
-matrix of the columns, whose bottlenecks one stacked
-``bottleneck_from_costs`` call gives.  The max metrics of two classes are
+between the sorted rows of the columns), bounds from the cost matrices of
+chosen pairs with no search, and exact entries, whose orders are taken best
+first by their bounds and whose bottlenecks stacked
+``bottleneck_from_costs`` calls give.  The max metrics of two classes are
 the 1 x 1 case.
 
 A distance between two distributions of m > 1 classes of one weight 1/m is
@@ -35,9 +35,9 @@ bounds, only the class pairs that an optimal assignment can still use are
 taken exactly, and it is solved again until it uses exact entries only.
 An assignment optimal for a matrix below C that equals C on its own entries
 is optimal for C, so the value is the EMD of the whole matrix.  Near copies
-take about m exact max metrics instead of m^2; unrelated clouds, merged
-classes (unequal weights) and small enumerated matrices (below
-BOUND_FIRST_CELLS) take the whole matrix.
+take about m max metrics instead of m^2, most of them certified by their
+bounds with no search; unrelated clouds, whose bounds leave more than half
+of the pairs, and merged classes (unequal weights) take the whole matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ DEGENERATE_REL_TOL = 1e-18
 
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
 ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
+
+#: the pairs i < j of p points, as two index arrays, for p = 1..4: the
+#: distances inside a base and the edges of a simplex
+_PAIRS = {p: np.triu_indices(p, k=1) for p in range(1, 5)}
 
 #: most cells built in one numpy step: column costs (class pairs x orders x
 #: k x k) in ``_max_metric`` and base-order forms (bases x orders x form
@@ -101,7 +105,7 @@ def strength(points):
     (..., n+1, n), which gives a float array of shape (...).
     """
     pts, n = _simplices(points)
-    i, j = np.triu_indices(n + 1, k=1)
+    i, j = _PAIRS[n + 1]
     edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
     p = 0.5 * edges.sum(axis=-1)
     v2 = (np.linalg.det(np.diff(pts, axis=-2)) / math.factorial(n)) ** 2
@@ -479,19 +483,20 @@ def _distribution_dist(X, Y, mode, costs_of):
     - the cost U of σ under upper bounds, with no search, is at least the
       optimum, and a pair (i, j) whose L_ij plus the least bounds of the
       other rows (or columns) is over U is in no optimal assignment;
-    - the other pairs are taken exactly in one stacked call, and the
-      assignment is solved again on C where known and L elsewhere until it
-      uses exact entries only.  That matrix is at most C entrywise and
-      equals C on the final σ, so no assignment beats σ under C.
+    - the other pairs are taken exactly in one call (those of σ whose
+      bounds meet are exact already), and the assignment is solved again
+      on C where known and L elsewhere until it uses exact entries only.
+      That matrix is at most C entrywise and equals C on the final σ, so no
+      assignment beats σ under C.
 
-    Near copies then take about m exact max metrics instead of m².  The
-    whole matrix is built and solved as ``emd`` solves it when more than
+    Near copies then take about m max metrics instead of m².  The whole
+    matrix is built and solved by ``emd``'s uniform branch when more than
     half of the pairs stay candidates (unrelated clouds), and it goes to
-    ``emd`` for merged classes (unequal weights: the LP path), unequal
-    class counts, one-class distributions and enumerated matrices below
-    BOUND_FIRST_CELLS.  The value is summed in ``emd``'s orientation, so it
-    is ``emd``'s float on C and exactly symmetric; only where several
-    assignments are optimal may it sum another one, within 1e-12 relative.
+    ``emd`` itself for merged classes (unequal weights: the LP path),
+    unequal class counts and one-class distributions.  The value is summed
+    in ``emd``'s orientation, so it is ``emd``'s float on C and exactly
+    symmetric; only where several assignments are optimal may it sum
+    another one, within 1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -568,7 +573,7 @@ def scd(C, center=True):
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
     h, k = n - 1, m - n + 1
-    i, j = np.triu_indices(h, k=1)
+    i, j = _PAIRS[h]
     a = len(i) + h
 
     def forms_of(d, ordered, rest):

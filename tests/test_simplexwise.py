@@ -779,8 +779,17 @@ def test_stacked_argmin_certificate_skips_the_search(rng, monkeypatch):
             bound = np.maximum(stack.min(axis=2).max(axis=1), stack.min(axis=1).max(axis=1))
             assert np.array_equal(bottleneck_from_costs(stack), bound)
             assert bottleneck_from_costs(stack).tolist() == values
-    for stack, values in zip(stacks, want):
+    # in a stack whose first matrix is certified, only the others are searched
+    seen = []
+    feasible = numcore._feasible
+    monkeypatch.setattr(numcore, "_feasible", lambda costs, t: seen.append(len(costs)) or
+                        feasible(costs, t))
+    for stack in stacks:
         mixed = stack.copy()
         mixed[1:4] = rng.random(mixed[1:4].shape)
+        searched = (~numcore._argmin_map(mixed)[1] & ~numcore._argmin_map(
+            mixed.swapaxes(1, 2))[1]).sum()
+        seen.clear()
         assert bottleneck_from_costs(mixed).tolist() == [
             _ref_bottleneck_from_costs(c) for c in mixed]
+        assert 1 <= searched <= 3 and seen[0] == searched

@@ -477,10 +477,11 @@ def emd_from_bounds(P, Q, costs):
     Where several assignments are optimal, this may sum another one than
     ``emd`` picks; the two values agree within 1e-12 relative.
     """
-    wp, wq = _check_weights(P), _check_weights(Q)
+    p, q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     m, n = costs.shape
-    if not (m == n == len(wp) > 1 and wp.tobytes() == wq.tobytes() and (wp == wp[0]).all()):
+    if not (m == n == len(p) > 1 and p.tobytes() == q.tobytes() and (p == p[0]).all()):
         return emd(P, Q, costs.full())[0]
+    _check_weights(p)  # as emd checks both; Q has the same bytes
     value = _assigned_from_bounds(costs)
     if value is None:  # the uniform branch of emd, whose weights tie
         full = costs.full()
@@ -530,14 +531,7 @@ def _assigned_from_bounds(costs):
     if lb == lt:
         return None
     flip = lt < lb
-    est, known = low.copy(), np.zeros((m, m), dtype=bool)  # M and its known entries, as C
-    s, k = (est.T, known.T) if flip else (est, known)  # the same in the solved orientation S
-
-    def take(i, j):
-        """Take the entries (i, j) of S exactly."""
-        s[i, j] = costs.exact(*((j, i) if flip else (i, j)))
-        k[i, j] = True
-
+    s = low.T if flip else low  # the bounds in the solved orientation S
     sigma = _assignment(s)
     row_least, col_least = s.min(axis=1), s.min(axis=0)
     # fl(low + t) grows with t, so this is the larger of the two sums
@@ -549,6 +543,14 @@ def _assigned_from_bounds(costs):
     keep[at, sigma] = True
     if 2 * np.count_nonzero(keep) > m * m:
         return None
+    est, known = low.copy(), np.zeros((m, m), dtype=bool)  # M and its known entries, as C
+    s, k = (est.T, known.T) if flip else (est, known)  # the same in S
+
+    def take(i, j):
+        """Take the entries (i, j) of S exactly."""
+        s[i, j] = costs.exact(*((j, i) if flip else (i, j)))
+        k[i, j] = True
+
     exact = lo == hi
     s[at[exact], sigma[exact]] = hi[exact]
     k[at[exact], sigma[exact]] = True

@@ -314,44 +314,56 @@ class _Costs:
 
     def bounds(self, a, b):
         """Bounds lo <= C[a, b] <= hi on the entries of two index arrays,
-        with no search: the least over the orders of the larger of the
-        Chebyshev term and a bound on the bottleneck of the columns, from
-        below the largest row or column minimum and from above the same
-        where an argmin map certifies it, else the cost of matching the
-        columns in their canonical order.  Where lo == hi, it is C[a, b]."""
-        no = self.cx.shape[1]
-        lo, hi = np.empty((len(a), no)), np.empty((len(a), no))
-        pairs = np.repeat(np.arange(len(a)), no)
-        for block, cheb, costs in self._terms(a[pairs], b[pairs], np.tile(np.arange(no), len(a))):
-            least = np.maximum(costs.min(axis=2).max(axis=1), costs.min(axis=1).max(axis=1))
+        with no search.  hi is the term of the best order of each pair (the
+        least bound of ``lower``) under an upper bound on the bottleneck of
+        its columns: the largest row minimum where the row-argmin map
+        certifies it, else the cost of matching the columns in their
+        canonical order.  Where that bound is the largest row minimum (then
+        it is the bottleneck) and every other order's bound is at least hi,
+        lo = hi = C[a, b]; elsewhere lo is the least bound."""
+        bound, ranked = self._ranked(a, b)
+        lo, hi = bound.min(axis=1), np.empty(len(a))
+        # the least bound of the other orders
+        rest = np.take_along_axis(bound, ranked[:, 1:2], axis=1)[:, 0] if bound.shape[1] > 1 else None
+        for block, cheb, costs in self._terms(a, b, ranked[:, 0]):
+            least = costs.min(axis=2).max(axis=1)
             above = costs.diagonal(axis1=1, axis2=2).max(axis=1)
             open_ = np.flatnonzero(above > least)  # the canonical matching may not be least
             if len(open_):
-                sub = costs[open_]
-                certified = _argmin_map(sub)[1] | _argmin_map(sub.swapaxes(1, 2))[1]
-                above[open_[certified]] = least[open_[certified]]
-            lo.ravel()[block] = np.maximum(cheb, least)
-            hi.ravel()[block] = np.maximum(cheb, above)
-        return lo.min(axis=1), hi.min(axis=1)
+                certified = open_[_argmin_map(costs[open_])[1]]
+                above[certified] = least[certified]
+            hi[block] = np.maximum(cheb, above)
+            known = above == least
+            if rest is not None:
+                known &= rest[block] >= hi[block]
+            lo[block][known] = hi[block][known]
+        return lo, hi
 
     def exact(self, a, b):
         """The entries C[a, b] of two index arrays: the least over the orders
         of the larger of the Chebyshev term and the bottleneck of the
-        columns.  The orders of each pair are taken best first, by their
-        lower bounds (see ``lower``), and an order is searched only where
-        its bound is below the least term found so far; each round is one
-        stacked ``bottleneck_from_costs`` call per block."""
-        if self._per_order is None:
-            self.lower()
-        bound = self._per_order[:, a, b].T  # (pairs, orders)
-        ranked = np.argsort(bound, axis=1, kind="stable")
-        out = np.full(len(a), np.inf)
-        for o in ranked.T:
+        columns.  The orders of each pair are taken best first, by the
+        bounds of ``lower``, and an order is searched only where its bound
+        is below the least term found so far; each round is one stacked
+        ``bottleneck_from_costs`` call per block."""
+        bound, ranked = self._ranked(a, b)
+        out = np.empty(len(a))
+        for block, cheb, costs in self._terms(a, b, ranked[:, 0]):
+            out[block] = np.maximum(cheb, bottleneck_from_costs(costs))
+        for o in ranked.T[1:]:
             todo = np.flatnonzero(bound[np.arange(len(a)), o] < out)
             for block, cheb, costs in self._terms(a[todo], b[todo], o[todo]):
                 at = todo[block]
                 out[at] = np.minimum(out[at], np.maximum(cheb, bottleneck_from_costs(costs)))
         return out
+
+    def _ranked(self, a, b):
+        """The bounds of ``lower`` on each order of the class pairs (a, b),
+        (pairs, orders), and the orders of each pair, best first."""
+        if self._per_order is None:
+            self.lower()
+        bound = self._per_order[:, a, b].T
+        return bound, np.argsort(bound, axis=1, kind="stable")
 
     def _terms(self, i, j, o):
         """For each block of at most MAX_METRIC_BLOCK cost cells of the class

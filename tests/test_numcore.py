@@ -600,3 +600,50 @@ def test_point_distance_matrices_are_bounded_by_their_budget(rng, monkeypatch):
             patch.setattr(numcore, "cdist", no_cdist)
             with pytest.raises(ValueError, match=f"need {cells} matrix cells, over the budget"):
                 call()
+
+
+class _KnownCosts:
+    """A cost matrix C read the way ``emd_from_bounds`` reads it: bounds
+    C -/+ slack, which meet on the entries of ``exact_rows`` only, and exact
+    entries, counted."""
+
+    def __init__(self, costs, slack, exact_rows=()):
+        self.costs, self.shape, self.slack = costs, costs.shape, slack
+        self.low = np.maximum(costs - slack, 0.0)
+        self.exact_rows = np.isin(np.arange(len(costs)), exact_rows)
+        self.taken = 0
+
+    def lower(self):
+        return self.low.copy()
+
+    def bounds(self, rows, cols):
+        hi = self.costs[rows, cols] + self.slack[rows, cols]
+        hi[self.exact_rows[rows]] = self.costs[rows, cols][self.exact_rows[rows]]
+        return np.where(self.exact_rows[rows], hi, self.low[rows, cols]), hi
+
+    def exact(self, rows, cols):
+        self.taken += len(rows)
+        return self.costs[rows, cols]
+
+    def full(self):
+        self.taken += self.costs.size
+        return self.costs.copy()
+
+
+def test_emd_from_bounds_equals_emd_on_known_matrices(rng):
+    # near-identity, shuffled and unrelated matrices with loose or tight
+    # bounds: the value is emd's float in either orientation, and a near
+    # copy with tight bounds takes few exact entries
+    for trial in range(60):
+        m = 3 + trial % 9
+        w = np.full(m, 1.0 / m)
+        perm = rng.permutation(m) if trial % 3 else np.arange(m)
+        costs = rng.uniform(1.0, 2.0, size=(m, m))
+        if trial % 4 != 3:  # a near copy: its assignment costs far less
+            costs[np.arange(m), perm] = rng.uniform(0.0, 0.01, size=m)
+        slack = rng.uniform(0.0, 0.5 if trial % 2 else 1e-3, size=(m, m))
+        for C in (costs, costs.T.copy()):
+            known = _KnownCosts(C, slack, exact_rows=np.arange(m) if trial % 5 == 0 else ())
+            assert numcore.emd_from_bounds(w, w, known) == emd(w, w, C)[0]
+            if trial % 4 != 3 and trial % 2 == 0:
+                assert known.taken <= 3 * m

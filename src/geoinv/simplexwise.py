@@ -105,13 +105,19 @@ def strength(points):
     (..., n+1, n), which gives a float array of shape (...).
     """
     pts, n = _simplices(points)
+    out = _strengths(pts, np.diff(pts, axis=-2), n)
+    return float(out) if out.ndim == 0 else out
+
+
+def _strengths(pts, diffs, n):
+    """``strength`` of checked simplices (..., n+1, n) whose successive
+    differences (along the points) are ``diffs``."""
     i, j = _PAIRS[n + 1]
     edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
     p = 0.5 * edges.sum(axis=-1)
-    v2 = (np.linalg.det(np.diff(pts, axis=-2)) / math.factorial(n)) ** 2
+    v2 = (np.linalg.det(diffs) / math.factorial(n)) ** 2
     zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
-    out = np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
-    return float(out) if out.ndim == 0 else out
+    return np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
 
 
 def simplex_sign(points):
@@ -124,12 +130,18 @@ def simplex_sign(points):
     power 2n.
     """
     pts, n = _simplices(points)
-    diffs = np.swapaxes(np.diff(pts, axis=-2), -1, -2)  # columns are differences
+    out = _signs(np.diff(pts, axis=-2), n)
+    return int(out) if out.ndim == 0 else out
+
+
+def _signs(diffs, n):
+    """``simplex_sign`` of checked simplices whose successive differences
+    (along the points) are ``diffs`` (..., n, n)."""
+    diffs = np.swapaxes(diffs, -1, -2)  # columns are differences
     det = np.linalg.det(diffs)
     scale = np.abs(diffs).max(axis=(-2, -1))
     zero = (scale == 0.0) | (np.abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n))
-    out = np.where(zero, 0.0, np.sign(det))
-    return int(out) if out.ndim == 0 else out
+    return np.where(zero, 0.0, np.sign(det))
 
 
 def _round_key(*arrays):
@@ -596,10 +608,11 @@ def scd(C, center=True):
         simplices = np.zeros(ordered.shape[:2] + (k, n + 1, n))
         simplices[..., :h, :] = pts[ordered][:, :, None]
         simplices[..., n, :] = pts[rest][:, None]
+        diffs = np.diff(simplices, axis=-2)  # shared by the signs and the strengths
         rows = np.concatenate([
             d[anchors[..., None], rest[:, None, None]],
-            simplex_sign(simplices)[:, :, None],
-            strength(simplices)[:, :, None],
+            _signs(diffs, n)[:, :, None],
+            _strengths(simplices, diffs, n)[:, :, None],
         ], axis=2)
         return dvec, rows, n + 1  # columns keyed by distances, then signs
 

@@ -7,10 +7,10 @@ with k <= ENUMERATION_MAX_K (5) is the least over all k! permutations of the
 largest assigned cost, gathered in blocks; larger matrices are searched
 bound-first, with one Hopcroft-Karp matching per search step for a stack.
 A near copy, whose row-argmin map is a permutation, needs no solver for its
-EMD, and a matrix or stack whose row- or column-argmin maps are all
-permutations needs no matching for its bottleneck.  ``emd_from_bounds``
-gives the EMD of two uniform distributions of m items from lower bounds
-and exact entries taken on demand, with as few exact entries as the bounds
+EMD, and a matrix whose row- or column-argmin map is a permutation needs no
+matching for its bottleneck, alone or in a stack.  ``emd_from_bounds``
+gives the EMD of two uniform distributions of m items from bounds and
+exact entries taken on demand, with as few exact entries as the bounds
 allow.
 All functions are pure and safe for concurrent use.
 """
@@ -254,14 +254,13 @@ def _searched(flat):
     column-argmin map is a permutation (see ``_argmin_map``) is certified:
     that permutation's largest cost is the largest row (or column) minimum,
     at most the bound, so the bound is its exact bottleneck, with no
-    matching, for a single matrix as for each matrix of a stack.  The maps of the whole
-    stack are taken only when its first matrix is certified (on an
-    unrelated stack of small matrices they cost about a tenth of the
-    search), and the column maps only where the row maps fail.  The
-    matrices left are tested at their bound in one ``_feasible`` call;
-    those it does not settle binary-search their sorted costs above the
-    bound together, one ``_feasible`` call per step, for the smallest
-    feasible one.
+    matching, alone or in a stack.  The maps of a stack are taken only when
+    its first matrix is certified (on an unrelated stack of small matrices
+    they cost about a tenth of the search), and the column maps only where
+    the row maps fail.  The matrices left are tested at their bound in one
+    ``_feasible`` call; those it does not settle binary-search their sorted
+    costs above the bound together, one ``_feasible`` call per step, for
+    the smallest feasible one.
 
     The certificate pays where near copies dominate: the single matrix of a
     ``bottleneck`` or ``cloud_match`` near copy, and the stacks of the

@@ -67,9 +67,10 @@ ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 #: distances inside a base and the edges of a simplex
 _PAIRS = {p: np.triu_indices(p, k=1) for p in range(1, 5)}
 
-#: most cells built in one numpy step: column costs (class pairs x orders x
-#: k x k) in ``_max_metric`` and base-order forms (bases x orders x form
-#: length) in ``_canonical``; a block holds at least one pair or base
+#: most cells built in one numpy step: column costs (class pairs x k x k,
+#: one order each) and lower-bound terms in ``_Costs`` and base-order forms
+#: (bases x orders x form length) in ``_canonical``; a block holds at least
+#: one pair or base
 MAX_METRIC_BLOCK = 1 << 16
 
 #: most cells of one SDD/SCD build (bases x orders x form length) and of one
@@ -290,8 +291,8 @@ class _Costs:
       least bottleneck matching of that row, whose costs are at most the
       Chebyshev costs (rounding keeps this, as fl(|x - y|) grows with
       |x - y|);
-    - from a cost matrix, from below, the largest row or column minimum,
-      which is exact where the row- or column-argmin map certifies it (see
+    - from a cost matrix, from below, the largest row minimum, which is
+      exact where the row-argmin map certifies it (see
       ``numcore._argmin_map``), and from above, the cost of matching the
       columns in their canonical (lexicographic) order.
 
@@ -335,8 +336,9 @@ class _Costs:
         lo = hi = C[a, b]; elsewhere lo is the least bound."""
         bound, ranked = self._ranked(a, b)
         lo, hi = bound.min(axis=1), np.empty(len(a))
-        # the least bound of the other orders
-        rest = np.take_along_axis(bound, ranked[:, 1:2], axis=1)[:, 0] if bound.shape[1] > 1 else None
+        rest = None  # the least bound of the other orders
+        if bound.shape[1] > 1:
+            rest = np.take_along_axis(bound, ranked[:, 1:2], axis=1)[:, 0]
         for block, cheb, costs in self._terms(a, b, ranked[:, 0]):
             least = costs.min(axis=2).max(axis=1)
             above = costs.diagonal(axis1=1, axis2=2).max(axis=1)

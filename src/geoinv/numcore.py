@@ -269,14 +269,17 @@ def _searched(flat):
     """
     n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
-    todo = np.arange(n)  # the matrices not certified
     if _argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]:
-        left = ~_argmin_map(flat)[1]
+        if n == 1:
+            return out
+        left = ~_argmin_map(flat)[1]  # the matrices not certified
         if left.any():
             left[left] = ~_argmin_map((flat if left.all() else flat[left]).swapaxes(1, 2))[1]
         todo = np.flatnonzero(left)
-    if len(todo):
-        todo = todo[~_feasible(flat if len(todo) == n else flat[todo], out[todo])]
+        if len(todo):
+            todo = todo[~_feasible(flat[todo], out[todo])]
+    else:
+        todo = np.flatnonzero(~_feasible(flat, out))
     if len(todo):
         sub = flat[todo]
         cand = np.sort(sub.reshape(len(todo), k * k), axis=1)

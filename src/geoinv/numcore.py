@@ -7,8 +7,7 @@ with k <= ENUMERATION_MAX_K (5) is the least over all k! permutations of the
 largest assigned cost, gathered in blocks; larger matrices are searched
 bound-first, with one Hopcroft-Karp matching per search step for a stack.
 A near copy, whose row-argmin map is a permutation, needs no solver for its
-EMD, and a matrix whose row- or column-argmin map is a permutation needs no
-matching for its bottleneck, alone or in a stack.  ``emd_from_bounds``
+EMD or its single-matrix bottleneck.  ``emd_from_bounds``
 gives the EMD of two uniform distributions of m items from bounds and
 exact entries taken on demand, with as few exact entries as the bounds
 allow.
@@ -250,36 +249,22 @@ def _searched(flat):
 
     Every matching uses an entry of each row and of each column, so no
     matching beats the bound max(largest row minimum, largest column
-    minimum), which is itself a cost.  A matrix whose row-argmin or
-    column-argmin map is a permutation (see ``_argmin_map``) is certified:
-    that permutation's largest cost is the largest row (or column) minimum,
-    at most the bound, so the bound is its exact bottleneck, with no
-    matching, alone or in a stack.  The maps of a stack are taken only when
-    its first matrix is certified (on an unrelated stack of small matrices
-    they cost about a tenth of the search), and the column maps only where
-    the row maps fail.  The matrices left are tested at their bound in one
-    ``_feasible`` call; those it does not settle binary-search their sorted
-    costs above the bound together, one ``_feasible`` call per step, for
-    the smallest feasible one.
+    minimum), which is itself a cost.  All matrices are tested at their bound
+    in one ``_feasible`` call; those it does not settle binary-search their
+    sorted costs above the bound together, one ``_feasible`` call per step,
+    for the smallest feasible one.
 
-    The certificate pays where near copies dominate: the single matrix of a
-    ``bottleneck`` or ``cloud_match`` near copy, and the stacks of the
-    SDD/SCD class pairs that an optimal assignment can use (see
-    ``simplexwise._distribution_dist``).
+    A single matrix whose row-argmin or column-argmin map is a permutation
+    (see ``_argmin_map``) needs no matching: that permutation's largest cost
+    is the largest row (or column) minimum, at most the bound, so the bound
+    is its exact bottleneck.  A stack is always tested, as the maps settled
+    too few of its matrices to pay for the check.
     """
     n, k = flat.shape[:2]
     out = np.maximum(flat.min(axis=2).max(axis=1), flat.min(axis=1).max(axis=1))
-    if _argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]:
-        if n == 1:
-            return out
-        left = ~_argmin_map(flat)[1]  # the matrices not certified
-        if left.any():
-            left[left] = ~_argmin_map((flat if left.all() else flat[left]).swapaxes(1, 2))[1]
-        todo = np.flatnonzero(left)
-        if len(todo):
-            todo = todo[~_feasible(flat[todo], out[todo])]
-    else:
-        todo = np.flatnonzero(~_feasible(flat, out))
+    if n == 1 and (_argmin_map(flat[0])[1] or _argmin_map(flat[0].T)[1]):
+        return out
+    todo = np.flatnonzero(~_feasible(flat, out))
     if len(todo):
         sub = flat[todo]
         cand = np.sort(sub.reshape(len(todo), k * k), axis=1)
@@ -464,43 +449,42 @@ def _assignment(costs):
 def emd_from_bounds(P, Q, costs):
     """``emd(P, Q, C)[0]`` of a cost matrix C known by bounds and on demand.
 
-    ``costs`` has the ``shape`` (m, n) of C and four methods: ``lower()``,
+    ``costs`` has the ``shape`` (m, n) of C and five methods: ``lower()``,
     an (m, n) matrix of lower bounds on C; ``bounds(rows, cols)``, a lower
     and an upper bound on each entry C[rows, cols] of two index arrays,
     which is exact where they are equal; ``exact(rows, cols)``, those
-    entries; and ``full()``, C itself.  Unless P and Q are one vector of
-    m = n > 1 equal weights (equal bytes), C goes to ``emd``.  Otherwise
-    the optimal assignment is found with as few exact entries as the bounds
-    allow (``_assigned_from_bounds``); when the bounds leave more than half
-    of C as candidates, C is built and solved as the uniform branch of
-    ``emd`` solves it, in the orientation of ``_swapped`` (the weights tie,
-    so the lesser of the bytes of C and C.T).
+    entries; ``full()``, C itself; and ``transposed()``, the same for C.T,
+    whose ``lower()`` is ``lower().T``.  Unless P and Q are one vector of
+    m = n > 1 equal weights (equal bytes), C goes to ``emd``.  Otherwise the
+    optimal assignment is found with as few exact entries as the bounds
+    allow (``_assigned_from_bounds``), on C or on C.T, the one whose lower
+    bounds have the lesser bytes: swapping P and Q transposes C, so both
+    argument orders run the same steps on the same matrix.  When the lower
+    bounds equal their transpose, or leave more than half of C as
+    candidates, C goes to ``emd``.
 
     Where several assignments are optimal, this may sum another one than
     ``emd`` picks; the two values agree within 1e-12 relative.
     """
     p, q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     m, n = costs.shape
-    if not (m == n == len(p) > 1 and p.tobytes() == q.tobytes() and (p == p[0]).all()):
-        return emd(P, Q, costs.full())[0]
-    _check_weights(p)  # as emd checks both; Q has the same bytes
-    value = _assigned_from_bounds(costs)
-    if value is None:  # the uniform branch of emd, whose weights tie
-        full = costs.full()
-        if full.T.tobytes() < full.tobytes():
-            full = full.T
-        value = float(full[np.arange(m), _assignment(full)].sum() / m)
-    return value
+    if m == n == len(p) > 1 and p.tobytes() == q.tobytes() and (p == p[0]).all():
+        _check_weights(p)  # as emd checks both; Q has the same bytes
+        low = costs.lower()
+        lb, lt = low.tobytes(), low.T.tobytes()
+        if lb != lt:
+            value = _assigned_from_bounds(*((costs.transposed(), low.T) if lt < lb else (costs, low)))
+            if value is not None:
+                return value
+    return emd(P, Q, costs.full())[0]
 
 
-def _assigned_from_bounds(costs):
+def _assigned_from_bounds(costs, low):
     """``emd``'s value of the m x m matrix C of ``emd_from_bounds`` with
-    constant weights, or None when the bounds prune too little.
+    constant weights, from its lower bounds ``low``, or None when the bounds
+    prune too little.
 
-    1. σ is an optimal assignment of the lower bounds L, solved in the
-       orientation S whose bounds have the lesser bytes (None when L and
-       L.T have the same bytes), so that swapping P and Q, which transposes
-       C and L, solves the same problem.
+    1. σ is an optimal assignment of the lower bounds L.
     2. U = Σ_i hi(i, σ(i)) over upper bounds hi is at least the cost of an
        assignment, so no optimum costs more.  Every other row i' (column
        j') pays at least its least lower bound, so an assignment through
@@ -526,49 +510,41 @@ def _assigned_from_bounds(costs):
        upper pair i < j, row-major, whose entries C[i, j] and C[j, i] differ
        decides.  Entries are taken for it a row of C at a time.
     """
-    low = costs.lower()
     m = len(low)
     at = np.arange(m)
-    lb, lt = low.tobytes(), low.T.tobytes()
-    if lb == lt:
-        return None
-    flip = lt < lb
-    s = low.T if flip else low  # the bounds in the solved orientation S
-    sigma = _assignment(s)
-    row_least, col_least = s.min(axis=1), s.min(axis=0)
+    sigma = _assignment(low)
+    row_least, col_least = low.min(axis=1), low.min(axis=0)
     # fl(low + t) grows with t, so this is the larger of the two sums
-    need = s + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
-    if 2 * np.count_nonzero(need <= s[at, sigma].sum()) > m * m:
+    need = low + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
+    if 2 * np.count_nonzero(need <= low[at, sigma].sum()) > m * m:
         return None
-    lo, hi = costs.bounds(*((sigma, at) if flip else (at, sigma)))
+    lo, hi = costs.bounds(at, sigma)
     keep = need <= hi.sum() * (1.0 + PRUNE_SLACK)
     keep[at, sigma] = True
     if 2 * np.count_nonzero(keep) > m * m:
         return None
-    est, known = low.copy(), np.zeros((m, m), dtype=bool)  # M and its known entries, as C
-    s, k = (est.T, known.T) if flip else (est, known)  # the same in S
+    est, known = low.copy(), np.zeros((m, m), dtype=bool)  # M and its known entries
 
-    def take(i, j):
-        """Take the entries (i, j) of S exactly."""
-        s[i, j] = costs.exact(*((j, i) if flip else (i, j)))
-        k[i, j] = True
+    def take(rows, cols):
+        est[rows, cols] = costs.exact(rows, cols)
+        known[rows, cols] = True
 
     exact = lo == hi
-    s[at[exact], sigma[exact]] = hi[exact]
-    k[at[exact], sigma[exact]] = True
-    keep &= ~k
+    est[at[exact], sigma[exact]] = hi[exact]
+    known[at[exact], sigma[exact]] = True
+    keep &= ~known
     if keep.any():
         take(*np.nonzero(keep))
     while True:
-        sigma = _assignment(s)
-        missing = ~k[at, sigma]
+        sigma = _assignment(est)
+        missing = ~known[at, sigma]
         if not missing.any():
             break
         take(at[missing], sigma[missing])
-    # the assigned entries summed in the row order of S and of S.T
-    values = s[at, sigma]
+    # the assigned entries summed in the row order of C and of C.T
+    values = est[at, sigma]
     total, other = values.sum(), values[np.argsort(sigma)].sum()
-    if other != total and _transposed_first(costs, est, known) != flip:
+    if other != total and _transposed_first(costs, est, known):
         total = other
     return float(total / m)
 

@@ -63,10 +63,6 @@ DEGENERATE_REL_TOL = 1e-18
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
 ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 
-#: the pairs i < j of p points, as two index arrays, for p = 1..4: the
-#: distances inside a base and the edges of a simplex
-_PAIRS = {p: np.triu_indices(p, k=1) for p in range(1, 5)}
-
 #: most cells built in one numpy step: column costs (class pairs x k x k,
 #: one order each) and lower-bound terms in ``_Costs`` and base-order forms
 #: (bases x orders x form length) in ``_canonical``; a block holds at least
@@ -106,19 +102,13 @@ def strength(points):
     (..., n+1, n), which gives a float array of shape (...).
     """
     pts, n = _simplices(points)
-    out = _strengths(pts, np.diff(pts, axis=-2), n)
-    return float(out) if out.ndim == 0 else out
-
-
-def _strengths(pts, diffs, n):
-    """``strength`` of checked simplices (..., n+1, n) whose successive
-    differences (along the points) are ``diffs``."""
-    i, j = _PAIRS[n + 1]
+    i, j = np.triu_indices(n + 1, k=1)
     edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
     p = 0.5 * edges.sum(axis=-1)
-    v2 = (np.linalg.det(diffs) / math.factorial(n)) ** 2
+    v2 = (np.linalg.det(np.diff(pts, axis=-2)) / math.factorial(n)) ** 2
     zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
-    return np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
+    out = np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
+    return float(out) if out.ndim == 0 else out
 
 
 def simplex_sign(points):
@@ -131,18 +121,12 @@ def simplex_sign(points):
     power 2n.
     """
     pts, n = _simplices(points)
-    out = _signs(np.diff(pts, axis=-2), n)
-    return int(out) if out.ndim == 0 else out
-
-
-def _signs(diffs, n):
-    """``simplex_sign`` of checked simplices whose successive differences
-    (along the points) are ``diffs`` (..., n, n)."""
-    diffs = np.swapaxes(diffs, -1, -2)  # columns are differences
+    diffs = np.swapaxes(np.diff(pts, axis=-2), -1, -2)  # columns are differences
     det = np.linalg.det(diffs)
     scale = np.abs(diffs).max(axis=(-2, -1))
     zero = (scale == 0.0) | (np.abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n))
-    return np.where(zero, 0.0, np.sign(det))
+    out = np.where(zero, 0.0, np.sign(det))
+    return int(out) if out.ndim == 0 else out
 
 
 def _round_key(*arrays):
@@ -257,24 +241,17 @@ def _max_metric(dx, dy, cx, cy, orders):
     returned.  Over SIMPLEX_CELL_BUDGET cost cells (class pairs x orders x
     k x k, the whole matrix) raises ValueError before any is built.
     """
-    if not (len(dx) and len(dy)) or len(_shapes(dx) | _shapes(dy)) > 1 or len(
-            _shapes(cx) | _shapes(cy)) > 1:
+    shapes = {np.shape(d) for d in (*dx, *dy)}, {np.shape(c) for c in (*cx, *cy)}
+    if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
         return np.full((len(dx), len(dy)), np.inf)
     nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
     cells = nx * ny * no * k * k
     _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the max metric of {nx} x {ny} classes needs "
             f"{nx} x {ny} x {no} orders x {k} x {k} = {cells:.3g} cost cells")
-    dx, dy, cx, cy = (np.asarray(v, dtype=float) for v in (dx, dy, cx, cy))
+    dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")
     return _Costs(dx, dy, cx, cy, orders)
-
-
-def _shapes(arrays):
-    """The shapes of a list of arrays, or of the rows of one stacked array."""
-    if isinstance(arrays, np.ndarray):
-        return {arrays.shape[1:]}
-    return {a.shape for a in arrays}
 
 
 class _Costs:
@@ -291,10 +268,11 @@ class _Costs:
       least bottleneck matching of that row, whose costs are at most the
       Chebyshev costs (rounding keeps this, as fl(|x - y|) grows with
       |x - y|);
-    - from a cost matrix, from below, the largest row minimum, which is
-      exact where the row-argmin map certifies it (see
-      ``numcore._argmin_map``), and from above, the cost of matching the
-      columns in their canonical (lexicographic) order.
+    - from a cost matrix, from below, the larger of the largest row minimum
+      and the largest column minimum, which is exact where the row- or
+      column-argmin map certifies it (see ``numcore._argmin_map``), and
+      from above, the cost of matching the columns in their canonical
+      (lexicographic) order.
 
     Every step works in blocks of at most MAX_METRIC_BLOCK cost cells.
     """
@@ -302,50 +280,71 @@ class _Costs:
     def __init__(self, dx, dy, cx, cy, orders):
         index, rows = orders
         self.shape = len(dx), len(dy)
+        self._args = dx, dy, cx, cy, orders
         # one base vector and column matrix per order of X: (nx, orders, ...)
         self.dx, self.dy, self.cx, self.cy = dx[:, index], dy, cx[:, rows], cy
         self._per_order = None  # the lower bounds of each order (orders, nx, ny)
 
+    def transposed(self):
+        """The ``_Costs`` of C.T, the classes of Y against those of X.  Its
+        order o pairs the same cells as the inverse order of o here (see
+        ``lower``), so it takes the bounds per order of this one, transposed."""
+        dx, dy, cx, cy, orders = self._args
+        out = _Costs(dy, dx, cy, cx, orders)
+        if self._per_order is not None:
+            rows = orders[1]
+            inverse = [np.flatnonzero((rows == np.argsort(r)).all(axis=1))[0] for r in rows]
+            out._per_order = self._per_order[inverse].transpose(0, 2, 1)
+        return out
+
     def lower(self):
         """Lower bounds L <= C: the least over the orders of the larger of
         the Chebyshev term and the largest sorted-row gap.  The orders are
-        closed under inverses, so L of (Y, X) is exactly L of (X, Y)
-        transposed."""
+        closed under inverses, and the inverse order pairs the same cells,
+        so L of (Y, X) is exactly L of (X, Y) transposed."""
+        if self._per_order is None:
+            self._per_order = self._bounds_per_order()
+        return self._per_order.min(axis=0)
+
+    def _bounds_per_order(self):
+        """The lower bounds of ``lower`` under each order (orders, nx, ny)."""
         (nx, no), ny = self.dx.shape[:2], len(self.dy)
         # the cells (sorted rows, then the base vector) first and the
         # classes of Y last, so that every numpy step runs along ny:
         # (cells, orders, nx) against (cells, ny)
         x = np.concatenate([np.sort(self.cx, axis=-1).reshape(nx, no, -1).T, self.dx.T])
         y = np.concatenate([np.sort(self.cy, axis=-1).reshape(ny, -1).T, self.dy.T])
-        self._per_order = np.empty((no, nx, ny))
+        out = np.empty((no, nx, ny))
         step = max(1, MAX_METRIC_BLOCK // (no * ny * len(y)))
         for lo in range(0, nx, step):
             block = slice(lo, lo + step)
             terms = np.abs(x[:, :, block, None] - y[:, None, None, :])
-            terms.max(axis=0, out=self._per_order[:, block])
-        return self._per_order.min(axis=0)
+            terms.max(axis=0, out=out[:, block])
+        return out
 
     def bounds(self, a, b):
         """Bounds lo <= C[a, b] <= hi on the entries of two index arrays,
         with no search.  hi is the term of the best order of each pair (the
         least bound of ``lower``) under an upper bound on the bottleneck of
-        its columns: the largest row minimum where the row-argmin map
-        certifies it, else the cost of matching the columns in their
-        canonical order.  Where that bound is the largest row minimum (then
-        it is the bottleneck) and every other order's bound is at least hi,
-        lo = hi = C[a, b]; elsewhere lo is the least bound."""
+        its columns: the larger of the largest row and column minima where
+        the row- or column-argmin map certifies it, else the cost of
+        matching the columns in their canonical order.  Where that bound is
+        the larger minimum (then it is the bottleneck) and every other
+        order's bound is at least hi, lo = hi = C[a, b]; elsewhere lo is the
+        least bound."""
         bound, ranked = self._ranked(a, b)
         lo, hi = bound.min(axis=1), np.empty(len(a))
         rest = None  # the least bound of the other orders
         if bound.shape[1] > 1:
             rest = np.take_along_axis(bound, ranked[:, 1:2], axis=1)[:, 0]
         for block, cheb, costs in self._terms(a, b, ranked[:, 0]):
-            least = costs.min(axis=2).max(axis=1)
+            least = np.maximum(costs.min(axis=2).max(axis=1), costs.min(axis=1).max(axis=1))
             above = costs.diagonal(axis1=1, axis2=2).max(axis=1)
             open_ = np.flatnonzero(above > least)  # the canonical matching may not be least
             if len(open_):
-                certified = open_[_argmin_map(costs[open_])[1]]
-                above[certified] = least[certified]
+                sub = costs[open_]
+                certified = _argmin_map(sub)[1] | _argmin_map(sub.swapaxes(1, 2))[1]
+                above[open_[certified]] = least[open_[certified]]
             hi[block] = np.maximum(cheb, above)
             known = above == least
             if rest is not None:
@@ -375,7 +374,7 @@ class _Costs:
         """The bounds of ``lower`` on each order of the class pairs (a, b),
         (pairs, orders), and the orders of each pair, best first."""
         if self._per_order is None:
-            self.lower()
+            self._per_order = self._bounds_per_order()
         bound = self._per_order[:, a, b].T
         return bound, np.argsort(bound, axis=1, kind="stable")
 
@@ -459,22 +458,18 @@ def sdd(C, h):
     return Sdd(weights, rdds, total)
 
 
-#: the orders of ``_rdd_metric`` for h = 1, 2, 3: the index map of D.ravel()
-#: (D[p][:, p]) and the row map of R (R[p]) of each order p
-_RDD_ORDERS = {
-    h: ((p[:, :, None] * h + p[:, None, :]).reshape(len(p), -1), p) for h, p in ORDERS.items()
-}
-
-
 def _rdd_metric(xs, ys):
     """Max metric between two sequences of RDDs of one order h, as
     ``_max_metric`` gives it: an order p maps D to D[p][:, p] and R to R[p]."""
     hs = {r.h for r in (*xs, *ys)}
     if len(hs) > 1:
         raise ValueError("incompatible orders h")
+    h = max(hs, default=1)
+    p = ORDERS[h]
+    index = (p[:, :, None] * h + p[:, None, :]).reshape(len(p), -1)
     return _max_metric(
         [r.D.ravel() for r in xs], [r.D.ravel() for r in ys],
-        [r.R for r in xs], [r.R for r in ys], _RDD_ORDERS[max(hs, default=1)],
+        [r.R for r in xs], [r.R for r in ys], (index, p),
     )
 
 
@@ -519,10 +514,12 @@ def _distribution_dist(X, Y, mode, costs_of):
     matrix is built and solved by ``emd``'s uniform branch when more than
     half of the pairs stay candidates (unrelated clouds), and it goes to
     ``emd`` itself for merged classes (unequal weights: the LP path),
-    unequal class counts and one-class distributions.  The value is summed
-    in ``emd``'s orientation, so it is ``emd``'s float on C and exactly
-    symmetric; only where several assignments are optimal may it sum
-    another one, within 1e-12 relative.
+    unequal class counts and one-class distributions.  Both argument orders
+    run the same steps on the same matrix, C or C.T, whichever has the
+    lower bounds of lesser bytes, so the value is exactly symmetric; it is
+    summed in ``emd``'s orientation, so it is ``emd``'s float on C, and only
+    where several assignments are optimal may it sum another one, within
+    1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -599,7 +596,7 @@ def scd(C, center=True):
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
     h, k = n - 1, m - n + 1
-    i, j = _PAIRS[h]
+    i, j = np.triu_indices(h, k=1)
     a = len(i) + h
 
     def forms_of(d, ordered, rest):
@@ -610,11 +607,10 @@ def scd(C, center=True):
         simplices = np.zeros(ordered.shape[:2] + (k, n + 1, n))
         simplices[..., :h, :] = pts[ordered][:, :, None]
         simplices[..., n, :] = pts[rest][:, None]
-        diffs = np.diff(simplices, axis=-2)  # shared by the signs and the strengths
         rows = np.concatenate([
             d[anchors[..., None], rest[:, None, None]],
-            _signs(diffs, n)[:, :, None],
-            _strengths(simplices, diffs, n)[:, :, None],
+            simplex_sign(simplices)[:, :, None],
+            strength(simplices)[:, :, None],
         ], axis=2)
         return dvec, rows, n + 1  # columns keyed by distances, then signs
 
@@ -628,20 +624,6 @@ def scd(C, center=True):
     return Scd(weights, ocds, total)
 
 
-def _ocd_orders(n):
-    """The orders of ``_ocd_metric`` in R^n: an index map of ``dvec``, which
-    keeps the h(h-1)/2 base distances and permutes the h distances to the
-    origin, and a row map of the points, which permutes the h base rows and
-    keeps the origin and signed-strength rows."""
-    h = n - 1
-    pair, p = h * (h - 1) // 2, ORDERS[h]
-    index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
-    return index, np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
-
-
-_OCD_ORDERS = {n: _ocd_orders(n) for n in (2, 3)}
-
-
 def _ocd_metric(xs, ys):
     """Max metric between two sequences of OCDs, as ``_max_metric`` gives it.
 
@@ -651,19 +633,13 @@ def _ocd_metric(xs, ys):
     rows of the columns of X; the signs of X are not changed.
     """
     n = max((o.n for o in xs), default=2)
-    lam = LAMBDA[n]
-    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], _points(xs, lam),
-                       _points(ys, lam), _OCD_ORDERS[n])
-
-
-def _points(ocds, lam):
-    """The columns of OCDs as points, one stack (classes, n + 1, k) when
-    all have one shape: the distances, then sign * strength / lam."""
-    cols = [o.cols for o in ocds]
-    if len(_shapes(cols)) != 1:
-        return cols  # none, or of several shapes: infinitely far apart
-    signed = np.array([o.signs for o in ocds]) * np.array([o.strengths for o in ocds]) / lam
-    return np.concatenate([np.array(cols), signed[:, None]], axis=1)
+    h, lam = n - 1, LAMBDA[n]
+    pair = h * (h - 1) // 2
+    p = ORDERS[h]
+    index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
+    rows = np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
+    cx, cy = ([np.vstack([o.cols, o.signs * o.strengths / lam]) for o in side] for side in (xs, ys))
+    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], cx, cy, (index, rows))
 
 
 def _ocd_costs(xs, ys):

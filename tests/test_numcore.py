@@ -604,30 +604,37 @@ def test_point_distance_matrices_are_bounded_by_their_budget(rng, monkeypatch):
 
 class _KnownCosts:
     """A cost matrix C read the way ``emd_from_bounds`` reads it: bounds
-    C -/+ slack, which meet on the entries of ``exact_rows`` only, and exact
-    entries, counted."""
+    C -/+ slack, which meet on the entries of ``exact_rows`` (or where
+    ``exact`` is set) only, and exact entries, counted in ``taken[0]`` by C
+    and its transpose together."""
 
-    def __init__(self, costs, slack, exact_rows=()):
+    def __init__(self, costs, slack, exact_rows=(), exact=None):
         self.costs, self.shape, self.slack = costs, costs.shape, slack
         self.low = np.maximum(costs - slack, 0.0)
-        self.exact_rows = np.isin(np.arange(len(costs)), exact_rows)
-        self.taken = 0
+        self.exact_at = np.isin(np.arange(len(costs)), exact_rows)[:, None] if exact is None else exact
+        self.exact_at = np.broadcast_to(self.exact_at, costs.shape)
+        self.taken = [0]
 
     def lower(self):
         return self.low.copy()
 
     def bounds(self, rows, cols):
-        hi = self.costs[rows, cols] + self.slack[rows, cols]
-        hi[self.exact_rows[rows]] = self.costs[rows, cols][self.exact_rows[rows]]
-        return np.where(self.exact_rows[rows], hi, self.low[rows, cols]), hi
+        at = self.exact_at[rows, cols]
+        hi = np.where(at, self.costs[rows, cols], self.costs[rows, cols] + self.slack[rows, cols])
+        return np.where(at, hi, self.low[rows, cols]), hi
 
     def exact(self, rows, cols):
-        self.taken += len(rows)
+        self.taken[0] += len(rows)
         return self.costs[rows, cols]
 
     def full(self):
-        self.taken += self.costs.size
+        self.taken[0] += self.costs.size
         return self.costs.copy()
+
+    def transposed(self):
+        transposed = _KnownCosts(self.costs.T.copy(), self.slack.T.copy(), exact=self.exact_at.T)
+        transposed.taken = self.taken
+        return transposed
 
 
 def test_emd_from_bounds_equals_emd_on_known_matrices(rng):
@@ -646,4 +653,4 @@ def test_emd_from_bounds_equals_emd_on_known_matrices(rng):
             known = _KnownCosts(C, slack, exact_rows=np.arange(m) if trial % 5 == 0 else ())
             assert numcore.emd_from_bounds(w, w, known) == emd(w, w, C)[0]
             if trial % 4 != 3 and trial % 2 == 0:
-                assert known.taken <= 3 * m
+                assert known.taken[0] <= 3 * m

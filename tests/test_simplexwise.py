@@ -762,34 +762,58 @@ def test_small_enumerated_near_copies_go_bound_first(rng, monkeypatch):
     assert sdd_dist(X, Y) == sdd_dist(Y, X) == want
 
 
-def test_stacked_argmin_certificate_skips_the_search(rng, monkeypatch):
-    # near-copy stacks are certified matrix by matrix and return their bounds
-    # with no matching; a stack with one uncertified matrix is searched
-    stacks = [np.stack([numcore._pairwise(A, A + 1e-6 * rng.normal(size=A.shape))
-                        for A in rng.normal(size=(20, k, 3))]) for k in (6, 9, 16)]
-    want = [[_ref_bottleneck_from_costs(c) for c in stack] for stack in stacks]
+def test_transposed_costs_take_the_bounds_of_the_swapped_pair(rng):
+    # the bounds per order of C.T, taken from those of C, are bitwise those
+    # of the classes of Y against the classes of X
+    pairs = []
+    for h in (1, 2, 3):
+        X, Y = sdd(rng.normal(size=(6, 2)), h), sdd(rng.normal(size=(6, 2)), h)
+        pairs.append((simplexwise._rdd_metric(X.rdds, Y.rdds), simplexwise._rdd_metric(Y.rdds, X.rdds)))
+    for n in (2, 3):
+        X, Y = scd(rng.normal(size=(7, n))), scd(rng.normal(size=(7, n)))
+        pairs.append((simplexwise._ocd_metric(X.ocds, Y.ocds),
+                      simplexwise._ocd_metric(Y.ocds, X.ocds)))
+    for costs, swapped in pairs:
+        low = costs.lower()
+        transposed = costs.transposed()
+        assert transposed.lower().tobytes() == swapped.lower().tobytes() == low.T.tobytes()
+        assert np.array_equal(transposed._per_order, swapped._per_order)
 
-    def no_search(costs, t):
-        raise AssertionError("a certified stack reached _feasible")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(numcore, "_feasible", no_search)
-        for stack, values in zip(stacks, want):
-            assert numcore._argmin_map(stack)[1].all()
-            bound = np.maximum(stack.min(axis=2).max(axis=1), stack.min(axis=1).max(axis=1))
-            assert np.array_equal(bottleneck_from_costs(stack), bound)
-            assert bottleneck_from_costs(stack).tolist() == values
-    # in a stack whose first matrix is certified, only the others are searched
-    seen = []
-    feasible = numcore._feasible
-    monkeypatch.setattr(numcore, "_feasible", lambda costs, t: seen.append(len(costs)) or
-                        feasible(costs, t))
-    for stack in stacks:
-        mixed = stack.copy()
-        mixed[1:4] = rng.random(mixed[1:4].shape)
-        searched = (~numcore._argmin_map(mixed)[1] & ~numcore._argmin_map(
-            mixed.swapaxes(1, 2))[1]).sum()
-        seen.clear()
-        assert bottleneck_from_costs(mixed).tolist() == [
-            _ref_bottleneck_from_costs(c) for c in mixed]
-        assert 1 <= searched <= 3 and seen[0] == searched
+def _tied_sdd(values):
+    """An SDD of one class per value, all of weight 1 / m: at h = 3 a class
+    has the base distances 1 and one remaining point at ``value`` from each
+    base point, so every order of every class pair ties and the max metric
+    of two classes is the gap between their values."""
+    rdds = tuple(Rdd(1.0 - np.eye(3), np.full((3, 1), v)) for v in values)
+    return simplexwise.Sdd(np.full(len(values), 1.0 / len(values)), rdds, len(values))
+
+
+def test_tied_assignments_run_the_same_steps_in_both_argument_orders(rng, monkeypatch):
+    # in each block of two classes every value of X is below every value of
+    # Y, so both assignments of the block cost the same: 2^4 optimal class
+    # assignments.  Both argument orders take the same exact entries of the
+    # same matrix and return the same float.
+    steps = []
+    assigned, exact = numcore._assigned_from_bounds, simplexwise._Costs.exact
+    monkeypatch.setattr(numcore, "_assigned_from_bounds",
+                        lambda costs, low: steps.append(low.tobytes()) or assigned(costs, low))
+    monkeypatch.setattr(simplexwise._Costs, "exact",
+                        lambda self, a, b: steps.append((a.tobytes(), b.tobytes())) or exact(self, a, b))
+    for scale in (0.125, 0.1):  # exact ties, and ties up to the rounding of the gaps
+        for _ in range(10):
+            base = 10.0 * np.arange(4)
+            xs = np.concatenate([base, base + 2 * scale]) + scale * rng.integers(0, 2, 8)
+            ys = np.concatenate([base + 5 * scale, base + 7 * scale])[rng.permutation(8)]
+            X, Y = _tied_sdd(xs), _tied_sdd(ys)
+            full = _rdd_costs(X.rdds, Y.rdds)
+            runs = []
+            for P, Q in ((X, Y), (Y, X)):
+                steps.clear()
+                runs.append((sdd_dist(P, Q), list(steps)))
+            assert runs[0] == runs[1] and len(runs[0][1]) >= 1
+            want = _distribution_dist(X, Y, "emd", lambda: full)
+            if scale == 0.125:
+                assert runs[0][0] == want
+            else:
+                assert runs[0][0] == pytest.approx(want, rel=1e-12)

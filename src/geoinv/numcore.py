@@ -473,16 +473,18 @@ def emd_from_bounds(P, Q, costs):
         low = costs.lower()
         lb, lt = low.tobytes(), low.T.tobytes()
         if lb != lt:
-            value = _assigned_from_bounds(*((costs.transposed(), low.T) if lt < lb else (costs, low)))
+            value = _assigned_from_bounds(costs, low.T if lt < lb else low, lt < lb)
             if value is not None:
                 return value
     return emd(P, Q, costs.full())[0]
 
 
-def _assigned_from_bounds(costs, low):
+def _assigned_from_bounds(costs, low, transpose):
     """``emd``'s value of the m x m matrix C of ``emd_from_bounds`` with
-    constant weights, from its lower bounds ``low``, or None when the bounds
-    prune too little.
+    constant weights, or None when the bounds prune too little.  C is the
+    matrix of ``costs`` or, if ``transpose``, of ``costs.transposed()``,
+    which is taken only once the bounds prune enough; ``low`` holds its
+    lower bounds.
 
     1. σ is an optimal assignment of the lower bounds L.
     2. U = Σ_i hi(i, σ(i)) over upper bounds hi is at least the cost of an
@@ -518,6 +520,8 @@ def _assigned_from_bounds(costs, low):
     need = low + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
     if 2 * np.count_nonzero(need <= low[at, sigma].sum()) > m * m:
         return None
+    if transpose:
+        costs = costs.transposed()
     lo, hi = costs.bounds(at, sigma)
     keep = need <= hi.sum() * (1.0 + PRUNE_SLACK)
     keep[at, sigma] = True

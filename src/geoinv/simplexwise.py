@@ -241,17 +241,24 @@ def _max_metric(dx, dy, cx, cy, orders):
     returned.  Over SIMPLEX_CELL_BUDGET cost cells (class pairs x orders x
     k x k, the whole matrix) raises ValueError before any is built.
     """
-    shapes = {np.shape(d) for d in (*dx, *dy)}, {np.shape(c) for c in (*cx, *cy)}
-    if not (dx and dy) or len(shapes[0]) > 1 or len(shapes[1]) > 1:
+    if not (len(dx) and len(dy)) or len(_shapes(dx) | _shapes(dy)) > 1 or len(
+            _shapes(cx) | _shapes(cy)) > 1:
         return np.full((len(dx), len(dy)), np.inf)
     nx, ny, no, k = len(dx), len(dy), len(orders[0]), np.shape(cy[0])[-1]
     cells = nx * ny * no * k * k
     _within(cells, SIMPLEX_CELL_BUDGET, lambda: f"the max metric of {nx} x {ny} classes needs "
             f"{nx} x {ny} x {no} orders x {k} x {k} = {cells:.3g} cost cells")
-    dx, dy, cx, cy = (np.array(v, dtype=float) for v in (dx, dy, cx, cy))
+    dx, dy, cx, cy = (np.asarray(v, dtype=float) for v in (dx, dy, cx, cy))
     if not all(np.isfinite(v).all() for v in (dx, dy, cx, cy)):
         raise ValueError("non-finite coordinates")
     return _Costs(dx, dy, cx, cy, orders)
+
+
+def _shapes(arrays):
+    """The shapes of a list of arrays, or of the rows of one stacked array."""
+    if isinstance(arrays, np.ndarray):
+        return {arrays.shape[1:]}
+    return {a.shape for a in arrays}
 
 
 class _Costs:
@@ -292,8 +299,8 @@ class _Costs:
         dx, dy, cx, cy, orders = self._args
         out = _Costs(dy, dx, cy, cx, orders)
         if self._per_order is not None:
-            rows = orders[1]
-            inverse = [np.flatnonzero((rows == np.argsort(r)).all(axis=1))[0] for r in rows]
+            rows = orders[1]  # inverse[o]: the order whose row map inverts that of o
+            inverse = (rows == np.argsort(rows, axis=1)[:, None]).all(axis=-1).argmax(axis=1)
             out._per_order = self._per_order[inverse].transpose(0, 2, 1)
         return out
 
@@ -638,8 +645,18 @@ def _ocd_metric(xs, ys):
     p = ORDERS[h]
     index = np.hstack([np.broadcast_to(np.arange(pair), (len(p), pair)), pair + p])
     rows = np.hstack([p, np.broadcast_to([h, h + 1], (len(p), 2))])
-    cx, cy = ([np.vstack([o.cols, o.signs * o.strengths / lam]) for o in side] for side in (xs, ys))
-    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], cx, cy, (index, rows))
+    return _max_metric([o.dvec for o in xs], [o.dvec for o in ys], _points(xs, lam),
+                       _points(ys, lam), (index, rows))
+
+
+def _points(ocds, lam):
+    """The columns of OCDs as points, one stack (classes, n + 1, k) when
+    all have one shape: the distances, then sign * strength / lam."""
+    cols = [o.cols for o in ocds]
+    if len(_shapes(cols)) != 1:
+        return cols  # none, or of several shapes: infinitely far apart
+    signed = np.array([o.signs for o in ocds]) * np.array([o.strengths for o in ocds]) / lam
+    return np.concatenate([np.array(cols), signed[:, None]], axis=1)
 
 
 def _ocd_costs(xs, ys):

@@ -797,7 +797,7 @@ def test_tied_assignments_run_the_same_steps_in_both_argument_orders(rng, monkey
     steps = []
     assigned, exact = numcore._assigned_from_bounds, simplexwise._Costs.exact
     monkeypatch.setattr(numcore, "_assigned_from_bounds",
-                        lambda costs, low: steps.append(low.tobytes()) or assigned(costs, low))
+                        lambda costs, low, flip: steps.append(low.tobytes()) or assigned(costs, low, flip))
     monkeypatch.setattr(simplexwise._Costs, "exact",
                         lambda self, a, b: steps.append((a.tobytes(), b.tobytes())) or exact(self, a, b))
     for scale in (0.125, 0.1):  # exact ties, and ties up to the rounding of the gaps

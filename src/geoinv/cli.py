@@ -13,6 +13,7 @@ accepts no other option.  A handler takes the parsed arguments and returns
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -356,7 +357,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process: parsing reads
+    it and changes nothing in it, so in-process calls of ``main`` share it."""
     p = _Parser(prog="geoinv", description="Geometric invariants and exact metrics.")
     sub = p.add_subparsers(dest="command", required=True)
     for group, (help_text, actions) in _COMMANDS.items():

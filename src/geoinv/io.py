@@ -141,7 +141,10 @@ def _cif_fields(text):
                 raise ValueError("short atom_site row")
             if io_ is not None and abs(_cif_number(row[io_]) - 1.0) > 1e-9:
                 raise ValueError("occupancy != 1 is not supported")
-            frac.append([_cif_number(row[ix]), _cif_number(row[iy]), _cif_number(row[iz])])
+            try:
+                frac.append([float(row[ix]), float(row[iy]), float(row[iz])])
+            except ValueError:  # an uncertainty such as 0.25(3): strip it in this row only
+                frac.append([_cif_number(row[ix]), _cif_number(row[iy]), _cif_number(row[iz])])
             labels.append(row[il] if il is not None else f"X{len(frac)}")
     if not frac:
         raise ValueError("no atom_site loop found")

@@ -63,6 +63,13 @@ ENUMERATION_BLOCK = 1 << 15
 #: relative slack of the candidate test of ``emd_from_bounds``, far above
 #: the rounding of its sums of m bounds
 PRUNE_SLACK = 1e-9
+#: relative slack of the stop test of ``periodic.lnd``, per motif point: the
+#: plain column mean of m rows of entries at most x and the weighted mean of
+#: their collapsed rows (weights summed from copies of 1/m) each round to
+#: within (m + 1) 2**-53 x of the exact mean, so the L_inf gaps between such
+#: means of sets of at most m points, less asymptotics at most x, differ by
+#: less than 8 (m + 1) 2**-53 x
+MEAN_SLACK = 8 * 2.0**-53
 
 
 def norm_exponent(q):

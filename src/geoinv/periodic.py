@@ -7,10 +7,11 @@ rank and dimension are checked, reduced into their cells and given the
 preamble of their neighbour search (Gram determinant and inverse plane
 gaps) by one stacked call, and a single ``PeriodicSet`` is the stack of
 one.  The neighbour search, which starts at the AMD_k asymptotic
-ppc * k^(1/l), stays per set.  ``dedup`` and ``lnd`` work from one (N, k)
-ADA matrix of the dataset, taken from one PDD per set, and build a PDA
-only for a set that reaches an EMD; ``deviations`` is that path for one
-set.
+ppc * k^(1/l), stays per set.  ``dedup`` works from one (N, k) ADA matrix
+of the dataset, taken from one collapsed PDD per set; ``lnd`` takes its
+ADA matrix from the raw neighbour rows, so it collapses no PDD of a
+reference it does not visit.  Both build a PDA only for a set that
+reaches an EMD; ``deviations`` is the collapsed path for one set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from scipy.spatial import cKDTree
 from scipy.special import gamma
 
 from .clouds import WeightedRows, collapse_rows, pdd_dist
-from .numcore import _REALS, INF, _as_index, _pairwise, _real, _within, norm_exponent
+from .numcore import (
+    _REALS, INF, MEAN_SLACK, _as_index, _pairwise, _real, _within, norm_exponent,
+)
 
 #: motif points closer than this under lattice translation are duplicates
 MOTIF_DUPLICATE_TOL = 1e-6
@@ -285,9 +288,12 @@ def neighbours(S, k):
 
 def pdd_periodic(S, k, collapse_tol=0.0):
     """Pointwise Distance Distribution of a periodic set."""
-    rows = neighbours(S, k)
-    weights = np.full(len(rows), 1.0 / len(rows))
-    return collapse_rows(rows, weights, collapse_tol)
+    return _collapsed(neighbours(S, k), collapse_tol)
+
+
+def _collapsed(rows, tol=0.0):
+    """The PDD of (m, k) neighbour rows: each row of weight 1/m, equal rows merged."""
+    return collapse_rows(rows, np.full(len(rows), 1.0 / len(rows)), tol)
 
 
 def amd(S, k):
@@ -320,24 +326,38 @@ def deviations(S, k):
     }
 
 
-def _ada_pda(sets, k):
-    """The (N, k) ADA matrix of a dataset, the parts (PDD, ppc * j^(1/l)) of
-    each set, and the cached ``pda(i)``, the PDA carrier of set i.
+def _dataset(sets, k, search):
+    """``search(S, k)`` and the asymptotic ppc * j^(1/l) of each set, in pairs.
 
     Ranks, then k, are checked before any array is built, and the sets are
     searched in order, so a search over the budget raises for the first.
     """
     _check_ranks(sets)
     k = _checked_k(k)
-    parts = [(pdd_periodic(S, k), ppc(S) * np.arange(1, k + 1) ** (1.0 / S.rank)) for S in sets]
-    ada = np.array([P.weights @ P.rows - asym for P, asym in parts])
+    return [(search(S, k), ppc(S) * np.arange(1, k + 1) ** (1.0 / S.rank)) for S in sets]
+
+
+def _pdas(parts, collapsed):
+    """The cached ``pda(i)``: the PDA carrier of set i, built on first use
+    from ``parts[i] = (x, ppc * j^(1/l))``, where ``collapsed(x)`` is the
+    collapsed PDD of set i."""
 
     @functools.cache
     def pda(i):
-        P, asym = parts[i]
+        x, asym = parts[i]
+        P = collapsed(x)
         return WeightedRows(P.weights, P.rows - asym)
 
-    return ada, parts, pda
+    return pda
+
+
+def _ada_pda(sets, k):
+    """The (N, k) ADA matrix of a dataset, each row the weighted mean of a
+    collapsed PDD minus its asymptotic, the parts (PDD, ppc * j^(1/l)) of
+    each set, and the cached ``pda(i)`` of ``_pdas``."""
+    parts = _dataset(sets, k, pdd_periodic)
+    ada = np.array([P.weights @ P.rows - asym for P, asym in parts])
+    return ada, parts, _pdas(parts, lambda P: P)
 
 
 def _check_ranks(sets):
@@ -372,18 +392,27 @@ def lnd(S, dataset, k, ids=None):
 
     Returns ``(value, id)`` of the reference with the smallest EMD_inf
     between PDA matrices; among equal values the smallest index wins.
-    The L_inf(ADA) gaps to every reference, lower bounds for that EMD, are
-    one max over the ADA matrix of S and the dataset.  References are
-    visited in order of gap, and the scan stops at the first gap larger
-    than the best value found so far, since no later reference can then
-    reach it; only the PDAs of visited references are built.
+    Each ADA is the column mean of a set's raw neighbour rows minus its
+    asymptotic, equal in exact arithmetic to the weighted mean of its
+    collapsed PDD, so the L_inf(ADA) gaps to every reference are lower
+    bounds for that EMD.  References are visited in order of gap, and the
+    scan stops at the first gap larger than the best value found so far by
+    more than the rounding between the two means (``MEAN_SLACK`` times one
+    more than the largest motif and the largest row or asymptotic entry),
+    so every reference that the collapsed gaps would visit is visited.
+    Only the query and the visited references have their PDD collapsed and
+    their PDA built.
     """
     ids = _ids(ids, dataset)
-    ada, _, pda = _ada_pda([S, *dataset], k)
+    parts = _dataset([S, *dataset], k, neighbours)
+    ada = np.array([rows.mean(axis=0) - asym for rows, asym in parts])
     gaps = np.abs(ada[0] - ada[1:]).max(axis=1).tolist()
+    scale = max(max(rows[:, -1].max(), asym[-1]) for rows, asym in parts)
+    slack = MEAN_SLACK * (max(len(rows) for rows, _ in parts) + 1) * scale
+    pda = _pdas(parts, _collapsed)
     best, best_idx = math.inf, None
     for gap, idx in sorted(zip(gaps, range(len(dataset)))):
-        if gap > best:
+        if gap > best + slack:
             break
         d = pdd_dist(pda(0), pda(idx + 1), INF)
         if d < best or (d == best and idx < best_idx):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geoinv import cli
 from geoinv.cli import main
 from geoinv.io import (
     fmt,
@@ -80,6 +81,14 @@ def test_cif_uncertainty_suffix():
     )
     S = parse_cif_lite(text)
     assert S.basis[0, 0] == pytest.approx(1.0)
+
+
+def test_cif_uncertainty_on_one_coordinate_of_one_row():
+    plain = (FIXTURES / "hexagonal.cif").read_text() + "C2 0.25 0.5 0.75 1.0\nC3 0.5 0.125 0.5 1.0\n"
+    text = plain.replace("C2 0.25 0.5", "C2 0.25(3) 0.5")
+    assert text != plain
+    S, T = parse_cif_lite(text), parse_cif_lite(plain)
+    assert np.array_equal(S.motif, T.motif) and S.labels == T.labels == ["C1", "C2", "C3"]
 
 
 def test_cif_second_data_block_rejected():
@@ -207,6 +216,29 @@ def test_cli_cloud_compare(capsys):
 
 def test_cli_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
+
+
+def test_cli_shared_parser_equals_a_fresh_one(monkeypatch, capsys):
+    # a usage error between two valid calls leaves the shared parser as it was
+    calls = [
+        ["lattice", "invariant", "--basis", "1", "0", "0.3", "1.2"],
+        ["lattice", "invariant", "--basis", "1", "0", "0.3"],
+        ["periodic", "novelty", str(FIXTURES / "hexagonal.cif"), str(FIXTURES), "--k", "6"],
+    ]
+
+    def run():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = run()
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 1, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run() == shared
 
 
 def test_cli_bad_exponent_exit_1(capsys):

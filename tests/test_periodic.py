@@ -333,12 +333,34 @@ def test_lnd_prunes_by_ada_bound(rng, monkeypatch):
 def test_lnd_tie_at_the_bound_keeps_smallest_index(monkeypatch):
     # reference 0 ties reference 1 with an EMD equal to its own ADA gap, so
     # the scan must not stop when the gap only equals the best value
+    # one neighbour row per set and a zero asymptotic: the rows are the ADAs
     ada, names = np.array([[0.0], [0.2], [0.1]]), ["S", "r0", "r1"]
     emds = {"r0": 0.2, "r1": 0.2}
-    monkeypatch.setattr(periodic, "_ada_pda", lambda sets, k: (ada, None, names.__getitem__))
+    parts = [(row[None], np.zeros(1)) for row in ada]
+    monkeypatch.setattr(periodic, "_dataset", lambda sets, k, search: parts)
+    monkeypatch.setattr(periodic, "_pdas", lambda parts, collapsed: names.__getitem__)
     monkeypatch.setattr(periodic, "pdd_dist", lambda P, Q, q: emds[Q])
     S, r0, r1 = (types.SimpleNamespace(rank=1) for _ in names)
     assert lnd(S, [r0, r1], 1) == (0.2, 0)
+
+
+def test_lnd_builds_pdas_only_for_the_query_and_visited_references(rng, monkeypatch):
+    data = _novelty_dataset(rng)
+    # the query is data[7] rotated about the z axis and shifted
+    c, s = math.cos(0.7), math.sin(0.7)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    Q = PeriodicSet(data[7].basis @ R.T, data[7].motif @ R.T + [0.3, -1.1, 2.0])
+    collapsed, built, visited = [], [], []
+
+    def counted(name, fn, calls):
+        monkeypatch.setattr(periodic, name, lambda *a: calls.append(1) or fn(*a))
+
+    counted("collapse_rows", periodic.collapse_rows, collapsed)
+    counted("WeightedRows", WeightedRows, built)
+    counted("pdd_dist", pdd_dist, visited)
+    value, idx = lnd(Q, data, 12)
+    assert idx == 7 and value < 1e-12
+    assert len(collapsed) == len(built) == 1 + len(visited) < len(data)
 
 
 def _exhaustive_dedup(dataset, k, ada_threshold, confirm_threshold):

@@ -166,6 +166,24 @@ def test_dedup_and_lnd_equal_reference(rng, monkeypatch):
             assert lnd(S, rest, k) == legacy.lnd(S, rest, k)
 
 
+def test_lnd_equals_reference_when_raw_and_collapsed_gaps_straddle_best(rng):
+    # reference 0 is the query with its motif reversed: the same rows, so the
+    # same collapsed PDD (gap 0 = best), but a raw column mean summed in
+    # another order (gap > 0); reference 1 is the query itself
+    basis, frac = _random_fields(rng, 1, sizes=[6], ranks=[3])[0]
+    fields = [(basis, frac[::-1]), (basis, frac), *_random_fields(rng, 6, [2, 3, 4], [3])]
+    sets, _ = _stack(fields)
+    S, k = PeriodicSet.from_fractional(basis, frac), 12
+    parts = periodic._dataset([S, *sets], k, neighbours)
+    raw = [rows.mean(axis=0) - asym for rows, asym in parts]
+    pda = periodic._pdas(parts, periodic._collapsed)
+    for i in (1, 2):
+        assert np.array_equal(pda(i).weights, pda(0).weights)
+        assert np.array_equal(pda(i).rows, pda(0).rows)
+    assert np.abs(raw[1] - raw[0]).max() > 0 == np.abs(raw[2] - raw[0]).max()
+    assert lnd(S, sets, k) == legacy.lnd(S, sets, k) == (0.0, 0)
+
+
 @pytest.mark.parametrize("k", [0, 1.5, 2**24])
 def test_dedup_and_lnd_check_k_before_any_search(k, monkeypatch):
     sets, _ = _stack([(np.eye(3), np.zeros((1, 3))), (2 * np.eye(3), np.zeros((1, 3)))])

@@ -332,13 +332,14 @@ def bottleneck(A, B, ground_q=2.0):
 def lac(costs):
     """Linear Assignment Cost: (1/k) * minimal total assignment cost, solved
     on ``costs`` or its transpose, whichever has the lesser bytes, so that
-    ``lac(C) == lac(C.T)`` exactly."""
+    ``lac(C) == lac(C.T)`` exactly; the assigned costs are summed exactly
+    (``math.fsum``)."""
     costs = _square_costs(costs)
     flipped = np.swapaxes(costs, -1, -2)  # a stack stays one, and raises below
     if flipped.tobytes() < costs.tobytes():
         costs = flipped
     rows, cols = linear_sum_assignment(costs)
-    return float(costs[rows, cols].sum() / costs.shape[0])
+    return math.fsum(costs[rows, cols].tolist()) / costs.shape[0]
 
 
 def _check_weights(w, n=None):
@@ -413,7 +414,7 @@ def emd(P, Q, costs):
         rows, cols = np.arange(m), _assignment(costs)
         flow = np.zeros((m, n))
         flow[rows, cols] = 1.0 / m
-        return float(costs[rows, cols].sum() / m), flow.T if swap else flow
+        return math.fsum(costs[rows, cols].tolist()) / m, flow.T if swap else flow
 
     cells = (m + n - 1) * m * n
     _within(cells, EMD_CELL_BUDGET, lambda: f"EMD of {m} x {n} weighted rows needs a "
@@ -511,13 +512,8 @@ def _assigned_from_bounds(costs, low, transpose):
        (which is then taken); this guards step 2 against rounding.  M <= C
        entrywise, and the final σ costs the same under M and C, so no
        assignment beats it under C: σ is optimal.
-    4. The value Σ_i C(i, σ(i)) / m is summed in the orientation in which
-       ``emd`` solves C, so it is ``emd``'s float.  The two orientations sum
-       the same entries in two orders (one order if σ is the identity), and
-       only if the two sums differ is the orientation needed: the weights
-       tie, so ``_swapped`` compares the bytes of C.T and C, and the first
-       upper pair i < j, row-major, whose entries C[i, j] and C[j, i] differ
-       decides.  Entries are taken for it a row of C at a time.
+    4. The value is Σ_i C(i, σ(i)) / m, summed exactly (``math.fsum``), as
+       ``emd`` sums it, so it does not depend on the orientation.
     """
     m = len(low)
     at = np.arange(m)
@@ -552,28 +548,4 @@ def _assigned_from_bounds(costs, low, transpose):
         if not missing.any():
             break
         take(at[missing], sigma[missing])
-    # the assigned entries summed in the row order of C and of C.T
-    values = est[at, sigma]
-    total, other = values.sum(), values[np.argsort(sigma)].sum()
-    if other != total and _transposed_first(costs, est, known):
-        total = other
-    return float(total / m)
-
-
-def _transposed_first(costs, est, known):
-    """Whether ``emd`` solves C.T rather than C: C.T has the lesser bytes.
-    ``est`` is C where ``known``; the entries of each row of C right of the
-    diagonal and of the column below it are taken, where not known, a row
-    at a time, until a pair differs."""
-    m = len(est)
-    for i in range(m - 1):
-        j = np.arange(i + 1, m)
-        rows, cols = np.r_[np.full(len(j), i), j], np.r_[j, np.full(len(j), i)]
-        todo = ~known[rows, cols]
-        if todo.any():
-            est[rows[todo], cols[todo]] = costs.exact(rows[todo], cols[todo])
-            known[rows[todo], cols[todo]] = True
-        for ij, ji in zip(est[i, i + 1 :], est[i + 1 :, i]):
-            if ij.tobytes() != ji.tobytes():
-                return ji.tobytes() < ij.tobytes()
-    return False
+    return math.fsum(est[at, sigma].tolist()) / m

@@ -7,7 +7,9 @@ tiling both motifs to m = lcm(S.m, Q.m) points and minimizing over the
 cyclic or dihedral group acting on the motif order.  Every re-encoding of Q
 is a rotation of Q, or of Q reversed: time shifts, CDM and signed strengths
 are computed once per direction and rotated by index, and as the tiled Q
-repeats every Q.m places, Q.m shifts per direction are compared.
+repeats every Q.m places, Q.m shifts per direction are compared.  The
+signed strengths of a motif read one determinant per window of n+1
+successive points, for its sign and its strength together.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import INF, _pairwise, _real, _rows, norm_exponent
-from .simplexwise import LAMBDA, simplex_sign, strength
+from .simplexwise import LAMBDA, _signs_strengths, simplex_sign, strength
 
 #: most cells of one array of the ``seq_metric`` search, m^2 CDM cells (m
 #: without a value term), checked before any array is built; a search at
@@ -49,12 +51,18 @@ def _windows(points):
     return pts[(np.arange(m)[:, None] + np.arange(n + 1)) % m]
 
 
+def _signed_windows(points):
+    """The cyclic windows of a sequence in R^2 or R^3, and n."""
+    windows = _windows(points)
+    n = windows.shape[-1]
+    if n not in (2, 3):
+        raise ValueError("sign rows are defined for n in {2, 3}")
+    return windows, n
+
+
 def sign_row(points):
     """Determinant signs of the n successive difference vectors per index."""
-    windows = _windows(points)
-    if windows.shape[-1] not in (2, 3):
-        raise ValueError("sign rows are defined for n in {2, 3}")
-    return simplex_sign(windows)
+    return simplex_sign(_signed_windows(points)[0])
 
 
 def strengths_row(points):
@@ -84,7 +92,9 @@ def mcd(S, T, q=INF):
 
 
 def _signed_strengths(points):
-    return sign_row(points) * strengths_row(points)
+    """sign_row(points) * strengths_row(points), from one determinant per window."""
+    signs, strengths = _signs_strengths(*_signed_windows(points))
+    return signs * strengths
 
 
 def mcs(S, T, q=INF):

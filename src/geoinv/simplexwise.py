@@ -19,10 +19,12 @@ the base vectors and the bottleneck distance between the columns.
 Both directions are array-shaped.  ``_canonical`` builds the forms of all
 bases and orders of a cloud in one stack, sorts their columns with one
 lexsort, picks the least order of each base and groups the bases into
-classes by one lexsort of the least keys.  ``_max_metric`` gives the max
-metric of the class pairs of two distributions on demand (``_Costs``):
-lower bounds for all pairs with no k x k cost matrix (the largest gap
-between the sorted rows of the columns), bounds from the cost matrices of
+classes by one sort of the least keys, each viewed as one byte string.
+The signs and strengths of SCD read one determinant per simplex
+(``_signs_strengths``).  ``_max_metric`` gives the max metric of the
+class pairs of two distributions on demand (``_Costs``): lower bounds for
+all pairs with no k x k cost matrix (the largest gap between the sorted
+rows of the columns), bounds from the cost matrices of
 chosen pairs with no search, and exact entries, whose orders are taken best
 first by their bounds and whose bottlenecks stacked
 ``bottleneck_from_costs`` calls give.  The max metrics of two classes are
@@ -63,6 +65,9 @@ DEGENERATE_REL_TOL = 1e-18
 #: the h! orders of a base of h points, one row each, for h = 1, 2, 3
 ORDERS = {h: PERMS[h] for h in (1, 2, 3)}
 
+#: the edges (i, j), i < j, of a simplex on n + 1 points, for n = 0..3
+EDGES = {n: np.triu_indices(n + 1, k=1) for n in range(4)}
+
 #: most cells built in one numpy step: column costs (class pairs x k x k,
 #: one order each) and lower-bound terms in ``_Costs`` and base-order forms
 #: (bases x orders x form length) in ``_canonical``; a block holds at least
@@ -73,8 +78,8 @@ MAX_METRIC_BLOCK = 1 << 16
 #: max-metric matrix (class pairs x orders x k x k), checked before either
 #: is allocated; a build at the budget holds about 16 bytes per form cell,
 #: the forms with the distance matrix and then with their rounded keys
-#: (135 MiB above the import for an h = 1 build of 2 896 points, 8.4e6
-#: cells; 215 MiB at peak in all), and a distance one block of
+#: (131 MiB above the import for an h = 1 build of 2 896 points, 8.4e6
+#: cells; 211 MiB at peak in all), and a distance one block of
 #: MAX_METRIC_BLOCK cost cells at a time
 SIMPLEX_CELL_BUDGET = 2**23
 
@@ -92,22 +97,34 @@ def _simplices(points):
     return pts, n
 
 
+def _signs_strengths(pts, n):
+    """The ``simplex_sign`` and ``strength`` float arrays (...) of a checked
+    stack (..., n+1, n), both from one determinant of the successive
+    difference vectors (the rows)."""
+    diffs = np.diff(pts, axis=-2)
+    det = np.linalg.det(diffs)
+    scale = np.abs(diffs).max(axis=(-2, -1))
+    zero = (scale == 0.0) | (np.abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n))
+    sign = np.where(zero, 0.0, np.sign(det))
+    i, j = EDGES[n]
+    edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
+    p = 0.5 * edges.sum(axis=-1)
+    v2 = (det / math.factorial(n)) ** 2
+    zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
+    return sign, np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
+
+
 def strength(points):
     """Strength sigma(A) = V^2 / p^(2n-1) of a simplex on n+1 points in R^n.
 
     V is the simplex volume, |det| of the successive difference vectors over
-    n!, and p the half-perimeter; degenerate simplices give 0.  For a
-    segment in R the strength is the double length.  ``points`` is one
+    n!, and p the half-perimeter; degenerate simplices (V^2 below
+    DEGENERATE_REL_TOL times the longest edge to the power 2n) give 0.  For
+    a segment in R the strength is the double length.  ``points`` is one
     simplex of shape (n+1, n), which gives a float, or a stack of shape
     (..., n+1, n), which gives a float array of shape (...).
     """
-    pts, n = _simplices(points)
-    i, j = np.triu_indices(n + 1, k=1)
-    edges = np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
-    p = 0.5 * edges.sum(axis=-1)
-    v2 = (np.linalg.det(np.diff(pts, axis=-2)) / math.factorial(n)) ** 2
-    zero = (p <= 0.0) | (v2 < DEGENERATE_REL_TOL * edges.max(axis=-1) ** (2 * n))
-    out = np.where(zero, 0.0, v2 / np.where(zero, 1.0, p) ** (2 * n - 1))
+    out = _signs_strengths(*_simplices(points))[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,16 +133,12 @@ def simplex_sign(points):
 
     ``points`` is one simplex of n+1 points in R^n, which gives an int, or a
     stack of shape (..., n+1, n), which gives a float array of shape (...).
-    The sign is 0 when the simplex is degenerate: its squared determinant is
-    below DEGENERATE_REL_TOL times the largest difference component to the
-    power 2n.
+    The determinant is the one ``strength`` reads, and the sign is 0 when
+    the simplex is degenerate: its squared determinant is below
+    DEGENERATE_REL_TOL times the largest difference component to the power
+    2n.
     """
-    pts, n = _simplices(points)
-    diffs = np.swapaxes(np.diff(pts, axis=-2), -1, -2)  # columns are differences
-    det = np.linalg.det(diffs)
-    scale = np.abs(diffs).max(axis=(-2, -1))
-    zero = (scale == 0.0) | (np.abs(det) ** 2 < DEGENERATE_REL_TOL * scale ** (2 * n))
-    out = np.where(zero, 0.0, np.sign(det))
+    out = _signs_strengths(*_simplices(points))[0]
     return int(out) if out.ndim == 0 else out
 
 
@@ -187,13 +200,18 @@ def _canonical(points, m, h, width, forms_of):
     ``_least_forms`` from the distance matrix ``d`` of all ``points``, the
     ordered bases (bases, orders, h) and the remaining points (bases, m - h)
     of a block; a form has ``width`` cells.
-    Classes are the rounded least forms, in first-seen order (one lexsort of
-    the rounded forms, then ``!=`` between sorted neighbours, a block of rows
-    at a time, so that no sorted copy of the keys is built).  The remaining
-    points of the bases are taken block by block (``_rest``), and the
-    distance matrix is dropped before the keys are rounded.  Returns ``(weights,
-    representatives, total)``: the share of bases in each class, a copy of
-    the form of its first base, and the number of bases.  Over
+    Classes are the rounded least forms, in first-seen order: one stable
+    sort of the rounded forms, each viewed as a byte string of ``width`` x 8
+    bytes, then ``!=`` between sorted neighbours, a block of rows at a time,
+    so that no sorted copy of the keys is built.  Any order that puts equal
+    rows together, the first base of each class first, gives the same
+    classes; -0.0 is made +0.0 first, so equal keys have equal bytes (a key
+    holding NaN, a strength that overflows, differs from every key under
+    ``!=`` and is a class of its own).  The remaining points of the bases
+    are taken block by block (``_rest``), and the distance matrix is dropped
+    before the keys are rounded.  Returns ``(weights, representatives,
+    total)``: the share of bases in each class, a copy of the form of its
+    first base, and the number of bases.  Over
     SIMPLEX_CELL_BUDGET form cells raises ValueError before any is built and
     before the distance matrix, which has no more cells than the forms.
     """
@@ -210,7 +228,8 @@ def _canonical(points, m, h, width, forms_of):
         forms[lo : lo + step] = _least_forms(*forms_of(d, block[:, orders], _rest(block, m)))
     del d  # as large as the forms at h = 1
     keys = np.round(forms, 9)
-    order = np.lexsort(keys.T[::-1])
+    keys += 0.0  # -0.0 becomes +0.0, so equal keys have equal bytes
+    order = np.argsort(keys.view(np.dtype((np.void, 8 * width))).ravel(), kind="stable")
     # a class starts where a sorted key differs from its predecessor,
     # compared a block of rows at a time
     differs = np.ones(total, dtype=bool)
@@ -220,9 +239,9 @@ def _canonical(points, m, h, width, forms_of):
         differs[lo : lo + len(rows)] = (keys[rows] != keys[before[: len(rows)]]).any(axis=1)
     del keys
     starts = np.flatnonzero(differs)
-    first = order[starts]  # the lexsort is stable: the first base of each class
+    first = order[starts]  # the sort is stable: the first base of each class
     seen = np.argsort(first)
-    counts = np.diff(np.r_[starts, total])[seen]
+    counts = np.diff(starts, append=total)[seen]
     return counts / total, forms[first[seen]], total
 
 
@@ -523,10 +542,10 @@ def _distribution_dist(X, Y, mode, costs_of):
     ``emd`` itself for merged classes (unequal weights: the LP path),
     unequal class counts and one-class distributions.  Both argument orders
     run the same steps on the same matrix, C or C.T, whichever has the
-    lower bounds of lesser bytes, so the value is exactly symmetric; it is
-    summed in ``emd``'s orientation, so it is ``emd``'s float on C, and only
-    where several assignments are optimal may it sum another one, within
-    1e-12 relative.
+    lower bounds of lesser bytes, so the value is exactly symmetric; the
+    assigned costs are summed exactly, as ``emd`` sums them, so it is
+    ``emd``'s float on C, and only where several assignments are optimal may
+    it sum another one, within 1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -603,7 +622,7 @@ def scd(C, center=True):
     if m < n:
         raise ValueError("cloud too small for an (n-1)-point base")
     h, k = n - 1, m - n + 1
-    i, j = np.triu_indices(h, k=1)
+    i, j = EDGES[h - 1]  # the pairs of base points
     a = len(i) + h
 
     def forms_of(d, ordered, rest):
@@ -614,10 +633,10 @@ def scd(C, center=True):
         simplices = np.zeros(ordered.shape[:2] + (k, n + 1, n))
         simplices[..., :h, :] = pts[ordered][:, :, None]
         simplices[..., n, :] = pts[rest][:, None]
+        signs, strengths = _signs_strengths(simplices, n)
         rows = np.concatenate([
-            d[anchors[..., None], rest[:, None, None]],
-            simplex_sign(simplices)[:, :, None],
-            strength(simplices)[:, :, None],
+            d[anchors[..., None], rest[:, None, None]], signs[:, :, None],
+            strengths[:, :, None],
         ], axis=2)
         return dvec, rows, n + 1  # columns keyed by distances, then signs
 

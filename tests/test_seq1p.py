@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import geoinv.seq1p as seq1p
+import legacy_kernels
 from conftest import random_rotation
 from geoinv.numcore import INF, norm_exponent
 from geoinv.simplexwise import LAMBDA, simplex_sign, strength
@@ -15,6 +16,7 @@ from geoinv.seq1p import (
     OnePeriodicSequence,
     _normalized_lq,
     _signed_strengths,
+    _windows,
     cdm,
     cds,
     mcd,
@@ -325,6 +327,42 @@ def test_seq_metric_matches_reference(rng):
                             got = seq_metric(X, Y, q, group, equivalence)
                             assert abs(got - want) <= 1e-12
                             assert seq_metric(X, X, q, group, equivalence) == 0.0
+
+
+def _legacy_signed_strengths(points):
+    """The signed strengths of a motif by the legacy kernels, each with its
+    own determinant of every window."""
+    windows = _windows(points)
+    if windows.shape[-1] not in (2, 3):
+        raise ValueError("sign rows are defined for n in {2, 3}")
+    return legacy_kernels.simplex_sign(windows) * legacy_kernels.strength_det(windows)
+
+
+def test_rigid_seq_metric_equals_the_legacy_kernels(rng, monkeypatch):
+    # seeded pairs with ties (integer values: collinear and repeated
+    # windows), near copies and mirror images, cyclic and dihedral
+    pairs = []
+    for value_dim in (2, 3):
+        for a, b in ((3, 3), (4, 6), (5, 5), (6, 4), (8, 12)):
+            S, Q = _random_sequence(rng, a, value_dim), _random_sequence(rng, b, value_dim)
+            tied = OnePeriodicSequence(Q.period, np.column_stack(
+                [Q.motif[:, 0], rng.integers(-1, 2, size=(b, value_dim))]))
+            flip = [1, -1] + [1] * (value_dim - 1)
+            near = S.motif + rng.uniform(-1e-3, 1e-3, S.motif.shape)
+            pairs += [(S, Q), (Q, S), (S, tied), (tied, tied),
+                      (S, OnePeriodicSequence(S.period, near * flip))]
+    calls = [(X, Y, q, group) for X, Y in pairs for group in ("cyclic", "dihedral")
+             for q in (1, 2, INF)]
+    new = [seq_metric(X, Y, q, group, "rigid") for X, Y, q, group in calls]
+    rows = [_signed_strengths(X.motif[:, 1:]) for X, _ in pairs]
+    monkeypatch.setattr(seq1p, "_signed_strengths", _legacy_signed_strengths)
+    assert new == [seq_metric(X, Y, q, group, "rigid") for X, Y, q, group in calls]
+    for row, (X, _) in zip(rows, pairs):
+        assert np.array_equal(row, _legacy_signed_strengths(X.motif[:, 1:]))
+    assert any((row == 0).any() for row in rows) and len(set(new)) > len(pairs)
+    for bad in ([[0.0], [1.0], [3.0]], np.zeros((5, 4))):
+        with pytest.raises(ValueError, match="n in \\{2, 3\\}"):
+            _signed_strengths(bad)
 
 
 def test_seq_metric_rejects_unknown_group_and_equivalence():

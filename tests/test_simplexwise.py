@@ -229,6 +229,129 @@ def test_simplex_rejects_non_finite_and_bad_shapes(fn):
             fn(np.ones(shape))
 
 
+def _boundary_stack(n, t):
+    """Simplices (len(t), n+1, n) whose successive differences are a lower
+    triangular matrix of ones on the diagonal, 0.5 below it and t last.
+    The differences and their transpose factor to one diagonal with no
+    pivoting, so both determinants read the same, and the simplices cross
+    the sign and strength zero tests as |t| does."""
+    diffs = np.zeros((len(t), n, n))
+    diffs[:, np.arange(n), np.arange(n)] = 1.0
+    below = np.tril_indices(n, -1)
+    diffs[:, below[0], below[1]] = 0.5
+    diffs[:, -1, -1] = t
+    return np.concatenate([np.zeros((len(t), 1, n)), np.cumsum(diffs, axis=1)], axis=1)
+
+
+def test_signs_and_strengths_equal_the_legacy_kernels(rng):
+    # one determinant per simplex: the strength reads the one it read
+    # before, and the sign that of the differences instead of their transpose
+    def same(stack, signed=True):
+        with np.errstate(all="ignore"):  # 1e+-150 overflows and underflows in both
+            new = strength(stack), simplex_sign(stack)
+            old = legacy_kernels.strength_det(stack), legacy_kernels.simplex_sign(stack)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape == stack.shape[:-2]
+        assert np.array_equal(new[0], old[0], equal_nan=True)
+        assert np.array_equal(new[1][signed], old[1][signed])
+        signed = np.broadcast_to(signed, stack.shape[:-2]).ravel()
+        for pts, check in list(zip(stack.reshape((-1,) + stack.shape[-2:]), signed))[:10]:
+            with np.errstate(all="ignore"):
+                a, b = strength(pts), legacy_kernels.strength_det(pts)
+                c, d = simplex_sign(pts), legacy_kernels.simplex_sign(pts)
+            assert type(a) is type(b) is float and (a == b or math.isnan(a) and math.isnan(b))
+            assert type(c) is type(d) is int and (c == d or not check)
+
+    for n in (1, 2, 3):
+        mixed = _simplex_stack(rng, n, 600)
+        same(mixed)
+        same(mixed.reshape(10, 60, n + 1, n))
+        for scale in (1e-150, 1e150):
+            # the zero tests underflow (overflow) in both, so a degenerate
+            # simplex takes the sign of the rounding in its determinant
+            same(mixed * scale, legacy_kernels.simplex_sign(mixed) != 0)
+            same(rng.normal(size=(200, n + 1, n)) * scale)
+        # exactly degenerate: repeated points, one point n+1 times, collinear
+        # integer points
+        same(np.repeat(rng.normal(size=(50, 1, n)), n + 1, axis=1))
+        twice = rng.normal(size=(50, n + 1, n))
+        twice[:, -1] = twice[:, 0]
+        same(twice)
+        start, step = rng.integers(-5, 6, size=(2, 200, 1, n))
+        same((start + rng.integers(-4, 5, size=(200, n + 1, 1)) * step).astype(float))
+        same(np.zeros((0, n + 1, n)))
+        # at the DEGENERATE_REL_TOL boundaries of the sign (|t| about 1e-9)
+        # and of the strength (about 5e-9 in R^2, 9e-8 in R^3), to the ulp
+        t = 10.0 ** np.linspace(-10, -6, 2001)
+        ulps = 1.0 + np.arange(-64, 65) * 2.0**-52
+        t = np.concatenate([t, 1e-9 * ulps, 4.5e-9 * ulps, 9.375e-8 * ulps])
+        edge = _boundary_stack(n, np.concatenate([t, -t, [0.0]]))
+        same(edge)
+        if n > 1:
+            sign, sigma = simplex_sign(edge), strength(edge)
+            assert (sign == 0).any() and (sign != 0).any()
+            assert (sigma == 0).any() and (sigma != 0).any() and ((sigma == 0) != (sign == 0)).any()
+
+
+def _tied_clouds(rng):
+    """Seeded clouds with ties in R^2 and R^3: rounded coordinates, squares
+    with extra points, and regular tetrahedra with extra points."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tetra = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    clouds = []
+    for n, shape in ((2, square), (3, tetra)):
+        for m in (4, 5, 6, 7):
+            clouds.append(np.round(rng.normal(size=(m, n)), 1))
+            clouds.append(rng.integers(0, 3, size=(m, n)).astype(float))
+        clouds += [shape, 2.0 * shape + 0.5]
+        clouds.append(np.vstack([shape, np.round(rng.normal(size=(2, n)), 1)]))
+        clouds.append(np.vstack([shape, -shape, np.zeros((1, n))]))
+    return clouds
+
+
+def _built(build, *args):
+    """The arrays, weights and total of an SDD or SCD, as plain lists."""
+    out = build(*args)
+    classes = out.rdds if isinstance(out, simplexwise.Sdd) else out.ocds
+    return out.weights, [dataclasses.astuple(c) for c in classes], out.total
+
+
+def test_sdd_and_scd_equal_the_legacy_builds(rng, monkeypatch):
+    # the legacy build groups the classes by a lexsort over every column and
+    # takes the sign and the strength of each simplex by its own determinant
+    clouds = _tied_clouds(rng)
+    calls = [(sdd, c, h) for c in clouds for h in (1, 2, 3) if h < len(c)]
+    calls += [(scd, c, center) for c in clouds for center in (True, False)]
+    new = [_built(*call) for call in calls]
+    monkeypatch.setattr(simplexwise, "_canonical", legacy_kernels.canonical)
+    monkeypatch.setattr(simplexwise, "_signs_strengths", legacy_kernels.signs_strengths)
+    old = [_built(*call) for call in calls]
+    merged = 0
+    for (wa, ca, ta), (wb, cb, tb) in zip(new, old):
+        assert ta == tb and np.array_equal(wa, wb) and len(ca) == len(cb)
+        merged += len(ca) < ta
+        for xa, xb in zip(ca, cb):
+            assert all(np.array_equal(a, b) for a, b in zip(xa, xb))
+    assert merged > len(calls) // 2  # the ties merge classes
+    signs = np.concatenate([c[2] for _, cs, _ in new[-2 * len(clouds):] for c in cs])
+    assert (signs == 0).any() and (signs != 0).any()
+
+
+def test_canonical_puts_signed_zeros_in_one_class():
+    # -0.0 and +0.0 (also a negative key that rounds to -0.0) are one key;
+    # 2.0 lies between their bytes, so only equal bytes keep them together
+    head = np.array([-0.0, 2.0, 0.0, -1e-12, 1e-12, 2.0, -0.0])
+
+    def forms_of(d, ordered, rest):
+        bases = ordered[:, :, 0]
+        return head[bases][..., None], np.zeros(bases.shape + (1, 1)), 1
+
+    points = np.zeros((len(head), 1))
+    weights, forms, total = simplexwise._canonical(points, len(head), 1, 2, forms_of)
+    assert total == 7 and np.array_equal(weights, [5 / 7, 2 / 7])
+    assert np.signbit(forms[0, 0]) and np.array_equal(forms, [[-0.0, 0.0], [2.0, 0.0]])
+
+
 # Reference oracle: the canonicalisers and max metrics written out per
 # invariant, one order at a time, with the least key tracked by hand.
 

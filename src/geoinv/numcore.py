@@ -354,16 +354,22 @@ def _check_weights(w, n=None):
     return w / s
 
 
-def _swapped(wp, wq, costs):
-    """Whether (wq, wp, costs.T) has a lesser key than (wp, wq, costs): the
-    size of the first side, then the bytes of its weights, then those of the
-    costs, which are copied only when sizes and weights tie."""
-    if len(wp) != len(wq):
-        return len(wq) < len(wp)
-    p, q = wp.tobytes(), wq.tobytes()
-    if p != q:
-        return q < p
-    return costs.T.tobytes() < costs.tobytes()
+def _swapped(given, swapped):
+    """Whether a pair goes in the other order: the first keys of the two key
+    sequences, of the pair as given and as swapped, that differ decide, and
+    no later key is made; a pair whose keys all tie keeps its order."""
+    for a, b in zip(given, swapped):
+        if a != b:
+            return b < a
+    return False
+
+
+def _emd_keys(wp, wq, costs):
+    """The keys that orient an EMD pair (see ``_swapped``): the size of the
+    first side, then the bytes of its weights, then those of the costs."""
+    yield len(wp)
+    yield wp.tobytes()
+    yield costs.tobytes()
 
 
 def emd(P, Q, costs):
@@ -405,7 +411,7 @@ def emd(P, Q, costs):
     if (costs < 0).any():
         raise ValueError("negative costs")
     m, n = costs.shape
-    if swap := _swapped(wp, wq, costs):
+    if swap := _swapped(_emd_keys(wp, wq, costs), _emd_keys(wq, wp, costs.T)):
         wp, wq, costs = wq, wp, costs.T
     if m == 1 or n == 1:
         flow = np.outer(wp, wq)
@@ -457,19 +463,16 @@ def _assignment(costs):
 def emd_from_bounds(P, Q, costs):
     """``emd(P, Q, C)[0]`` of a cost matrix C known by bounds and on demand.
 
-    ``costs`` has the ``shape`` (m, n) of C and five methods: ``lower()``,
+    ``costs`` has the ``shape`` (m, n) of C and four methods: ``lower()``,
     an (m, n) matrix of lower bounds on C; ``bounds(rows, cols)``, a lower
     and an upper bound on each entry C[rows, cols] of two index arrays,
     which is exact where they are equal; ``exact(rows, cols)``, those
-    entries; ``full()``, C itself; and ``transposed()``, the same for C.T,
-    whose ``lower()`` is ``lower().T``.  Unless P and Q are one vector of
+    entries; and ``full()``, C itself.  Unless P and Q are one vector of
     m = n > 1 equal weights (equal bytes), C goes to ``emd``.  Otherwise the
     optimal assignment is found with as few exact entries as the bounds
-    allow (``_assigned_from_bounds``), on C or on C.T, the one whose lower
-    bounds have the lesser bytes: swapping P and Q transposes C, so both
-    argument orders run the same steps on the same matrix.  When the lower
-    bounds equal their transpose, or leave more than half of C as
-    candidates, C goes to ``emd``.
+    allow (``_assigned_from_bounds``); when the bounds leave more than half
+    of C as candidates, C goes to ``emd``.  The steps follow the argument
+    order, so a caller that wants a symmetric value orients its pair first.
 
     Where several assignments are optimal, this may sum another one than
     ``emd`` picks; the two values agree within 1e-12 relative.
@@ -478,21 +481,15 @@ def emd_from_bounds(P, Q, costs):
     m, n = costs.shape
     if m == n == len(p) > 1 and p.tobytes() == q.tobytes() and (p == p[0]).all():
         _check_weights(p)  # as emd checks both; Q has the same bytes
-        low = costs.lower()
-        lb, lt = low.tobytes(), low.T.tobytes()
-        if lb != lt:
-            value = _assigned_from_bounds(costs, low.T if lt < lb else low, lt < lb)
-            if value is not None:
-                return value
+        if (value := _assigned_from_bounds(costs, costs.lower())) is not None:
+            return value
     return emd(P, Q, costs.full())[0]
 
 
-def _assigned_from_bounds(costs, low, transpose):
+def _assigned_from_bounds(costs, low):
     """``emd``'s value of the m x m matrix C of ``emd_from_bounds`` with
     constant weights, or None when the bounds prune too little.  C is the
-    matrix of ``costs`` or, if ``transpose``, of ``costs.transposed()``,
-    which is taken only once the bounds prune enough; ``low`` holds its
-    lower bounds.
+    matrix of ``costs``, and ``low`` holds its lower bounds.
 
     1. σ is an optimal assignment of the lower bounds L.
     2. U = Σ_i hi(i, σ(i)) over upper bounds hi is at least the cost of an
@@ -513,7 +510,7 @@ def _assigned_from_bounds(costs, low, transpose):
        entrywise, and the final σ costs the same under M and C, so no
        assignment beats it under C: σ is optimal.
     4. The value is Σ_i C(i, σ(i)) / m, summed exactly (``math.fsum``), as
-       ``emd`` sums it, so it does not depend on the orientation.
+       ``emd`` sums it.
     """
     m = len(low)
     at = np.arange(m)
@@ -523,8 +520,6 @@ def _assigned_from_bounds(costs, low, transpose):
     need = low + np.maximum((row_least.sum() - row_least)[:, None], col_least.sum() - col_least)
     if 2 * np.count_nonzero(need <= low[at, sigma].sum()) > m * m:
         return None
-    if transpose:
-        costs = costs.transposed()
     lo, hi = costs.bounds(at, sigma)
     keep = need <= hi.sum() * (1.0 + PRUNE_SLACK)
     keep[at, sigma] = True

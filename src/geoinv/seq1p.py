@@ -4,9 +4,11 @@ Finite ordered sequences in R^n are encoded by cyclic distance matrices
 (CDM), optionally with a determinant-sign row made continuous by simplex
 strengths (CDS).  1-periodic sequences S, Q in R x R^(n-1) are compared by
 tiling both motifs to m = lcm(S.m, Q.m) points and minimizing over the
-cyclic or dihedral group acting on the motif order.  Every re-encoding of Q
-is a rotation of Q, or of Q reversed: time shifts, CDM and signed strengths
-are computed once per direction and rotated by index, and as the tiled Q
+cyclic or dihedral group acting on the motif order, S the larger motif
+(``numcore._swapped`` on the keys -motif size, period, motif bytes), so
+both argument orders run the same steps.  Every re-encoding of Q is a
+rotation of Q, or of Q reversed: time shifts, CDM and signed strengths are
+computed once per direction and rotated by index, and as the tiled Q
 repeats every Q.m places, Q.m shifts per direction are compared.  The
 signed strengths of a motif read one determinant per window of n+1
 successive points, for its sign and its strength together.
@@ -19,18 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import INF, _pairwise, _real, _rows, norm_exponent
+from .numcore import INF, _pairwise, _real, _rows, _swapped, norm_exponent
 from .simplexwise import LAMBDA, _signs_strengths, simplex_sign, strength
 
 #: most cells of one array of the ``seq_metric`` search, m^2 CDM cells (m
 #: without a value term), checked before any array is built; a search at
 #: the budget holds about 260 MiB (320 MiB with both directions)
 SEQ_CELL_BUDGET = 2**23
-#: most cells the search compares, directions x Q.m shifts x the cells of
-#: one array, checked before any array is built.  On one core of a shared
-#: x86-64 VM a cell costs about 14 ns at m = 930 and 30 ns at m = 2896, so
-#: motifs of 30 and 31 points take 0.4 s (0.75 s dihedral) and a search at
-#: both budgets (m = 2896, Q.m = 8) about 2.6 s
+#: most cells the search compares, directions x the smaller motif's shifts x
+#: the cells of one array, checked before any array is built.  On one core
+#: of a shared x86-64 VM a cell costs about 14 ns at m = 930 and 30 ns at
+#: m = 2896, so motifs of 30 and 31 points take 0.4 s (0.75 s dihedral) and
+#: a search at both budgets (m = 2896, 8 shifts) about 2.6 s
 SEQ_WORK_BUDGET = 2**26
 
 
@@ -147,8 +149,9 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
 
     The minimum over the cyclic (or dihedral) group of the larger of the
     time-shift distance and the projected-motif CDM (isometry) or CDS-based
-    (rigid) metric, searched by rotations as in the module docstring.  Raises
-    ValueError before any array is built when one array of the search passes
+    (rigid) metric, searched by rotations of the smaller motif as in the
+    module docstring, so d(S, Q) == d(Q, S) exactly.  Raises ValueError
+    before any array is built when one array of the search passes
     SEQ_CELL_BUDGET (memory) or its comparisons pass SEQ_WORK_BUDGET (time).
     """
     qn = norm_exponent(q)
@@ -158,6 +161,8 @@ def seq_metric(S, Q, q=INF, group="cyclic", equivalence="isometry"):
         raise ValueError("equivalence must be 'isometry' or 'rigid'")
     if S.value_dim != Q.value_dim:
         raise ValueError(f"value dimensions {S.value_dim} and {Q.value_dim} differ")
+    if _swapped((-S.m, S.period, S.motif.tobytes()), (-Q.m, Q.period, Q.motif.tobytes())):
+        S, Q = Q, S
     m = math.lcm(S.m, Q.m)
     # a one-point motif has an empty CDM, so its value term is 0
     use_values = S.value_dim >= 1 and m > 1

@@ -52,7 +52,7 @@ import numpy as np
 
 from .clouds import _as_points
 from .numcore import (
-    PERMS, _argmin_map, _as_index, _pairwise, _within, bottleneck_from_costs,
+    PERMS, _argmin_map, _as_index, _pairwise, _swapped, _within, bottleneck_from_costs,
     emd, emd_from_bounds,
 )
 
@@ -306,30 +306,13 @@ class _Costs:
     def __init__(self, dx, dy, cx, cy, orders):
         index, rows = orders
         self.shape = len(dx), len(dy)
-        self._args = dx, dy, cx, cy, orders
         # one base vector and column matrix per order of X: (nx, orders, ...)
         self.dx, self.dy, self.cx, self.cy = dx[:, index], dy, cx[:, rows], cy
-        self._per_order = None  # the lower bounds of each order (orders, nx, ny)
-
-    def transposed(self):
-        """The ``_Costs`` of C.T, the classes of Y against those of X.  Its
-        order o pairs the same cells as the inverse order of o here (see
-        ``lower``), so it takes the bounds per order of this one, transposed."""
-        dx, dy, cx, cy, orders = self._args
-        out = _Costs(dy, dx, cy, cx, orders)
-        if self._per_order is not None:
-            rows = orders[1]  # inverse[o]: the order whose row map inverts that of o
-            inverse = (rows == np.argsort(rows, axis=1)[:, None]).all(axis=-1).argmax(axis=1)
-            out._per_order = self._per_order[inverse].transpose(0, 2, 1)
-        return out
+        self._per_order = self._bounds_per_order()  # (orders, nx, ny)
 
     def lower(self):
         """Lower bounds L <= C: the least over the orders of the larger of
-        the Chebyshev term and the largest sorted-row gap.  The orders are
-        closed under inverses, and the inverse order pairs the same cells,
-        so L of (Y, X) is exactly L of (X, Y) transposed."""
-        if self._per_order is None:
-            self._per_order = self._bounds_per_order()
+        the Chebyshev term and the largest sorted-row gap."""
         return self._per_order.min(axis=0)
 
     def _bounds_per_order(self):
@@ -399,8 +382,6 @@ class _Costs:
     def _ranked(self, a, b):
         """The bounds of ``lower`` on each order of the class pairs (a, b),
         (pairs, orders), and the orders of each pair, best first."""
-        if self._per_order is None:
-            self._per_order = self._bounds_per_order()
         bound = self._per_order[:, a, b].T
         return bound, np.argsort(bound, axis=1, kind="stable")
 
@@ -540,12 +521,11 @@ def _distribution_dist(X, Y, mode, costs_of):
     matrix is built and solved by ``emd``'s uniform branch when more than
     half of the pairs stay candidates (unrelated clouds), and it goes to
     ``emd`` itself for merged classes (unequal weights: the LP path),
-    unequal class counts and one-class distributions.  Both argument orders
-    run the same steps on the same matrix, C or C.T, whichever has the
-    lower bounds of lesser bytes, so the value is exactly symmetric; the
-    assigned costs are summed exactly, as ``emd`` sums them, so it is
-    ``emd``'s float on C, and only where several assignments are optimal may
-    it sum another one, within 1e-12 relative.
+    unequal class counts and one-class distributions.  The steps follow the
+    argument order: ``sdd_dist`` and ``scd_dist`` orient their pair first
+    (``_oriented``).  The assigned costs are summed exactly, as ``emd`` sums
+    them, so the value is ``emd``'s float on C, and only where several
+    assignments are optimal may it sum another one, within 1e-12 relative.
     """
     if mode not in ("emd", "lac"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -560,8 +540,24 @@ def _distribution_dist(X, Y, mode, costs_of):
     return value
 
 
+def _oriented(X, Y, classes):
+    """(X, Y) in the order of ``numcore._swapped`` on the keys class count,
+    weight bytes, then the bytes of each array of each class (attribute
+    ``classes``) in turn, so both argument orders run the same steps."""
+    def keys(D):
+        reps = getattr(D, classes)
+        yield len(reps)
+        yield D.weights.tobytes()
+        for rep in reps:
+            for a in vars(rep).values():
+                yield a.tobytes()
+
+    return (Y, X) if _swapped(keys(X), keys(Y)) else (X, Y)
+
+
 def sdd_dist(X, Y, mode="emd"):
     """Metric between SDDs via EMD or LAC over the RDD max metric."""
+    X, Y = _oriented(X, Y, "rdds")
     return _distribution_dist(X, Y, mode, lambda: _rdd_metric(X.rdds, Y.rdds))
 
 
@@ -692,4 +688,5 @@ def ocd_max_metric(X, Y):
 
 def scd_dist(X, Y, mode="emd"):
     """Metric between SCDs via EMD or LAC over the OCD max metric."""
+    X, Y = _oriented(X, Y, "ocds")
     return _distribution_dist(X, Y, mode, lambda: _ocd_metric(X.ocds, Y.ocds))

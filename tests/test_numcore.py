@@ -631,11 +631,6 @@ class _KnownCosts:
         self.taken[0] += self.costs.size
         return self.costs.copy()
 
-    def transposed(self):
-        transposed = _KnownCosts(self.costs.T.copy(), self.slack.T.copy(), exact=self.exact_at.T)
-        transposed.taken = self.taken
-        return transposed
-
 
 def test_emd_from_bounds_equals_emd_on_known_matrices(rng):
     # near-identity, shuffled and unrelated matrices with loose or tight

@@ -390,20 +390,25 @@ def test_seq_metric_search_budget(monkeypatch):
     Q = OnePeriodicSequence(1.0, np.column_stack([np.arange(299) / 299, np.zeros(299)]))
     with pytest.raises(ValueError, match="cell budget"):
         seq_metric(S, Q)
-    # the work budget counts directions x Q.m shifts x m^2 cells, m without
-    # values; the cell budget counts the m^2 cells of one array
+    # the work budget counts directions x the shifts of the smaller motif x
+    # m^2 cells, m without values; the cell budget counts the m^2 cells of
+    # one array.  Both argument orders pass or raise alike.
     two = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0]])
     three = OnePeriodicSequence(1.0, [[0.0, 1.0], [0.5, 2.0], [0.7, 0.0]])
-    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2)
+    pairs = ((two, three), (three, two))
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 2 * 6**2)
     monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6**2)
-    assert seq_metric(two, three, group="dihedral") > 0.0
-    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2 - 1)
-    with pytest.raises(ValueError, match="work budget"):
-        seq_metric(two, three, group="dihedral")
-    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6**2)
+    for pair in pairs:
+        assert seq_metric(*pair, group="dihedral") > 0.0
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 2 * 6**2 - 1)
+    for pair in pairs:
+        with pytest.raises(ValueError, match="work budget"):
+            seq_metric(*pair, group="dihedral")
+    monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 2 * 6**2)
     monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6**2 - 1)
-    with pytest.raises(ValueError, match="cell budget"):
-        seq_metric(two, three, group="dihedral")
+    for pair in pairs:
+        with pytest.raises(ValueError, match="cell budget"):
+            seq_metric(*pair, group="dihedral")
     monkeypatch.setattr(seq1p, "SEQ_WORK_BUDGET", 2 * 3 * 6)
     monkeypatch.setattr(seq1p, "SEQ_CELL_BUDGET", 6)
     times_only = [OnePeriodicSequence(1.0, X.motif[:, :1]) for X in (two, three)]

@@ -885,9 +885,9 @@ def test_small_enumerated_near_copies_go_bound_first(rng, monkeypatch):
     assert sdd_dist(X, Y) == sdd_dist(Y, X) == want
 
 
-def test_transposed_costs_take_the_bounds_of_the_swapped_pair(rng):
-    # the bounds per order of C.T, taken from those of C, are bitwise those
-    # of the classes of Y against the classes of X
+def test_swapped_pair_takes_the_transposed_lower_bounds(rng):
+    # the lower bounds of the classes of Y against the classes of X are
+    # bitwise those of X against Y, transposed
     pairs = []
     for h in (1, 2, 3):
         X, Y = sdd(rng.normal(size=(6, 2)), h), sdd(rng.normal(size=(6, 2)), h)
@@ -898,9 +898,7 @@ def test_transposed_costs_take_the_bounds_of_the_swapped_pair(rng):
                       simplexwise._ocd_metric(Y.ocds, X.ocds)))
     for costs, swapped in pairs:
         low = costs.lower()
-        transposed = costs.transposed()
-        assert transposed.lower().tobytes() == swapped.lower().tobytes() == low.T.tobytes()
-        assert np.array_equal(transposed._per_order, swapped._per_order)
+        assert swapped.lower().tobytes() == low.T.tobytes()
 
 
 def _tied_sdd(values):
@@ -920,7 +918,7 @@ def test_tied_assignments_run_the_same_steps_in_both_argument_orders(rng, monkey
     steps = []
     assigned, exact = numcore._assigned_from_bounds, simplexwise._Costs.exact
     monkeypatch.setattr(numcore, "_assigned_from_bounds",
-                        lambda costs, low, flip: steps.append(low.tobytes()) or assigned(costs, low, flip))
+                        lambda costs, low: steps.append(low.tobytes()) or assigned(costs, low))
     monkeypatch.setattr(simplexwise._Costs, "exact",
                         lambda self, a, b: steps.append((a.tobytes(), b.tobytes())) or exact(self, a, b))
     for scale in (0.125, 0.1):  # exact ties, and ties up to the rounding of the gaps
